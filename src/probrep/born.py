@@ -34,6 +34,7 @@ from .operators import (
     Povm,
     ProbVector,
     _freeze,
+    check_dim,
     make_povm,
     make_prob_vector,
     random_density,
@@ -109,13 +110,13 @@ def make_reference(povm: Povm, sic_certified: bool = False) -> ReferenceMeasurem
     if n != d * d:
         raise WrongOutcomeCount(got=n, expected=d * d)
 
-    projectors = np.empty_like(povm.elements)
-    for i, el in enumerate(povm.elements):
-        w, v = np.linalg.eigh(el)
-        if w[-2] > RANK_ONE_TOL or w[-1] <= RANK_ONE_TOL:
-            raise NotRankOne(i, float(w[-2]))
-        top = v[:, -1]
-        projectors[i] = np.outer(top, top.conj())
+    w, v = np.linalg.eigh(povm.elements)
+    bad = (w[:, -2] > RANK_ONE_TOL) | (w[:, -1] <= RANK_ONE_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NotRankOne(i, float(w[i, -2]))
+    top = v[:, :, -1]
+    projectors = top[:, :, None] * top.conj()[:, None, :]
 
     flat = povm.elements.reshape(n, d * d)
     gram = np.real(flat @ flat.conj().T)
@@ -160,17 +161,13 @@ def reference_from_fiducial(fiducial, require_certified: bool = True) -> Referen
 
 @lru_cache(maxsize=None)
 def sic_reference(dim: int) -> ReferenceMeasurement:
-    """Certified SIC reference for any supported dimension.
+    """Certified SIC reference for any supported dimension (2..8).
 
-    Dimensions in the registry use the shipped fiducial; the rest run the
-    deterministic default search (seed 1, restarts scaled with dimension),
-    so the result is a pure function of the dimension.
+    Built from the registry fiducial (sic.known_fiducial), which is
+    re-certified on first access; no search runs. Raises InvalidDimension
+    outside the supported range.
     """
-    if dim in sic.registry_dims():
-        return reference_from_fiducial(sic.known_fiducial(dim))
-    restarts = {4: 50, 5: 60, 6: 80, 7: 100, 8: 100}.get(dim, 100)
-    candidate = sic.sic_search(dim, seed=1, restarts=restarts)
-    return reference_from_fiducial(candidate.vector)
+    return reference_from_fiducial(sic.known_fiducial(check_dim(dim)))
 
 
 def random_reference(dim: int, seed: int) -> ReferenceMeasurement:

@@ -37,11 +37,23 @@ PROB_SUM_TOL = 1e-10
 
 
 def check_dim(d: int, cap: int = DIM_CAP) -> int:
-    """Validate a Hilbert-space dimension, 2 <= d <= cap."""
+    """Validate a Hilbert-space dimension: an integer with 2 <= d <= cap."""
+    try:
+        whole = int(d) == d
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise InvalidDimension(f"dimension {d!r} is not an integer")
     d = int(d)
     if d < 2 or d > cap:
         raise InvalidDimension(f"dimension {d} outside supported range 2..{cap}")
     return d
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Reject NaN and infinite entries, which every tolerance comparison lets through."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has non-finite entries")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -66,6 +78,7 @@ def make_ket(amplitudes, cap: int = DIM_CAP) -> Ket:
     """Validate and wrap a complex amplitude vector (unit norm within 1e-12)."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     d = check_dim(v.shape[0], cap)
+    _require_finite(v, "ket")
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"ket norm {norm!r} differs from 1 by more than {NORM_TOL}")
@@ -119,6 +132,7 @@ class ProbVector:
 
 def make_prob_vector(values) -> ProbVector:
     v = np.asarray(values, dtype=float).reshape(-1)
+    _require_finite(v, "probability vector")
     if v.min(initial=0.0) < PROB_FLOOR:
         raise ValueError(
             f"probability {v.min():.3e} below the tolerance floor {PROB_FLOOR}"
@@ -148,6 +162,7 @@ def validate_density(matrix, cap: int = DIM_CAP) -> DensityOperator:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     d = check_dim(m.shape[0], cap)
+    _require_finite(m, "density matrix")
     dev = hermitian_deviation(m)
     if dev > HERMITIAN_TOL:
         raise NotHermitian(dev, what="density matrix")
@@ -167,18 +182,25 @@ def validate_density(matrix, cap: int = DIM_CAP) -> DensityOperator:
 
 
 def make_povm(elements, cap: int = DIM_CAP) -> Povm:
-    """Validate a list of matrices as a POVM (the invariants of the type)."""
+    """Validate a list of matrices as a POVM (the invariants of the type).
+
+    All elements are checked with one stacked eigenvalue call; the error
+    names the first failing element, Hermiticity before positivity.
+    """
     els = np.asarray(elements, dtype=complex)
     if els.ndim != 3 or els.shape[1] != els.shape[2]:
         raise ValueError(f"expected shape (n, d, d), got {els.shape}")
     d = check_dim(els.shape[1], cap)
-    for j, el in enumerate(els):
-        dev = hermitian_deviation(el)
-        if dev > HERMITIAN_TOL:
-            raise NotHermitian(dev, what=f"POVM element {j}")
-        w = np.linalg.eigvalsh(0.5 * (el + el.conj().T))
-        if w[0] < -EIGENVALUE_TOL:
-            raise NotPositive(float(w[0]), what=f"POVM element {j}")
+    _require_finite(els, "POVM")
+    adjoint = els.conj().transpose(0, 2, 1)
+    devs = np.max(np.abs(els - adjoint), axis=(1, 2))
+    lowest = np.linalg.eigvalsh(0.5 * (els + adjoint))[:, 0]
+    bad = (devs > HERMITIAN_TOL) | (lowest < -EIGENVALUE_TOL)
+    if bad.any():
+        j = int(np.argmax(bad))
+        if devs[j] > HERMITIAN_TOL:
+            raise NotHermitian(float(devs[j]), what=f"POVM element {j}")
+        raise NotPositive(float(lowest[j]), what=f"POVM element {j}")
     dev = float(np.max(np.abs(els.sum(axis=0) - np.eye(d))))
     if dev > HERMITIAN_TOL:
         raise SumNotIdentity(dev)
@@ -209,15 +231,6 @@ def born_probabilities(rho: DensityOperator, povm: Povm) -> ProbVector:
         raise DimensionMismatch(f"state dim {rho.dim} != POVM dim {povm.dim}")
     q = np.real(np.einsum("ij,aji->a", rho.matrix, povm.elements))
     return make_prob_vector(q)
-
-
-def expectation(rho: DensityOperator, operator: np.ndarray) -> float:
-    """Real expectation value tr(rho A) for Hermitian A."""
-    if rho.dim != operator.shape[0]:
-        raise DimensionMismatch(
-            f"state dim {rho.dim} != operator dim {operator.shape[0]}"
-        )
-    return float(np.real(np.einsum("ij,ji->", rho.matrix, operator)))
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -257,18 +270,18 @@ def random_povm(dim: int, n_outcomes: int, seed: int, cap: int = DIM_CAP) -> Pov
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
     rng = np.random.default_rng(seed)
-    parts = []
-    for _ in range(n_outcomes):
-        g = _complex_normal(rng, (d, d))
-        a = g @ g.conj().T
-        parts.append(0.5 * (a + a.conj().T))
+    # consumes the stream as per-outcome draws would: real then imaginary factor
+    x = rng.standard_normal((n_outcomes, 2, d, d))
+    g = x[:, 0] + 1j * x[:, 1]
+    a = g @ g.conj().transpose(0, 2, 1)
+    parts = 0.5 * (a + a.conj().transpose(0, 2, 1))
     s = np.sum(parts, axis=0)
     w, v = np.linalg.eigh(s)
     cond = float(w[-1] / w[0]) if w[0] > 0 else np.inf
     if cond > 1e12:
         raise SingularNormalizer(cond)
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    els = np.array([inv_sqrt @ a @ inv_sqrt for a in parts])
+    els = inv_sqrt @ parts @ inv_sqrt
     els = 0.5 * (els + els.conj().transpose(0, 2, 1))
     return make_povm(els, cap)
 
@@ -284,5 +297,4 @@ def basis_ket(dim: int, index: int) -> Ket:
 def projector_povm(vectors) -> Povm:
     """Projective measurement onto an orthonormal basis given as row vectors."""
     vecs = np.asarray(vectors, dtype=complex)
-    els = np.array([np.outer(v, v.conj()) for v in vecs])
-    return make_povm(els)
+    return make_povm(vecs[:, :, None] * vecs.conj()[:, None, :])

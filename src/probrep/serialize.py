@@ -20,7 +20,8 @@ from .sic import FiducialCandidate
 
 
 def dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON; NaN and infinities raise ValueError (not valid RFC 8259 JSON)."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def complex_pairs(array: np.ndarray):

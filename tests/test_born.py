@@ -23,8 +23,9 @@ from probrep import (
     validate_density,
     wh_orbit,
 )
-from probrep.born import make_cond_prob, random_ic_inputs
+from probrep.born import RANK_ONE_TOL, make_cond_prob, random_ic_inputs
 from probrep.errors import (
+    InvalidDimension,
     NotAValidState,
     NotInformationallyComplete,
     NotRankOne,
@@ -53,6 +54,18 @@ def x_projectors():
     return projector_povm(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
+def loop_projectors(povm):
+    """Per-element eigh loop that make_reference's stacked call replaced."""
+    projectors = np.empty_like(povm.elements)
+    for i, el in enumerate(povm.elements):
+        w, v = np.linalg.eigh(el)
+        if w[-2] > RANK_ONE_TOL or w[-1] <= RANK_ONE_TOL:
+            raise NotRankOne(i, float(w[-2]))
+        top = v[:, -1]
+        projectors[i] = np.outer(top, top.conj())
+    return projectors
+
+
 class TestMakeReference:
     def test_sic_transfer_matrix_values(self):
         # closed form M_ik = (d delta_ik + 1) / (d (d + 1))
@@ -68,6 +81,27 @@ class TestMakeReference:
         els = np.array([np.eye(2) / 4] * 4)
         with pytest.raises(NotRankOne):
             make_reference(make_povm(els))
+
+    def test_first_element_not_rank_one_reported(self):
+        # fold element 7 into elements k and 5: both become rank 2, 7 is zero
+        for k in (0, 2, 4):
+            els = sic_reference(3).elements.elements.copy()
+            els[k] += els[7] / 2
+            els[5] += els[7] / 2
+            els[7] = 0.0
+            povm = make_povm(els)
+            with pytest.raises(NotRankOne) as exc:
+                make_reference(povm)
+            with pytest.raises(NotRankOne) as loop_exc:
+                loop_projectors(povm)
+            assert exc.value.index == k == loop_exc.value.index
+            assert exc.value.second_eigenvalue == loop_exc.value.second_eigenvalue
+
+    def test_projectors_match_per_element_loop(self):
+        refs = [sic_reference(d) for d in range(2, 9)]
+        refs += [random_reference(d, seed) for d in (2, 3, 5) for seed in (0, 1, 4)]
+        for ref in refs:
+            assert ref.projectors.tobytes() == loop_projectors(ref.elements).tobytes()
 
     def test_not_informationally_complete(self):
         p0 = np.diag([1.0, 0.0])
@@ -295,6 +329,12 @@ class TestSicReference:
             ref = sic_reference(d)
             assert ref.sic_certified
             assert ref.n_outcomes == d * d
+
+    def test_unsupported_dimension_is_invalid_not_missing(self):
+        # KeyError would reach the CLI as "missing field in input file"
+        for d in (1, 9):
+            with pytest.raises(InvalidDimension):
+                sic_reference(d)
 
     def test_registry_fiducial_backs_small_dims(self):
         ref = sic_reference(2)

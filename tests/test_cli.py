@@ -225,6 +225,11 @@ class TestBell:
     def test_bad_angles(self, workdir):
         assert main(["bell", "--angles", "90,0,45,135"]) == 1
 
+    def test_non_finite_angle_exits_one(self, workdir, capsys):
+        assert main(["bell", "--angles", "nan,0:45,135", "--chsh"]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (workdir / "bell_summary.json").exists()
+
     def test_rerun_reproduces_csv_and_json(self, workdir):
         main(["bell", "--state", "singlet", "--chsh", "--simulate", "500",
               "--counts-csv", "counts.csv"])

@@ -17,12 +17,100 @@ from probrep.errors import (
     BadRank,
     DimensionMismatch,
     DimensionOverflow,
+    InvalidDimension,
     NotHermitian,
     NotPositive,
     SumNotIdentity,
     TraceNotOne,
 )
-from probrep.operators import DIM_CAP, basis_ket, projector_povm
+from probrep.operators import (
+    DIM_CAP,
+    EIGENVALUE_TOL,
+    HERMITIAN_TOL,
+    basis_ket,
+    check_dim,
+    hermitian_deviation,
+    projector_povm,
+)
+
+
+# Per-element loops that the stacked numpy code replaced; the stacked code
+# must give the same bytes and raise for the same element.
+
+
+def loop_make_povm(elements):
+    els = np.asarray(elements, dtype=complex)
+    d = els.shape[1]
+    for j, el in enumerate(els):
+        dev = hermitian_deviation(el)
+        if dev > HERMITIAN_TOL:
+            raise NotHermitian(dev, what=f"POVM element {j}")
+        w = np.linalg.eigvalsh(0.5 * (el + el.conj().T))
+        if w[0] < -EIGENVALUE_TOL:
+            raise NotPositive(float(w[0]), what=f"POVM element {j}")
+    dev = float(np.max(np.abs(els.sum(axis=0) - np.eye(d))))
+    if dev > HERMITIAN_TOL:
+        raise SumNotIdentity(dev)
+    return els.copy()
+
+
+def loop_random_povm(dim, n_outcomes, seed):
+    rng = np.random.default_rng(seed)
+    parts = []
+    for _ in range(n_outcomes):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a = g @ g.conj().T
+        parts.append(0.5 * (a + a.conj().T))
+    s = np.sum(parts, axis=0)
+    w, v = np.linalg.eigh(s)
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    els = np.array([inv_sqrt @ a @ inv_sqrt for a in parts])
+    return 0.5 * (els + els.conj().transpose(0, 2, 1))
+
+
+def outcome(fn, *args):
+    """Result bytes, or the raised class with its message and measured values."""
+    try:
+        result = fn(*args)
+    except (NotHermitian, NotPositive, SumNotIdentity) as err:
+        return type(err), str(err), vars(err)
+    return np.asarray(getattr(result, "elements", result)).tobytes()
+
+
+class TestCheckDim:
+    def test_accepts_integers(self):
+        assert check_dim(3) == 3
+        assert check_dim(np.int64(4)) == 4
+        assert check_dim(5.0) == 5
+
+    def test_rejects_non_integers(self):
+        for d in (2.7, np.float64(3.5), np.nan, np.inf, "3", None):
+            with pytest.raises(InvalidDimension):
+                check_dim(d)
+
+    def test_rejects_out_of_range(self):
+        for d in (1, DIM_CAP + 1):
+            with pytest.raises(InvalidDimension):
+                check_dim(d)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_validator(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            make_prob_vector([1.0, bad])
+        with pytest.raises(ValueError, match="non-finite"):
+            make_ket([1.0, bad])
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_density(np.array([[1.0, 0.0], [0.0, bad]]))
+        els = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+        els[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            make_povm(els)
+
+    def test_complex_nan_part(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            make_ket([1.0, complex(0.0, np.nan)])
 
 
 class TestValidateDensity:
@@ -219,6 +307,13 @@ class TestRandomPovm:
         b = random_povm(2, 3, seed=9)
         assert_allclose(a.elements, b.elements, atol=0)
 
+    def test_matches_per_outcome_loop(self):
+        for d in (2, 3, 5, 8):
+            for n in (2, 3, d + 2, d * d):
+                for seed in (0, 1, 17):
+                    stacked = random_povm(d, n, seed).elements
+                    assert stacked.tobytes() == loop_random_povm(d, n, seed).tobytes()
+
 
 class TestProbVector:
     def test_tiny_negative_clipped(self):
@@ -244,3 +339,38 @@ class TestMakePovm:
         els = np.array([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])])
         with pytest.raises(NotPositive):
             make_povm(els)
+
+    def test_first_failing_element_reported(self):
+        # element 1 is not positive and element 2 not Hermitian: the loop
+        # stops at element 1, and so must the stacked check
+        els = random_povm(3, 4, seed=2).elements.copy()
+        els[1] -= 0.5 * np.eye(3)
+        els[2, 0, 1] += 1e-6
+        with pytest.raises(NotPositive, match="POVM element 1"):
+            make_povm(els)
+        assert outcome(make_povm, els) == outcome(loop_make_povm, els)
+
+    def test_matches_per_element_loop(self):
+        # random stacks with random defects: same bytes, or the same
+        # exception class, element index and measured deviation
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 4, 6, 8):
+            for n in (2, 5, d * d):
+                for seed in range(4):
+                    els = random_povm(d, n, seed).elements.copy()
+                    for j in rng.choice(n, size=rng.integers(0, 3), replace=False):
+                        kind = rng.integers(3)
+                        if kind in (0, 2):
+                            els[j, 0, d - 1] += 10.0 ** rng.uniform(-12, -6)
+                        if kind in (1, 2):
+                            els[j] -= 10.0 ** rng.uniform(-11, -1) * np.eye(d)
+                    assert outcome(make_povm, els) == outcome(loop_make_povm, els)
+
+    def test_projector_povm_matches_outer_products(self):
+        for d in (2, 4, 8):
+            q, _ = np.linalg.qr(
+                np.random.default_rng(d).standard_normal((d, d))
+                + 1j * np.random.default_rng(d + 1).standard_normal((d, d))
+            )
+            expected = np.array([np.outer(v, v.conj()) for v in q])
+            assert projector_povm(q).elements.tobytes() == expected.tobytes()

@@ -88,3 +88,9 @@ def test_from_pairs_rejects_flat_lists():
 def test_dumps_is_deterministic():
     payload = serialize.ket_payload(make_ket(np.array([1.0, 1.0]) / np.sqrt(2)))
     assert serialize.dumps(payload) == serialize.dumps(dict(reversed(list(payload.items()))))
+
+
+def test_dumps_rejects_non_finite():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            serialize.dumps({"gap": bad})

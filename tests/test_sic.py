@@ -17,6 +17,7 @@ from probrep import (
 )
 from probrep.errors import NoConvergence
 from probrep.sic import (
+    SEARCH_PROVENANCE,
     _potential_and_gradient,
     displacement_stack,
     registry_dims,
@@ -179,7 +180,7 @@ class TestSicCertify:
             sic_certify(make_ket([1.0, 0.0]), tolerance=0.0)
 
     def test_certified_orbit_overlaps_and_povm(self):
-        for d in (2, 3):
+        for d in registry_dims():
             fid = known_fiducial(d)
             orbit = wh_orbit(fid)
             vecs = displacement_stack(d) @ fid.amplitudes
@@ -195,13 +196,20 @@ class TestSicCertify:
 
 class TestRegistry:
     def test_shipped_dimensions(self):
-        assert registry_dims() == (2, 3)
+        assert registry_dims() == (2, 3, 4, 5, 6, 7, 8)
 
     def test_recertified_on_access(self):
-        for d in (2, 3):
+        for d in registry_dims():
             fid = known_fiducial(d)
             assert max_sic_deviation(fid) < 1e-10
 
     def test_missing_dimension(self):
         with pytest.raises(KeyError):
-            known_fiducial(5)
+            known_fiducial(9)
+
+    def test_stored_vectors_are_the_search_results(self):
+        # the search stays the oracle for every stored (non-closed-form) vector
+        seed = SEARCH_PROVENANCE["seed"]
+        for d, restarts in SEARCH_PROVENANCE["restarts"].items():
+            found = sic_search(d, seed=seed, restarts=restarts)
+            assert np.array_equal(known_fiducial(d).amplitudes, found.vector.amplitudes)
