@@ -37,6 +37,7 @@ from .operators import (
     check_dim,
     make_povm,
     make_prob_vector,
+    prob_values,
     random_density,
     random_povm,
     validate_density,
@@ -58,7 +59,7 @@ class ReferenceMeasurement:
     transfer: np.ndarray
     transfer_inverse: np.ndarray
     condition_number: float
-    sic_certified: bool = False
+    sic_certified: bool
 
     @property
     def n_outcomes(self) -> int:
@@ -96,12 +97,14 @@ def make_cond_prob(rows) -> CondProbMatrix:
     return CondProbMatrix(_freeze(r.copy()))
 
 
-def make_reference(povm: Povm, sic_certified: bool = False) -> ReferenceMeasurement:
+def make_reference(povm: Povm) -> ReferenceMeasurement:
     """Validate a POVM as a reference measurement and build its transfer maps.
 
     Requires exactly d^2 elements, each rank 1 (second eigenvalue below
     1e-10), spanning the full operator space. The projectors are the
-    dominant eigenvector projectors of the elements. Raises
+    dominant eigenvector projectors of the elements. ``sic_certified``
+    holds when d^2 tr(E_i E_j) is within sic.CERT_TOL of the SIC values
+    1 (i = j) and 1/(d+1) (i != j), the overlaps sic.sic_certify checks. Raises
     WrongOutcomeCount, NotRankOne, NotInformationallyComplete or
     IllConditionedReference.
     """
@@ -124,6 +127,8 @@ def make_reference(povm: Povm, sic_certified: bool = False) -> ReferenceMeasurem
     rank = int(np.sum(svals > GRAM_RANK_FACTOR * svals[0]))
     if rank < d * d:
         raise NotInformationallyComplete(gram_rank=rank, needed=d * d)
+    sic_gram = (d * np.eye(n) + 1.0) / (d + 1)
+    sic_certified = bool(np.max(np.abs(d * d * gram - sic_gram)) < sic.CERT_TOL)
 
     transfer = np.real(np.einsum("iab,kba->ik", povm.elements, projectors))
     svals = np.linalg.svd(transfer, compute_uv=False)
@@ -146,28 +151,16 @@ def make_reference(povm: Povm, sic_certified: bool = False) -> ReferenceMeasurem
     )
 
 
-def reference_from_fiducial(fiducial, require_certified: bool = True) -> ReferenceMeasurement:
-    """Reference measurement {Pi_i / d} from a displacement orbit."""
-    cert = sic.sic_certify(fiducial)
-    if require_certified and not cert.passed:
-        raise NotAValidState(
-            f"fiducial fails SIC certification: deviation "
-            f"{cert.candidate.max_sic_deviation:.3e}"
-        )
-    orbit = sic.wh_orbit(fiducial)
-    povm = make_povm(orbit / fiducial.dim)
-    return make_reference(povm, sic_certified=cert.passed)
-
-
 @lru_cache(maxsize=None)
 def sic_reference(dim: int) -> ReferenceMeasurement:
     """Certified SIC reference for any supported dimension (2..8).
 
-    Built from the registry fiducial (sic.known_fiducial), which is
-    re-certified on first access; no search runs. Raises InvalidDimension
-    outside the supported range.
+    The reference {Pi_i / d} is the displacement orbit of the registry
+    fiducial (sic.known_fiducial), which is certified on first access; no
+    search runs. Raises InvalidDimension outside the supported range.
     """
-    return reference_from_fiducial(sic.known_fiducial(check_dim(dim)))
+    d = check_dim(dim)
+    return make_reference(make_povm(sic.wh_orbit(sic.known_fiducial(d)) / d))
 
 
 def random_reference(dim: int, seed: int) -> ReferenceMeasurement:
@@ -213,7 +206,7 @@ def prob_to_state(ref: ReferenceMeasurement, p: ProbVector) -> DensityOperator:
     fails positivity, which signals that p lies outside the quantum state
     space.
     """
-    values = p.values if isinstance(p, ProbVector) else np.asarray(p, dtype=float)
+    values = prob_values(p)
     if values.shape[0] != ref.n_outcomes:
         raise ShapeMismatch(
             f"probability vector has {values.shape[0]} entries, "
@@ -244,7 +237,7 @@ def povm_to_cond(ref: ReferenceMeasurement, povm: Povm) -> CondProbMatrix:
 
 
 def _check_shapes(ref_outcomes: int, p, r: CondProbMatrix) -> np.ndarray:
-    values = p.values if isinstance(p, ProbVector) else np.asarray(p, dtype=float)
+    values = prob_values(p)
     if values.shape[0] != ref_outcomes or r.n_reference != ref_outcomes:
         raise ShapeMismatch(
             f"expected {ref_outcomes} reference outcomes, got p with "
@@ -280,7 +273,7 @@ def classical_law(p: ProbVector, r: CondProbMatrix) -> ProbVector:
     The prediction of an agent who treats the counterfactual reference
     measurement as if it had actually been performed.
     """
-    values = p.values if isinstance(p, ProbVector) else np.asarray(p, dtype=float)
+    values = prob_values(p)
     if values.shape[0] != r.n_reference:
         raise ShapeMismatch(
             f"p has {values.shape[0]} entries, r has {r.n_reference} rows"
@@ -299,11 +292,11 @@ def classicality_gap(
     return float(np.max(np.abs(quantum.values - classical.values)))
 
 
-def random_ic_inputs(dim: int, seed: int, n_povm_outcomes: int = 0):
+def random_ic_inputs(dim: int, seed: int):
     """Deterministic (rho, povm) pair for sweep tests; plumbing helper."""
     rng = np.random.default_rng(seed)
     rank = int(rng.integers(1, dim + 1))
-    n = n_povm_outcomes or int(rng.integers(2, dim + 3))
+    n = int(rng.integers(2, dim + 3))
     rho = random_density(dim, rank, seed + 1)
     povm = random_povm(dim, n, seed + 2)
     return rho, povm

@@ -44,7 +44,7 @@ class DimensionOverflow(ProbrepError):
     def __init__(self, dim: int, cap: int):
         self.dim = dim
         self.cap = cap
-        super().__init__(f"product dimension {dim} exceeds the configured cap {cap}")
+        super().__init__(f"product dimension {dim} exceeds the dimension cap {cap}")
 
 
 class DimensionMismatch(ProbrepError):

@@ -25,7 +25,7 @@ from .errors import (
     TraceNotOne,
 )
 
-#: Default cap on Hilbert-space dimension (d^2 = 64 reference outcomes at most).
+#: Cap on Hilbert-space dimension (d^2 = 64 reference outcomes at most).
 DIM_CAP = 8
 
 HERMITIAN_TOL = 1e-10
@@ -36,8 +36,8 @@ PROB_FLOOR = -1e-12
 PROB_SUM_TOL = 1e-10
 
 
-def check_dim(d: int, cap: int = DIM_CAP) -> int:
-    """Validate a Hilbert-space dimension: an integer with 2 <= d <= cap."""
+def check_dim(d: int) -> int:
+    """Validate a Hilbert-space dimension: an integer with 2 <= d <= DIM_CAP."""
     try:
         whole = int(d) == d
     except (TypeError, ValueError, OverflowError):
@@ -45,8 +45,8 @@ def check_dim(d: int, cap: int = DIM_CAP) -> int:
     if not whole:
         raise InvalidDimension(f"dimension {d!r} is not an integer")
     d = int(d)
-    if d < 2 or d > cap:
-        raise InvalidDimension(f"dimension {d} outside supported range 2..{cap}")
+    if d < 2 or d > DIM_CAP:
+        raise InvalidDimension(f"dimension {d} outside supported range 2..{DIM_CAP}")
     return d
 
 
@@ -74,10 +74,10 @@ class Ket:
         return DensityOperator(self.dim, _freeze(0.5 * (m + m.conj().T)))
 
 
-def make_ket(amplitudes, cap: int = DIM_CAP) -> Ket:
+def make_ket(amplitudes) -> Ket:
     """Validate and wrap a complex amplitude vector (unit norm within 1e-12)."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    d = check_dim(v.shape[0], cap)
+    d = check_dim(v.shape[0])
     _require_finite(v, "ket")
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > NORM_TOL:
@@ -144,11 +144,16 @@ def make_prob_vector(values) -> ProbVector:
     return ProbVector(_freeze(v))
 
 
+def prob_values(p) -> np.ndarray:
+    """Entries of a ProbVector, or of a raw array validated by make_prob_vector."""
+    return (p if isinstance(p, ProbVector) else make_prob_vector(p)).values
+
+
 def hermitian_deviation(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
-def validate_density(matrix, cap: int = DIM_CAP) -> DensityOperator:
+def validate_density(matrix) -> DensityOperator:
     """Validate a matrix as a density operator.
 
     Checks Hermiticity, positivity and unit trace at the standard 1e-10
@@ -161,7 +166,7 @@ def validate_density(matrix, cap: int = DIM_CAP) -> DensityOperator:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    d = check_dim(m.shape[0], cap)
+    d = check_dim(m.shape[0])
     _require_finite(m, "density matrix")
     dev = hermitian_deviation(m)
     if dev > HERMITIAN_TOL:
@@ -181,7 +186,7 @@ def validate_density(matrix, cap: int = DIM_CAP) -> DensityOperator:
     return DensityOperator(d, _freeze(m))
 
 
-def make_povm(elements, cap: int = DIM_CAP) -> Povm:
+def make_povm(elements) -> Povm:
     """Validate a list of matrices as a POVM (the invariants of the type).
 
     All elements are checked with one stacked eigenvalue call; the error
@@ -190,7 +195,7 @@ def make_povm(elements, cap: int = DIM_CAP) -> Povm:
     els = np.asarray(elements, dtype=complex)
     if els.ndim != 3 or els.shape[1] != els.shape[2]:
         raise ValueError(f"expected shape (n, d, d), got {els.shape}")
-    d = check_dim(els.shape[1], cap)
+    d = check_dim(els.shape[1])
     _require_finite(els, "POVM")
     adjoint = els.conj().transpose(0, 2, 1)
     devs = np.max(np.abs(els - adjoint), axis=(1, 2))
@@ -207,17 +212,17 @@ def make_povm(elements, cap: int = DIM_CAP) -> Povm:
     return Povm(d, _freeze(els.copy()))
 
 
-def tensor(a: np.ndarray, b: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the (i_A, i_B) -> i_A * dim_B + i_B convention.
 
     Accepts operators (2-d) or kets (1-d). Raises DimensionOverflow when the
-    product dimension exceeds the cap.
+    product dimension exceeds DIM_CAP.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     out_dim = a.shape[0] * b.shape[0]
-    if out_dim > cap:
-        raise DimensionOverflow(out_dim, cap)
+    if out_dim > DIM_CAP:
+        raise DimensionOverflow(out_dim, DIM_CAP)
     return np.kron(a, b)
 
 
@@ -237,18 +242,18 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_pure_state(dim: int, seed: int, cap: int = DIM_CAP) -> Ket:
+def random_pure_state(dim: int, seed: int) -> Ket:
     """Haar-distributed pure state: normalized complex standard normals."""
-    d = check_dim(dim, cap)
+    d = check_dim(dim)
     rng = np.random.default_rng(seed)
     v = _complex_normal(rng, d)
     v /= np.linalg.norm(v)
     return Ket(d, _freeze(v))
 
 
-def random_density(dim: int, rank: int, seed: int, cap: int = DIM_CAP) -> DensityOperator:
+def random_density(dim: int, rank: int, seed: int) -> DensityOperator:
     """Random state rho = G G^dag / tr(G G^dag), G a d x rank complex normal."""
-    d = check_dim(dim, cap)
+    d = check_dim(dim)
     if not 1 <= rank <= d:
         raise BadRank(f"rank {rank} outside 1..{d}")
     rng = np.random.default_rng(seed)
@@ -259,14 +264,14 @@ def random_density(dim: int, rank: int, seed: int, cap: int = DIM_CAP) -> Densit
     return DensityOperator(d, _freeze(m))
 
 
-def random_povm(dim: int, n_outcomes: int, seed: int, cap: int = DIM_CAP) -> Povm:
+def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     """Random POVM from n Wishart factors, whitened to sum to identity.
 
     Draws A_k = G_k G_k^dag, S = sum_k A_k and returns
     {S^{-1/2} A_k S^{-1/2}}. Raises SingularNormalizer when S has
     condition number above 1e12.
     """
-    d = check_dim(dim, cap)
+    d = check_dim(dim)
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
     rng = np.random.default_rng(seed)
@@ -283,7 +288,7 @@ def random_povm(dim: int, n_outcomes: int, seed: int, cap: int = DIM_CAP) -> Pov
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
     els = inv_sqrt @ parts @ inv_sqrt
     els = 0.5 * (els + els.conj().transpose(0, 2, 1))
-    return make_povm(els, cap)
+    return make_povm(els)
 
 
 def basis_ket(dim: int, index: int) -> Ket:

@@ -15,7 +15,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .correlations import CorrelationTable, make_table
-from .operators import ProbVector, _freeze
+from .operators import _freeze, prob_values
 
 SAMPLING_MODES = ("blocked", "per-trial-random")
 
@@ -66,7 +66,7 @@ class DataTable:
 def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """n inverse-CDF draws from a categorical distribution, as counts."""
     cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
+    cdf[np.flatnonzero(probs)[-1]:] = 1.0
     draws = np.searchsorted(cdf, rng.random(n), side="right")
     return np.bincount(draws, minlength=probs.shape[0])
 
@@ -75,7 +75,7 @@ def sample_outcomes(q, n: int, seed: int) -> OutcomeCounts:
     """n independent seeded draws from the distribution q."""
     if n < 1:
         raise ValueError(f"need at least one trial, got {n}")
-    probs = q.values if isinstance(q, ProbVector) else np.asarray(q, dtype=float)
+    probs = prob_values(q)
     rng = np.random.default_rng(seed)
     counts = _draw_counts(probs, n, rng)
     return OutcomeCounts(counts=_freeze(counts), n_trials=n, seed=seed)

@@ -82,8 +82,8 @@ def reference_payload(ref: ReferenceMeasurement) -> dict:
 
 
 def reference_from_payload(data: dict) -> ReferenceMeasurement:
-    povm = povm_from_payload(data)
-    return make_reference(povm, sic_certified=bool(data.get("sic_certified", False)))
+    """Reference from its POVM fields; make_reference recomputes "sic_certified"."""
+    return make_reference(povm_from_payload(data))
 
 
 def fiducial_payload(candidate: FiducialCandidate) -> dict:

@@ -211,7 +211,7 @@ def _polish(x, stack, stack_dag, target, gtol, max_iterations=80):
     return x, pot, float(np.linalg.norm(_tangent(x, g)))
 
 
-def _minimize_restart(dim, rng, gtol, max_iterations):
+def _minimize_restart(dim, rng, gtol):
     """One local minimization: projected gradient descent, then polish.
 
     Returns (potential, unit vector, projected gradient norm, converged).
@@ -226,7 +226,7 @@ def _minimize_restart(dim, rng, gtol, max_iterations):
     r = _tangent(x, g)
     alpha = 1e-2
     prev = None
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         rnorm2 = float(np.real(np.vdot(r, r)))
         if np.sqrt(rnorm2) < _GD_SWITCH:
             break
@@ -262,7 +262,6 @@ def sic_search(
     seed: int,
     restarts: int,
     gtol: float = GRAD_TOL,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> FiducialCandidate:
     """Multi-start minimization of the frame potential over unit vectors.
 
@@ -278,7 +277,7 @@ def sic_search(
     best = None
     for i in range(restarts):
         rng = np.random.default_rng(seed + i)
-        pot, x, _rnorm, converged = _minimize_restart(d, rng, gtol, max_iterations)
+        pot, x, _rnorm, converged = _minimize_restart(d, rng, gtol)
         if converged and (best is None or pot < best[0]):
             best = (pot, x)
     if best is None:

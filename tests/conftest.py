@@ -1,19 +1,22 @@
 import os
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(autouse=True, scope="session")
 def absolute_pythonpath():
-    """Resolve PYTHONPATH entries against the directory pytest started in.
+    """Put the absolute source directory first on PYTHONPATH for subprocesses.
 
-    The suite is run as `PYTHONPATH=src python -m pytest`; a relative entry
-    stops resolving in subprocesses that a test starts from a temporary
-    working directory.
+    pytest itself finds the package through `pythonpath` in pyproject.toml,
+    which subprocesses do not inherit. Other entries are resolved against the
+    directory pytest started in, since a relative entry stops resolving in a
+    subprocess that a test starts from a temporary working directory.
     """
-    entries = os.environ.get("PYTHONPATH")
+    entries = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    absolute = [str(SRC)] + [os.path.abspath(p) for p in entries if p]
     with pytest.MonkeyPatch.context() as mp:
-        if entries:
-            absolute = (os.path.abspath(p) for p in entries.split(os.pathsep))
-            mp.setenv("PYTHONPATH", os.pathsep.join(absolute))
+        mp.setenv("PYTHONPATH", os.pathsep.join(absolute))
         yield

@@ -121,6 +121,12 @@ class TestMakeReference:
         b = random_reference(2, seed=5)
         assert_allclose(a.elements.elements, b.elements.elements, atol=0)
 
+    def test_sic_flag_derived_from_elements(self):
+        for d in range(2, 9):
+            assert make_reference(sic_reference(d).elements).sic_certified
+        for d, seed in ((2, 0), (2, 5), (3, 1), (4, 2), (5, 3), (8, 7)):
+            assert not random_reference(d, seed).sic_certified
+
 
 class TestStateToProb:
     def test_maximally_mixed_uniform(self):
@@ -182,6 +188,11 @@ class TestProbToState:
         ref = sic_reference(2)
         with pytest.raises(ShapeMismatch):
             prob_to_state(ref, make_prob_vector([0.5, 0.5]))
+
+    def test_unnormalized_raw_array_rejected_on_entry(self):
+        ref = sic_reference(2)
+        with pytest.raises(ValueError, match="probabilities sum to"):
+            prob_to_state(ref, np.full(4, 0.5))
 
 
 class TestPovmToCond:

@@ -112,6 +112,22 @@ class TestBornCheck:
         assert code == 0
         assert load(workdir / "bc.json")["max_sic_vs_general"] is None
 
+    def test_sic_flag_in_reference_file_is_recomputed(self, workdir):
+        from probrep import random_reference, sic_reference
+
+        def sic_vs_general(ref, claim):
+            payload = serialize.reference_payload(ref)
+            payload["sic_certified"] = claim
+            (workdir / "ref.json").write_text(serialize.dumps(payload))
+            code = main(["born-check", "--dim", "3", "--trials", "5", "--seed", "2",
+                         "--reference", "ref.json", "--report", "bc.json"])
+            assert code == 0
+            return load(workdir / "bc.json")["max_sic_vs_general"]
+
+        # a false claim would apply the SIC rule to random elements
+        assert sic_vs_general(random_reference(3, 1), True) is None
+        assert sic_vs_general(sic_reference(3), False) < 1e-10
+
     def test_thousand_trial_sweep(self, workdir):
         code = main(
             ["born-check", "--dim", "3", "--trials", "1000",

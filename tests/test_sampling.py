@@ -11,6 +11,7 @@ from probrep import (
     sample_outcomes,
 )
 from probrep.correlations import canonical_chsh_table, make_table
+from probrep.sampling import _draw_counts
 
 
 def exact_binomial_interval(n: int, p: float, lo: int, hi: int) -> Fraction:
@@ -37,6 +38,22 @@ class TestSampleOutcomes:
     def test_needs_a_trial(self):
         with pytest.raises(ValueError):
             sample_outcomes([1.0, 0.0], 0, seed=0)
+
+    def test_raw_array_must_be_a_distribution(self):
+        for bad in ([0.2, 0.2], [1.5, -0.5], [0.5, float("nan")]):
+            with pytest.raises(ValueError):
+                sample_outcomes(bad, 1000, seed=0)
+
+    def test_trailing_zero_outcome_never_drawn(self):
+        # cumsum of these entries is 0.9999999999999999 before the zero
+        probs = np.array([0.7, 0.2, 0.1, 0.0])
+
+        class TopOfRange:
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+        counts = _draw_counts(probs, 5, TopOfRange())
+        assert tuple(counts) == (0, 0, 5, 0)
 
     def test_frequencies_within_binomial_error(self):
         n = 100_000
