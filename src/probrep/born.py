@@ -26,14 +26,21 @@ from .errors import (
     NotInformationallyComplete,
     NotPositive,
     NotRankOne,
+    ProbrepError,
     ShapeMismatch,
+    TrialFailed,
     WrongOutcomeCount,
 )
 from .operators import (
     DensityOperator,
     Povm,
     ProbVector,
+    _check_prob_rows,
     _freeze,
+    _require_finite,
+    _trace_values,
+    _wishart_draw,
+    _wishart_povms,
     check_dim,
     make_povm,
     make_prob_vector,
@@ -47,6 +54,10 @@ RANK_ONE_TOL = 1e-10
 GRAM_RANK_FACTOR = 1e-10
 CONDITION_CAP = 1e10
 INVERSE_CHECK_TOL = 1e-8
+
+#: Most trials check_trials evaluates in one stack; small stacks keep the
+#: stacked arrays, and so the peak memory, small.
+TRIAL_STACK = 8
 
 
 @dataclass(frozen=True)
@@ -85,16 +96,32 @@ def make_cond_prob(rows) -> CondProbMatrix:
     r = np.asarray(rows, dtype=float)
     if r.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {r.shape}")
-    if r.min() < -1e-12 or r.max() > 1.0 + 1e-12:
-        raise ValueError(
-            f"conditional probabilities outside [0, 1]: range "
-            f"[{r.min():.3e}, {r.max():.3e}]"
-        )
-    row_sums = r.sum(axis=1)
-    worst = float(np.max(np.abs(row_sums - 1.0)))
-    if worst > 1e-10:
-        raise ValueError(f"conditional rows must sum to 1, worst deviation {worst:.3e}")
+    _check_cond_stack(r[None])
     return CondProbMatrix(_freeze(r.copy()))
+
+
+def _check_cond_stack(r: np.ndarray) -> None:
+    """Validate a (stack, m, n) array of conditional matrices r(j|i).
+
+    The error describes the first failing matrix, its range before its
+    row sums.
+    """
+    _require_finite(r, "conditional probabilities")
+    lo = r.min(axis=(1, 2))
+    hi = r.max(axis=(1, 2))
+    worst = np.max(np.abs(r.sum(axis=2) - 1.0), axis=1)
+    outside = (lo < -1e-12) | (hi > 1.0 + 1e-12)
+    bad = outside | (worst > 1e-10)
+    if bad.any():
+        b = int(np.argmax(bad))
+        if outside[b]:
+            raise ValueError(
+                f"conditional probabilities outside [0, 1]: range "
+                f"[{lo[b]:.3e}, {hi[b]:.3e}]"
+            )
+        raise ValueError(
+            f"conditional rows must sum to 1, worst deviation {worst[b]:.3e}"
+        )
 
 
 def make_reference(povm: Povm) -> ReferenceMeasurement:
@@ -165,6 +192,7 @@ def sic_reference(dim: int) -> ReferenceMeasurement:
 
 def random_reference(dim: int, seed: int) -> ReferenceMeasurement:
     """Random rank-1 IC reference: d^2 whitened random rank-1 operators."""
+    dim = check_dim(dim)
     rng = np.random.default_rng(seed)
     n = dim * dim
     vecs = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
@@ -179,23 +207,46 @@ def random_reference(dim: int, seed: int) -> ReferenceMeasurement:
 
 
 def _transfer_weights(ref: ReferenceMeasurement, values: np.ndarray) -> np.ndarray:
-    """Solve M w = values with one step of iterative refinement.
+    """Solve M w = values, for one vector or a (stack, m) array of them,
+    with one step of iterative refinement.
 
     The explicit inverse alone loses ~cond(M) * eps, which random references
     can push past the output tolerances; the refinement step brings the
-    residual back to machine level.
+    residual back to machine level. Each vector is one matrix-vector
+    product, so a stack gives the same bits as its rows one at a time.
     """
-    w = ref.transfer_inverse @ values
-    w += ref.transfer_inverse @ (values - ref.transfer @ w)
+    w = _matvec(ref.transfer_inverse, values)
+    w += _matvec(ref.transfer_inverse, values - _matvec(ref.transfer, w))
     return w
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (a @ v[..., None])[..., 0]
+
+
+def _weighted_rows(weights: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """q(j) = sum_i weights(i) r(j|i), for one (m,) vector or a stack."""
+    return (weights[..., None, :] @ r)[..., 0, :]
+
+
+def _general_rule(ref: ReferenceMeasurement, p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return _weighted_rows(_transfer_weights(ref, p), r)
+
+
+def _sic_rule(dim: int, p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return _weighted_rows((dim + 1) * p - 1.0 / dim, r)
+
+
+def _cond_values(elements: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """r(j|i) = tr(F_j Pi_i) for (n, d, d) elements and (m, d, d) projectors."""
+    return np.real(np.einsum("jab,iba->ij", elements, projectors))
 
 
 def state_to_prob(ref: ReferenceMeasurement, rho: DensityOperator) -> ProbVector:
     """p(i) = tr(rho E_i): the state as a probability vector."""
     if rho.dim != ref.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != reference dim {ref.dim}")
-    p = np.real(np.einsum("ij,aji->a", rho.matrix, ref.elements.elements))
-    return make_prob_vector(p)
+    return make_prob_vector(_trace_values(rho.matrix, ref.elements.elements))
 
 
 def prob_to_state(ref: ReferenceMeasurement, p: ProbVector) -> DensityOperator:
@@ -232,8 +283,7 @@ def povm_to_cond(ref: ReferenceMeasurement, povm: Povm) -> CondProbMatrix:
     """
     if povm.dim != ref.dim:
         raise DimensionMismatch(f"POVM dim {povm.dim} != reference dim {ref.dim}")
-    rows = np.real(np.einsum("jab,iba->ij", povm.elements, ref.projectors))
-    return make_cond_prob(rows)
+    return make_cond_prob(_cond_values(povm.elements, ref.projectors))
 
 
 def _check_shapes(ref_outcomes: int, p, r: CondProbMatrix) -> np.ndarray:
@@ -256,15 +306,13 @@ def urgleichung_general(
     tr(rho F_j) whenever p and r come from an actual state and POVM.
     """
     values = _check_shapes(ref.n_outcomes, p, r)
-    weights = _transfer_weights(ref, values)
-    return make_prob_vector(weights @ r.rows)
+    return make_prob_vector(_general_rule(ref, values, r.rows))
 
 
 def urgleichung_sic(dim: int, p: ProbVector, r: CondProbMatrix) -> ProbVector:
     """SIC form of the rule: q(j) = sum_i ((d+1) p(i) - 1/d) r(j|i)."""
     values = _check_shapes(dim * dim, p, r)
-    weights = (dim + 1) * values - 1.0 / dim
-    return make_prob_vector(weights @ r.rows)
+    return make_prob_vector(_sic_rule(dim, values, r.rows))
 
 
 def classical_law(p: ProbVector, r: CondProbMatrix) -> ProbVector:
@@ -294,9 +342,95 @@ def classicality_gap(
 
 def random_ic_inputs(dim: int, seed: int):
     """Deterministic (rho, povm) pair for sweep tests; plumbing helper."""
+    rank, n = _ic_counts(dim, seed)
+    return random_density(dim, rank, seed + 1), random_povm(dim, n, seed + 2)
+
+
+def _ic_counts(dim: int, seed: int) -> tuple[int, int]:
+    """The state's rank and the POVM's outcome count random_ic_inputs draws."""
     rng = np.random.default_rng(seed)
-    rank = int(rng.integers(1, dim + 1))
-    n = int(rng.integers(2, dim + 3))
-    rho = random_density(dim, rank, seed + 1)
-    povm = random_povm(dim, n, seed + 2)
-    return rho, povm
+    return int(rng.integers(1, dim + 1)), int(rng.integers(2, dim + 3))
+
+
+def check_trials(ref: ReferenceMeasurement, seeds) -> tuple[float, float | None]:
+    """Check the probability rule on random_ic_inputs(ref.dim, s) for each seed.
+
+    Returns the largest max_j |q_general(j) - tr(rho F_j)| over the trials,
+    and, when ref is a SIC, the largest max_j |q_sic(j) - q_general(j)|
+    (None otherwise). Trials with the same outcome count are drawn and
+    evaluated in stacks of up to TRIAL_STACK; every value is bit-identical to
+    evaluating the trials one at a time with the public functions. A failing
+    trial raises TrialFailed for the first failing trial in seed order, with
+    the error evaluating that trial alone raises as its cause.
+    """
+    worst_general = worst_sic = 0.0
+    first_failure = None
+    for stack in _stacks(ref.dim, seeds):
+        try:
+            general, sic_dev = _evaluate(ref, stack)
+        except TrialFailed as err:
+            if first_failure is None or err.trial < first_failure.trial:
+                first_failure = err
+            continue
+        worst_general = max(worst_general, general)
+        worst_sic = max(worst_sic, sic_dev)
+    if first_failure is not None:
+        raise first_failure
+    return worst_general, (worst_sic if ref.sic_certified else None)
+
+
+def _stacks(dim: int, seeds):
+    """(trial, seed, rank, n) tuples in stacks of up to TRIAL_STACK trials with one n.
+
+    Each outcome count's trials are stacked in seed order; a stack is
+    yielded as soon as it is full, so only the pending partial stacks are
+    held however many seeds there are.
+    """
+    pending: dict[int, list] = {}
+    for t, seed in enumerate(seeds):
+        rank, n = _ic_counts(dim, seed)
+        stack = pending.setdefault(n, [])
+        stack.append((t, seed, rank, n))
+        if len(stack) == TRIAL_STACK:
+            yield pending.pop(n)
+    yield from pending.values()
+
+
+def _evaluate(ref: ReferenceMeasurement, stack: list) -> tuple[float, float]:
+    """_stack_deviations, raising TrialFailed for the stack's first failing trial.
+
+    The stack runs each check for all its trials before the next check, so
+    its own error may come from a later trial than the first one to fail;
+    the trials are then evaluated alone, in order, to find that one.
+    """
+    try:
+        return _stack_deviations(ref, stack)
+    except (ProbrepError, ValueError) as err:
+        if len(stack) == 1:
+            t, seed, _, _ = stack[0]
+            raise TrialFailed(t, seed, err) from err
+        for trial in stack:
+            _evaluate(ref, [trial])
+        raise
+
+
+def _stack_deviations(ref: ReferenceMeasurement, stack: list) -> tuple[float, float]:
+    """Largest general-rule and SIC-rule deviations over trials of one outcome count.
+
+    ``stack`` holds (trial, seed, rank, n) tuples with one n. Each trial draws
+    from the seeds random_ic_inputs uses. The contractions stay per trial:
+    stacking them changes the last bits.
+    """
+    d = ref.dim
+    rhos = [random_density(d, rank, seed + 1).matrix for _, seed, rank, _ in stack]
+    povms = _wishart_povms(np.stack([_wishart_draw(d, n, seed + 2) for _, seed, _, n in stack]))
+    p = _check_prob_rows(np.array([_trace_values(rho, ref.elements.elements) for rho in rhos]))
+    r = np.array([_cond_values(els, ref.projectors) for els in povms])
+    _check_cond_stack(r)
+    q = _check_prob_rows(_general_rule(ref, p, r))
+    q_true = _check_prob_rows(np.array([_trace_values(rho, els) for rho, els in zip(rhos, povms)]))
+    general = float(np.max(np.abs(q - q_true)))
+    if not ref.sic_certified:
+        return general, 0.0
+    q_sic = _check_prob_rows(_sic_rule(d, p, r))
+    return general, float(np.max(np.abs(q_sic - q)))

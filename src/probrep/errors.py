@@ -110,6 +110,18 @@ class ShapeMismatch(ProbrepError):
     """Probability inputs are not shaped for the given reference."""
 
 
+class TrialFailed(ProbrepError):
+    """A random trial of a probability-rule check failed its validation.
+
+    The error the trial raised is the cause (``__cause__``).
+    """
+
+    def __init__(self, trial: int, seed: int, cause: Exception):
+        self.trial = trial
+        self.seed = seed
+        super().__init__(f"trial {trial} (seed {seed}): {cause}")
+
+
 class WrongArity(ProbrepError):
     """CHSH needs two settings per side and two outcomes per measurement."""
 

@@ -132,16 +132,29 @@ class ProbVector:
 
 def make_prob_vector(values) -> ProbVector:
     v = np.asarray(values, dtype=float).reshape(-1)
-    _require_finite(v, "probability vector")
-    if v.min(initial=0.0) < PROB_FLOOR:
-        raise ValueError(
-            f"probability {v.min():.3e} below the tolerance floor {PROB_FLOOR}"
-        )
-    v = np.where(v < 0.0, 0.0, v)
-    total = float(v.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    return ProbVector(_freeze(_check_prob_rows(v[None])[0]))
+
+
+def _check_prob_rows(rows: np.ndarray) -> np.ndarray:
+    """Validate each row of a (stack, n) array as a distribution.
+
+    Returns the rows with entries in [PROB_FLOOR, 0) clipped to zero. The
+    error describes the first failing row.
+    """
+    _require_finite(rows, "probability vector")
+    lowest = rows.min(axis=1, initial=0.0)
+    rows = np.where(rows < 0.0, 0.0, rows)
+    totals = rows.sum(axis=1)
+    bad = (lowest < PROB_FLOOR) | (np.abs(totals - 1.0) > PROB_SUM_TOL)
+    if bad.any():
+        b = int(np.argmax(bad))
+        if lowest[b] < PROB_FLOOR:
+            raise ValueError(
+                f"probability {lowest[b]:.3e} below the tolerance floor {PROB_FLOOR}"
+            )
+        total = float(totals[b])
         raise ValueError(f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
-    return ProbVector(_freeze(v))
+    return rows
 
 
 def prob_values(p) -> np.ndarray:
@@ -196,20 +209,31 @@ def make_povm(elements) -> Povm:
     if els.ndim != 3 or els.shape[1] != els.shape[2]:
         raise ValueError(f"expected shape (n, d, d), got {els.shape}")
     d = check_dim(els.shape[1])
-    _require_finite(els, "POVM")
-    adjoint = els.conj().transpose(0, 2, 1)
-    devs = np.max(np.abs(els - adjoint), axis=(1, 2))
-    lowest = np.linalg.eigvalsh(0.5 * (els + adjoint))[:, 0]
-    bad = (devs > HERMITIAN_TOL) | (lowest < -EIGENVALUE_TOL)
-    if bad.any():
-        j = int(np.argmax(bad))
-        if devs[j] > HERMITIAN_TOL:
-            raise NotHermitian(float(devs[j]), what=f"POVM element {j}")
-        raise NotPositive(float(lowest[j]), what=f"POVM element {j}")
-    dev = float(np.max(np.abs(els.sum(axis=0) - np.eye(d))))
-    if dev > HERMITIAN_TOL:
-        raise SumNotIdentity(dev)
+    _check_povm_stack(els[None])
     return Povm(d, _freeze(els.copy()))
+
+
+def _check_povm_stack(els: np.ndarray) -> None:
+    """Validate a (stack, n, d, d) array of POVMs with one eigenvalue call.
+
+    The error describes the first failing POVM: its first failing element,
+    Hermiticity before positivity, and then its sum to identity.
+    """
+    _require_finite(els, "POVM")
+    adjoint = els.conj().swapaxes(-1, -2)
+    devs = np.max(np.abs(els - adjoint), axis=(-2, -1))
+    lowest = np.linalg.eigvalsh(0.5 * (els + adjoint))[..., 0]
+    sum_devs = np.max(np.abs(els.sum(axis=1) - np.eye(els.shape[-1])), axis=(-2, -1))
+    bad = (devs > HERMITIAN_TOL) | (lowest < -EIGENVALUE_TOL)
+    failed = bad.any(axis=1) | (sum_devs > HERMITIAN_TOL)
+    if failed.any():
+        b = int(np.argmax(failed))
+        if bad[b].any():
+            j = int(np.argmax(bad[b]))
+            if devs[b, j] > HERMITIAN_TOL:
+                raise NotHermitian(float(devs[b, j]), what=f"POVM element {j}")
+            raise NotPositive(float(lowest[b, j]), what=f"POVM element {j}")
+        raise SumNotIdentity(float(sum_devs[b]))
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -234,8 +258,12 @@ def born_probabilities(rho: DensityOperator, povm: Povm) -> ProbVector:
     """
     if rho.dim != povm.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != POVM dim {povm.dim}")
-    q = np.real(np.einsum("ij,aji->a", rho.matrix, povm.elements))
-    return make_prob_vector(q)
+    return make_prob_vector(_trace_values(rho.matrix, povm.elements))
+
+
+def _trace_values(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """tr(rho E_a) for each element E_a of an (n, d, d) array."""
+    return np.real(np.einsum("ij,aji->a", rho, elements))
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -274,21 +302,36 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     d = check_dim(dim)
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
+    return Povm(d, _freeze(_wishart_povms(_wishart_draw(d, n_outcomes, seed)[None])[0]))
+
+
+def _wishart_draw(dim: int, n_outcomes: int, seed: int) -> np.ndarray:
+    """The (n, 2, d, d) normals random_povm(dim, n_outcomes, seed) whitens."""
     rng = np.random.default_rng(seed)
     # consumes the stream as per-outcome draws would: real then imaginary factor
-    x = rng.standard_normal((n_outcomes, 2, d, d))
-    g = x[:, 0] + 1j * x[:, 1]
-    a = g @ g.conj().transpose(0, 2, 1)
-    parts = 0.5 * (a + a.conj().transpose(0, 2, 1))
-    s = np.sum(parts, axis=0)
+    return rng.standard_normal((n_outcomes, 2, dim, dim))
+
+
+def _wishart_povms(x: np.ndarray) -> np.ndarray:
+    """Whitened, validated POVMs from a (stack, n, 2, d, d) array of draws.
+
+    The error describes the first POVM in the stack that fails, the
+    normalizer's conditioning first (SingularNormalizer), then the checks of
+    make_povm.
+    """
+    g = x[:, :, 0] + 1j * x[:, :, 1]
+    a = g @ g.conj().swapaxes(-1, -2)
+    parts = 0.5 * (a + a.conj().swapaxes(-1, -2))
+    s = np.sum(parts, axis=1)
     w, v = np.linalg.eigh(s)
-    cond = float(w[-1] / w[0]) if w[0] > 0 else np.inf
-    if cond > 1e12:
-        raise SingularNormalizer(cond)
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    els = inv_sqrt @ parts @ inv_sqrt
-    els = 0.5 * (els + els.conj().transpose(0, 2, 1))
-    return make_povm(els)
+    cond = np.divide(w[:, -1], w[:, 0], out=np.full(len(w), np.inf), where=w[:, 0] > 0)
+    if (cond > 1e12).any():
+        raise SingularNormalizer(float(cond[np.argmax(cond > 1e12)]))
+    inv_sqrt = (v / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    els = inv_sqrt[:, None] @ parts @ inv_sqrt[:, None]
+    els = 0.5 * (els + els.conj().swapaxes(-1, -2))
+    _check_povm_stack(els)
+    return els
 
 
 def basis_ket(dim: int, index: int) -> Ket:

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from probrep import (
+    operators,
     born_probabilities,
     classical_law,
     classicality_gap,
@@ -23,13 +26,24 @@ from probrep import (
     validate_density,
     wh_orbit,
 )
-from probrep.born import RANK_ONE_TOL, make_cond_prob, random_ic_inputs
+from probrep.born import (
+    RANK_ONE_TOL,
+    TRIAL_STACK,
+    _ic_counts,
+    check_trials,
+    make_cond_prob,
+    random_ic_inputs,
+)
+from probrep.cli import main
 from probrep.errors import (
     InvalidDimension,
     NotAValidState,
     NotInformationallyComplete,
+    NotPositive,
     NotRankOne,
+    ProbrepError,
     ShapeMismatch,
+    TrialFailed,
     WrongOutcomeCount,
 )
 from probrep.operators import projector_povm
@@ -64,6 +78,38 @@ def loop_projectors(povm):
         top = v[:, -1]
         projectors[i] = np.outer(top, top.conj())
     return projectors
+
+
+def loop_trial(ref, seed):
+    """One trial of the per-trial loop run_born_check ran before trials were stacked."""
+    rho, povm = random_ic_inputs(ref.dim, seed)
+    p = state_to_prob(ref, rho)
+    r = povm_to_cond(ref, povm)
+    q_ref = urgleichung_general(ref, p, r)
+    q_true = born_probabilities(rho, povm)
+    general = float(np.max(np.abs(q_ref.values - q_true.values)))
+    if not ref.sic_certified:
+        return general, 0.0
+    q_sic = urgleichung_sic(ref.dim, p, r)
+    return general, float(np.max(np.abs(q_sic.values - q_ref.values)))
+
+
+def loop_check_trials(ref, seeds):
+    worst_general = worst_sic = 0.0
+    for seed in seeds:
+        general, sic_dev = loop_trial(ref, seed)
+        worst_general = max(worst_general, general)
+        worst_sic = max(worst_sic, sic_dev)
+    return worst_general, (worst_sic if ref.sic_certified else None)
+
+
+def loop_error(ref, seed):
+    """The error one trial of the per-trial loop raises, or None."""
+    try:
+        loop_trial(ref, seed)
+    except (ProbrepError, ValueError) as err:
+        return err
+    return None
 
 
 class TestMakeReference:
@@ -120,6 +166,15 @@ class TestMakeReference:
         a = random_reference(2, seed=5)
         b = random_reference(2, seed=5)
         assert_allclose(a.elements.elements, b.elements.elements, atol=0)
+
+    def test_random_reference_checks_dim_before_drawing(self, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("drew before checking the dimension")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        for d in (2.5, 9, 1):
+            with pytest.raises(InvalidDimension):
+                random_reference(d, 0)
 
     def test_sic_flag_derived_from_elements(self):
         for d in range(2, 9):
@@ -284,6 +339,56 @@ class TestUrgleichung:
             urgleichung_general(ref, make_prob_vector([0.5, 0.5]), r)
         with pytest.raises(ShapeMismatch):
             urgleichung_sic(3, make_prob_vector(np.full(4, 0.25)), r)
+
+
+class TestCheckTrials:
+    """check_trials against a test-local copy of the per-trial loop."""
+
+    def test_matches_per_trial_loop_bit_for_bit(self):
+        group_sizes = Counter()
+        for seed in (0, 5):
+            for trials in (7, 100):
+                seeds = [seed + 1 + 3 * t for t in range(trials)]
+                for d in range(2, 9):
+                    group_sizes.update(Counter(_ic_counts(d, s)[1] for s in seeds).values())
+                    for ref in (sic_reference(d), random_reference(d, seed)):
+                        got = check_trials(ref, seeds)
+                        want = loop_check_trials(ref, seeds)
+                        assert repr(got) == repr(want), (d, seed, trials, ref.sic_certified)
+        # outcome counts drawn once, and outcome counts spread over several stacks
+        assert group_sizes[1] > 0
+        assert max(group_sizes) > 2 * TRIAL_STACK
+
+    def test_failure_names_lowest_failing_trial(self, monkeypatch, capsys, tmp_path):
+        ref = sic_reference(2)  # built before the tolerances are tightened
+        seeds = [16 + 3 * t for t in range(32)]
+        monkeypatch.setattr(operators, "EIGENVALUE_TOL", -0.003)
+        monkeypatch.setattr(operators, "PROB_SUM_TOL", 1e-15)
+        failing = {t: err for t, s in enumerate(seeds) if (err := loop_error(ref, s))}
+        first = min(failing)
+        outcomes = {t: _ic_counts(2, seeds[t])[1] for t in failing}
+        # The lowest failing trial (4) fails a later check than a later trial
+        # with its outcome count (7), and trials of the other outcome counts
+        # fail too, in stacks that fill or start before trial 4's.
+        assert not isinstance(failing[first], NotPositive)
+        assert any(
+            isinstance(err, NotPositive) and outcomes[t] == outcomes[first]
+            for t, err in failing.items()
+        )
+        assert len(set(outcomes.values())) > 1
+
+        with pytest.raises(TrialFailed) as exc:
+            check_trials(ref, seeds)
+        assert (exc.value.trial, exc.value.seed) == (first, seeds[first])
+        cause = exc.value.__cause__
+        assert (type(cause), str(cause)) == (type(failing[first]), str(failing[first]))
+
+        report = tmp_path / "r.json"
+        argv = ["born-check", "--dim", "2", "--trials", "32", "--seed", "15",
+                "--report", str(report)]
+        assert main(argv) == 1
+        assert f"trial {first} (seed {seeds[first]}): {failing[first]}" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestClassicalLaw:

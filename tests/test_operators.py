@@ -13,6 +13,7 @@ from probrep import (
     tensor,
     validate_density,
 )
+from probrep.born import make_cond_prob
 from probrep.errors import (
     BadRank,
     DimensionMismatch,
@@ -107,6 +108,8 @@ class TestNonFiniteRejected:
         els[1, 0, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             make_povm(els)
+        with pytest.raises(ValueError, match="non-finite"):
+            make_cond_prob([[bad, 1.0], [0.5, 0.5]])
 
     def test_complex_nan_part(self):
         with pytest.raises(ValueError, match="non-finite"):
