@@ -418,14 +418,19 @@ def _stack_deviations(ref: ReferenceMeasurement, stack: list) -> tuple[float, fl
     """Largest general-rule and SIC-rule deviations over trials of one outcome count.
 
     ``stack`` holds (trial, seed, rank, n) tuples with one n. Each trial draws
-    from the seeds random_ic_inputs uses. The contractions stay per trial:
-    stacking them changes the last bits.
+    from the seeds random_ic_inputs uses. The two trace contractions stay
+    per trial: stacking them changes the last bits. The contraction for r
+    runs once per stack, over transposed projectors so that the summed
+    indices are contiguous, with the per-trial bits; it is copied to C order
+    as the per-trial rows were, because the rules' products round
+    differently on strided input.
     """
     d = ref.dim
     rhos = [random_density(d, rank, seed + 1).matrix for _, seed, rank, _ in stack]
     povms = _wishart_povms(np.stack([_wishart_draw(d, n, seed + 2) for _, seed, _, n in stack]))
     p = _check_prob_rows(np.array([_trace_values(rho, ref.elements.elements) for rho in rhos]))
-    r = np.array([_cond_values(els, ref.projectors) for els in povms])
+    pi_t = np.ascontiguousarray(ref.projectors.transpose(0, 2, 1))
+    r = np.ascontiguousarray(np.einsum("bjac,iac->bij", povms, pi_t).real)
     _check_cond_stack(r)
     q = _check_prob_rows(_general_rule(ref, p, r))
     q_true = _check_prob_rows(np.array([_trace_values(rho, els) for rho, els in zip(rhos, povms)]))

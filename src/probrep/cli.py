@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, born, correlations, sampling, serialize, sic
 from .errors import NoConvergence, ProbrepError
-from .operators import check_dim, make_prob_vector, projector_povm
+from .operators import _require_positive, check_dim, make_prob_vector, projector_povm
 from .serialize import dumps
 
 BORN_CHECK_TOL = 1e-9
@@ -84,6 +84,7 @@ def _builtin_basis(name: str):
 
 def run_sic_search(params: dict) -> int:
     dim = check_dim(params["dim"])
+    _require_positive(params["tol"], "--tol")
     manifest = _manifest("sic-search", params)
     candidate = sic.sic_search(dim, seed=params["seed"], restarts=params["restarts"])
     certified = candidate.max_sic_deviation < params["tol"]

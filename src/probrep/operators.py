@@ -9,6 +9,8 @@ with the row-major tensor index convention (i_A, i_B) -> i_A * dim_B + i_B.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +52,21 @@ def check_dim(d: int) -> int:
     return d
 
 
+def _is_int(value) -> bool:
+    """True for Python and numpy integers, not for bools or floats."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
     """Reject NaN and infinite entries, which every tolerance comparison lets through."""
     if not np.isfinite(a).all():
         raise ValueError(f"{what} has non-finite entries")
+
+
+def _require_positive(value, what: str) -> None:
+    """Reject a tolerance that is not a finite real number > 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be a finite number > 0, got {value!r}")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .correlations import CorrelationTable, make_table
-from .operators import _freeze, prob_values
+from .operators import _freeze, _is_int, prob_values
 
 SAMPLING_MODES = ("blocked", "per-trial-random")
 
@@ -83,6 +83,8 @@ def sample_outcomes(q, n: int, seed: int) -> OutcomeCounts:
 
 def binomial_interval_prob(n: int, p: float, lo: int, hi: int) -> float:
     """Exact P(lo <= K <= hi) for K ~ Binomial(n, p), summed in log space."""
+    if not all(map(_is_int, (n, lo, hi))):
+        raise ValueError(f"n, lo and hi must be integers, got n={n!r} lo={lo!r} hi={hi!r}")
     if not 0 <= lo <= hi <= n:
         raise ValueError(f"need 0 <= lo <= hi <= n, got lo={lo} hi={hi} n={n}")
     if not 0.0 <= p <= 1.0:
@@ -92,10 +94,12 @@ def binomial_interval_prob(n: int, p: float, lo: int, hi: int) -> float:
     if p == 1.0:
         return 1.0 if hi == n else 0.0
     k = np.arange(lo, hi + 1, dtype=float)
-    lg = math.lgamma
+    count = hi - lo + 1
+    lg_k = np.fromiter(map(math.lgamma, range(lo + 1, hi + 2)), float, count)
+    lg_n_k = np.fromiter(map(math.lgamma, range(n - lo + 1, n - hi, -1)), float, count)
     log_terms = (
-        lg(n + 1)
-        - np.array([lg(x + 1) + lg(n - x + 1) for x in k])
+        math.lgamma(n + 1)
+        - (lg_k + lg_n_k)
         + k * math.log(p)
         + (n - k) * math.log1p(-p)
     )

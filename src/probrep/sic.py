@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergence
-from .operators import Ket, _freeze, check_dim, make_ket
+from .operators import Ket, _freeze, _is_int, _require_positive, check_dim, make_ket
 
 GRAD_TOL = 1e-10
 CERT_TOL = 1e-8
@@ -117,8 +117,7 @@ class SicCertificate:
 
 def sic_certify(fiducial: Ket, tolerance: float = CERT_TOL) -> SicCertificate:
     """Check every nonzero displacement overlap against 1/(d+1)."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    _require_positive(tolerance, "tolerance")
     dev = max_sic_deviation(fiducial)
     cand = FiducialCandidate(
         dim=fiducial.dim,
@@ -135,126 +134,220 @@ def sic_certify(fiducial: Ket, tolerance: float = CERT_TOL) -> SicCertificate:
 # frame-potential minimization
 # ---------------------------------------------------------------------------
 
+#: Restarts of one search that are live at once. A search steps its live
+#: restarts in lockstep, so the window bounds the stacked intermediates
+#: whatever the number of restarts.
+SEARCH_WINDOW = 32
 
-def _potential_and_gradient(phi, stack, stack_dag):
-    """P(phi) and its gradient in the ambient real parametrization.
+
+class _Evaluator:
+    """The search's evaluations over a stack of points, one row per point.
+
+    Each row gets exactly the bits the same evaluation of that point alone
+    gives: D_a x is one mat-vec of the flattened displacement stack per
+    point, D_a^dag x one mat-vec per displacement, and the dots, norms,
+    normal equations and solves run the same BLAS and LAPACK call per row
+    as they do on a single point. (Flattening the adjoint product, or
+    turning per-row dots into one matrix product, changes the last bits.)
+    """
+
+    def __init__(self, dim: int):
+        stack = displacement_stack(dim)
+        self.dim = dim
+        self.flat = stack.reshape(-1, dim)
+        self.adjoint = stack.conj().transpose(0, 2, 1)
+        self.target = 1.0 / (dim + 1)
+        self.eye = np.eye(2 * dim)
+
+    def overlaps(self, xs):
+        """D_a x and c_a = <x|D_a|x> for every row x of a (B, d) stack."""
+        b, d = xs.shape
+        dx = np.matmul(self.flat, xs[:, :, None]).reshape(b, d * d, d)
+        return dx, np.matmul(dx, xs.conj()[:, :, None])[..., 0]
+
+    def terms(self, xs):
+        """D_a x, D_a^dag x and c_a for every row x."""
+        dx, c = self.overlaps(xs)
+        return dx, np.matmul(self.adjoint, xs[:, None, :, None])[..., 0], c
+
+    def residuals(self, c):
+        """SIC residuals f_a = |c_a|^2 - 1/(d+1) over the nonzero a."""
+        return (c.real**2 + c.imag**2)[:, 1:] - self.target
+
+
+def _potential_and_gradient(dx, ddx, c):
+    """P(x) and its gradient per row, from the terms of _Evaluator.terms.
 
     The gradient is packed as a complex vector g = dP/dx + i dP/dy for
-    phi = x + i y; it matches central finite differences to ~1e-9 relative
+    x + i y; it matches central finite differences to ~1e-9 relative
     (checked in the test suite).
     """
-    dphi = stack @ phi
-    ddphi = stack_dag @ phi
-    c = dphi @ phi.conj()
     c2 = c.real**2 + c.imag**2
-    pot = float(np.sum(c2[1:] ** 2))
-    w = c2[1:]
-    grad = 4.0 * ((w * c[1:].conj()) @ dphi[1:] + (w * c[1:]) @ ddphi[1:])
+    w = c2[:, 1:]
+    pot = np.sum(w**2, axis=1)
+    grad = 4.0 * (
+        _rowvec_mat(w * c[:, 1:].conj(), dx[:, 1:]) + _rowvec_mat(w * c[:, 1:], ddx[:, 1:])
+    )
     return pot, grad
 
 
-def _tangent(x, g):
-    """Project the ambient gradient onto the unit sphere's tangent space.
+def _rowvec_mat(v, m):
+    """v_b @ m_b for (B, n) rows and (B, n, k) matrices."""
+    return np.matmul(v[:, None, :], m)[:, 0]
+
+
+def _dot(u, v):
+    """u_b . v_b without conjugation, one BLAS dot per row."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _re_vdot(u, v):
+    """Re <u_b|v_b> per row."""
+    return _dot(u.conj(), v).real
+
+
+def _norm(xs):
+    """Euclidean norm per row, formed as np.linalg.norm forms it."""
+    return np.sqrt(_dot(xs.real, xs.real) + _dot(xs.imag, xs.imag))
+
+
+def _tangent(xs, g):
+    """Project ambient gradients onto the unit sphere's tangent space.
 
     The ambient gradient cannot vanish at a constrained minimum, so
     convergence is measured on this projected gradient.
     """
-    return g - np.real(np.vdot(x, g)) * x
+    return g - _re_vdot(xs, g)[:, None] * xs
 
 
-def _residual_and_jacobian(phi, stack, stack_dag, target):
-    """SIC residuals f_a = |<phi|D_a|phi>|^2 - 1/(d+1) and their real Jacobian.
+def _descend(ev, x, r, step):
+    """Evaluate the descent points x - step * r, normalized.
+
+    Per row: the point, its potential, its projected gradient r' and
+    <r'|r'>, and for the Barzilai-Borwein step |<s|y>| and <s|s> with
+    s = x' - x and y = r' - r.
+    """
+    xn = x - step[:, None] * r
+    xn /= _norm(xn)[:, None]
+    pot, g = _potential_and_gradient(*ev.terms(xn))
+    rn = _tangent(xn, g)
+    s = xn - x
+    sy = np.abs(_re_vdot(s, rn - r))
+    return zip(xn, pot.tolist(), rn, _re_vdot(rn, rn).tolist(), sy.tolist(),
+               _re_vdot(s, s).tolist())
+
+
+def _least_squares(ev, x):
+    """Evaluate the Levenberg-Marquardt system at x.
 
     On the unit sphere sum_a |c_a|^2 is constant, so minimizing the frame
-    potential is the same problem as driving these residuals to zero; the
-    least-squares form converges quadratically where line searches on the
-    potential stall at float precision.
+    potential is the same problem as driving the SIC residuals f to zero;
+    the least-squares form converges quadratically where line searches on
+    the potential stall at float precision. Per row: the potential, the
+    projected gradient norm, f.f, max |f|, and J^T J and J^T f for the real
+    Jacobian J of f.
     """
-    dphi = stack @ phi
-    ddphi = stack_dag @ phi
-    c = dphi @ phi.conj()
-    f = (c.real**2 + c.imag**2)[1:] - target
-    ga = c[1:, None].conj() * dphi[1:] + c[1:, None] * ddphi[1:]
-    jac = np.concatenate([2.0 * ga.real, 2.0 * ga.imag], axis=1)
-    return f, jac
+    dx, ddx, c = ev.terms(x)
+    pot, g = _potential_and_gradient(dx, ddx, c)
+    f = ev.residuals(c)
+    ga = c[:, 1:, None].conj() * dx[:, 1:] + c[:, 1:, None] * ddx[:, 1:]
+    jac = np.concatenate([2.0 * ga.real, 2.0 * ga.imag], axis=2)
+    jac_t = jac.transpose(0, 2, 1)
+    return zip(pot.tolist(), _norm(_tangent(x, g)).tolist(), _dot(f, f).tolist(),
+               np.max(np.abs(f), axis=1).tolist(), jac_t @ jac, (jac_t @ f[:, :, None])[..., 0])
 
 
-def _polish(x, stack, stack_dag, target, gtol, max_iterations=80):
-    """Levenberg-Marquardt steps on the SIC residuals, renormalizing each move."""
-    d = x.shape[0]
-    mu = 1e-12
-    eye = np.eye(2 * d)
-    for _ in range(max_iterations):
-        f, jac = _residual_and_jacobian(x, stack, stack_dag, target)
-        fnorm2 = float(f @ f)
-        pot, g = _potential_and_gradient(x, stack, stack_dag)
-        rnorm = float(np.linalg.norm(_tangent(x, g)))
-        if rnorm < gtol and float(np.max(np.abs(f))) < _RESIDUAL_TARGET:
-            return x, pot, rnorm
-        a = jac.T @ jac
-        b = jac.T @ f
-        moved = False
-        for _ in range(40):
-            step = np.linalg.solve(a + mu * eye, -b)
-            xn = x + step[:d] + 1j * step[d:]
-            xn /= np.linalg.norm(xn)
-            fn, _ = _residual_and_jacobian(xn, stack, stack_dag, target)
-            if float(fn @ fn) < fnorm2:
-                moved = True
-                break
-            mu *= 10.0
-        if not moved:
-            break
-        x = xn
-        mu = max(mu * 0.25, 1e-14)
-    pot, g = _potential_and_gradient(x, stack, stack_dag)
-    return x, pot, float(np.linalg.norm(_tangent(x, g)))
+def _lm_step(ev, x, jtj, jtf, mu):
+    """Take the damped Gauss-Newton step from x, renormalized.
+
+    Per row: the new point and f.f there.
+    """
+    d = ev.dim
+    step = np.linalg.solve(jtj + mu[:, None, None] * ev.eye, -jtf[:, :, None])[..., 0]
+    xn = x + step[:, :d] + 1j * step[:, d:]
+    xn /= _norm(xn)[:, None]
+    f = ev.residuals(ev.overlaps(xn)[1])
+    return zip(xn, _dot(f, f).tolist())
 
 
-def _minimize_restart(dim, rng, gtol):
+def _restart(dim, seed, gtol):
     """One local minimization: projected gradient descent, then polish.
 
-    Returns (potential, unit vector, projected gradient norm, converged).
+    A generator: it yields every point it needs evaluated as (evaluation,
+    arguments) and is sent back that evaluation's row, so that sic_search
+    can evaluate the points of many restarts together. Returns (potential,
+    unit vector, projected gradient norm).
     """
-    stack = displacement_stack(dim)
-    stack_dag = stack.conj().transpose(0, 2, 1)
-    target = 1.0 / (dim + 1)
-
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    x /= np.linalg.norm(x)
-    pot, g = _potential_and_gradient(x, stack, stack_dag)
-    r = _tangent(x, g)
+    # the start is the descent point x - 0 * 0, which is x exactly
+    x, pot, r, rnorm2, _, _ = yield _descend, (x, np.zeros(dim, dtype=complex), 0.0)
     alpha = 1e-2
-    prev = None
+    last = None  # (|<s|y>|, <s|s>) of the last accepted step
     for _ in range(MAX_ITERATIONS):
-        rnorm2 = float(np.real(np.vdot(r, r)))
         if np.sqrt(rnorm2) < _GD_SWITCH:
             break
-        if prev is not None:
+        if last is not None:
             # Barzilai-Borwein initial step for the backtracking search
-            s = x - prev[0]
-            y = r - prev[1]
-            sy = abs(float(np.real(np.vdot(s, y))))
+            sy, ss = last
             if sy > 1e-300:
-                alpha = min(max(float(np.real(np.vdot(s, s))) / sy, 1e-10), 1e2)
+                alpha = min(max(ss / sy, 1e-10), 1e2)
         step = alpha
-        accepted = False
         for _ in range(50):
-            xn = x - step * r
-            xn /= np.linalg.norm(xn)
-            pot_n, g_n = _potential_and_gradient(xn, stack, stack_dag)
+            xn, pot_n, r_n, rnorm2_n, sy, ss = yield _descend, (x, r, step)
             if pot_n < pot and pot_n - pot <= -1e-4 * step * rnorm2:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break  # decrease below float resolution: hand over to the polish
-        prev = (x, r)
-        x, pot = xn, pot_n
-        r = _tangent(x, g_n)
+        x, pot, r, rnorm2, last = xn, pot_n, r_n, rnorm2_n, (sy, ss)
 
-    x, pot, rnorm = _polish(x, stack, stack_dag, target, gtol)
-    return pot, x, rnorm, rnorm < gtol
+    # Levenberg-Marquardt steps on the SIC residuals, renormalizing each move
+    mu = 1e-12
+    for _ in range(80):
+        pot, rnorm, fnorm2, fmax, jtj, jtf = yield _least_squares, (x,)
+        if rnorm < gtol and fmax < _RESIDUAL_TARGET:
+            return pot, x, rnorm
+        for _ in range(40):
+            xn, fn2 = yield _lm_step, (x, jtj, jtf, mu)
+            if fn2 < fnorm2:
+                break
+            mu *= 10.0
+        else:
+            return pot, x, rnorm  # no damping lowers the residuals
+        x = xn
+        mu = max(mu * 0.25, 1e-14)
+    pot, rnorm, *_ = yield _least_squares, (x,)
+    return pot, x, rnorm
+
+
+def _lockstep(dim, seed, restarts, gtol):
+    """Run restarts seed, seed + 1, ... in lockstep; yield (i, result) as each ends.
+
+    At most SEARCH_WINDOW restarts are live; one that ends hands its place
+    to the next. Each round evaluates the pending points of one kind for
+    all live restarts in one stacked call.
+    """
+    ev = _Evaluator(dim)
+    live = []  # (restart index, generator, pending request)
+    started = 0
+    while live or started < restarts:
+        while len(live) < SEARCH_WINDOW and started < restarts:
+            run = _restart(dim, seed + started, gtol)
+            live.append((started, run, next(run)))
+            started += 1
+        by_kind = {}
+        for entry in live:
+            by_kind.setdefault(entry[2][0], []).append(entry)
+        live = []
+        for evaluate, entries in by_kind.items():
+            columns = zip(*(request[1] for _, _, request in entries))
+            replies = evaluate(ev, *(np.array(column) for column in columns))
+            for (i, run, _), reply in zip(entries, replies):
+                try:
+                    live.append((i, run, run.send(reply)))
+                except StopIteration as end:
+                    yield i, end.value
 
 
 def sic_search(
@@ -268,23 +361,30 @@ def sic_search(
     Restart i draws its start from a generator seeded with seed + i, so the
     result is a deterministic function of (dim, seed, restarts) regardless
     of evaluation order. The best (lowest-potential) converged restart wins;
-    exact ties go to the lowest restart index. Raises NoConvergence when no
-    restart reaches projected gradient norm < gtol within the iteration cap.
+    exact ties go to the lowest restart index. Raises ValueError unless
+    restarts >= 1 and seed >= 0 are integers and gtol is finite and > 0, and
+    NoConvergence when no restart reaches projected gradient norm < gtol
+    within the iteration cap.
     """
     d = check_dim(dim)
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    best = None
-    for i in range(restarts):
-        rng = np.random.default_rng(seed + i)
-        pot, x, _rnorm, converged = _minimize_restart(d, rng, gtol)
-        if converged and (best is None or pot < best[0]):
-            best = (pot, x)
+    if not _is_int(restarts) or restarts < 1:
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _require_positive(gtol, "gtol")
+    best = None  # (potential, restart index, vector) of the best converged restart
+    closest = None  # (projected gradient norm, restart index) over all restarts
+    for i, (pot, x, rnorm) in _lockstep(d, seed, restarts, gtol):
+        if rnorm < gtol and (best is None or (pot, i) < best[:2]):
+            best = (pot, i, x)
+        if closest is None or (rnorm, i) < closest:
+            closest = (rnorm, i)
     if best is None:
         raise NoConvergence(
-            f"no restart of {restarts} reached gradient norm < {gtol} in dimension {d}"
+            f"no restart of {restarts} reached gradient norm < {gtol} in dimension {d}; "
+            f"the closest reached {closest[0]:.3e} (restart seed {seed + closest[1]})"
         )
-    ket = make_ket(best[1])
+    ket = make_ket(best[2])
     return FiducialCandidate(
         dim=d,
         vector=ket,

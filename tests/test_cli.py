@@ -81,6 +81,17 @@ class TestSicSearch:
         assert main(["rerun", "fid.json"]) == 0
         assert sha(workdir / "fid.json") == before
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_tolerance_exits_one_before_searching(self, workdir, monkeypatch, tol):
+        import probrep.cli as cli_mod
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli_mod.sic, "sic_search", no_search)
+        assert main(["sic-search", "--dim", "2", f"--tol={tol}", "--out", "fid.json"]) == 1
+        assert not (workdir / "fid.json").exists()
+
     def test_search_failure_exits_two(self, workdir, monkeypatch):
         from probrep.errors import NoConvergence
         import probrep.cli as cli_mod

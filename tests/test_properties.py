@@ -2,8 +2,9 @@
 
 Fuchs & Schack, Quantum-Bayesian coherence, Rev. Mod. Phys. 85, 1693 (2013):
 a reference's probabilities determine the state, and the general and SIC
-forms of the urgleichung both reproduce tr(rho F). The stacked evaluation
-check_trials relies on is checked against single calls bit for bit.
+forms of the urgleichung both reproduce tr(rho F). The stacked evaluations
+that check_trials and sic_search rely on are checked against single calls
+bit for bit.
 
 The examples are derandomized and not stored, so every run checks the same
 inputs.
@@ -28,6 +29,7 @@ from probrep import (
 from probrep.born import _check_cond_stack, _general_rule, _sic_rule, random_ic_inputs
 from probrep.errors import IllConditionedReference
 from probrep.operators import _check_prob_rows, _wishart_draw, _wishart_povms
+from probrep.sic import SEARCH_WINDOW, _descend, _Evaluator, _least_squares, _lm_step
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -103,3 +105,37 @@ def test_stacked_rows_equal_single_calls(d, ref_seed, n, trial_seeds):
         sic = _check_prob_rows(_sic_rule(d, p, r))
         for t, (p_t, r_t) in enumerate(zip(ps, rs)):
             assert sic[t].tobytes() == urgleichung_sic(d, p_t, r_t).values.tobytes()
+
+
+def _rows_bytes(rows):
+    return [tuple(np.asarray(v).tobytes() for v in row) for row in rows]
+
+
+@PROPERTY
+@given(d=dims, seed=seeds, rows=st.integers(1, SEARCH_WINDOW + 1))
+def test_batched_search_evaluations_equal_single_rows(d, seed, rows):
+    rng = np.random.default_rng(seed)
+    ev = _Evaluator(d)
+    x = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    r = 0.1 * (rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d)))
+    step = rng.uniform(0.0, 1.0, rows)
+    mu = 10.0 ** rng.uniform(-14.0, 0.0, rows)
+
+    systems = list(_least_squares(ev, x))
+    jtj = np.array([row[4] for row in systems])
+    jtf = np.array([row[5] for row in systems])
+    batched = {
+        "least squares": systems,
+        "descend": list(_descend(ev, x, r, step)),
+        "lm step": list(_lm_step(ev, x, jtj, jtf, mu)),
+    }
+    for b in range(rows):
+        one = slice(b, b + 1)
+        single = {
+            "least squares": _least_squares(ev, x[one]),
+            "descend": _descend(ev, x[one], r[one], step[one]),
+            "lm step": _lm_step(ev, x[one], jtj[one], jtf[one], mu[one]),
+        }
+        for kind, rows_b in single.items():
+            assert _rows_bytes(rows_b) == _rows_bytes(batched[kind][b:b + 1]), (kind, b)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import comb
 
@@ -131,6 +132,29 @@ class TestBinomialInterval:
             binomial_interval_prob(10, 0.5, 0, 11)
         with pytest.raises(ValueError):
             binomial_interval_prob(10, 1.5, 0, 10)
+        for n, lo, hi in ((10.0, 0, 3), (10, 0.5, 3), (10, 0, 3.0), (True, 0, 1)):
+            with pytest.raises(ValueError):
+                binomial_interval_prob(n, 0.5, lo, hi)
+
+    def test_matches_scalar_lgamma_loop_bit_for_bit(self):
+        def loop_interval(n, p, lo, hi):
+            k = np.arange(lo, hi + 1, dtype=float)
+            lg = math.lgamma
+            log_terms = (
+                lg(n + 1)
+                - np.array([lg(x + 1) + lg(n - x + 1) for x in k])
+                + k * math.log(p)
+                + (n - k) * math.log1p(-p)
+            )
+            peak = log_terms.max()
+            return float(np.exp(peak) * np.sum(np.exp(log_terms - peak)))
+
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            n = int(rng.choice([1, 2, 7, 100, 999, 20000]))
+            lo, hi = sorted(int(v) for v in rng.integers(0, n + 1, 2))
+            p = float(rng.choice([0.5, 1e-3, 0.999, rng.uniform(0.01, 0.99)]))
+            assert binomial_interval_prob(n, p, lo, hi).hex() == loop_interval(n, p, lo, hi).hex()
 
 
 def point_mass_table():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,9 +17,14 @@ from probrep import (
     sic_search,
     wh_orbit,
 )
+from probrep import sic
 from probrep.errors import NoConvergence
 from probrep.sic import (
+    GRAD_TOL,
+    MAX_ITERATIONS,
     SEARCH_PROVENANCE,
+    SEARCH_WINDOW,
+    _Evaluator,
     _potential_and_gradient,
     displacement_stack,
     registry_dims,
@@ -113,17 +120,21 @@ class TestFramePotential:
     def test_gradient_matches_finite_differences(self):
         # central differences, step 1e-6, 1e-5 relative agreement
         for d in (2, 3, 5):
-            stack = displacement_stack(d)
-            stack_dag = stack.conj().transpose(0, 2, 1)
+            ev = _Evaluator(d)
+
+            def potential_and_gradient(v):
+                pot, grad = _potential_and_gradient(*ev.terms(v[None]))
+                return pot[0], grad[0]
+
             x = random_pure_state(d, seed=d).amplitudes
-            _, grad = _potential_and_gradient(x, stack, stack_dag)
+            _, grad = potential_and_gradient(x)
             eps = 1e-6
             for m in range(d):
                 for comp, part in ((1.0, grad.real), (1j, grad.imag)):
                     e = np.zeros(d, dtype=complex)
                     e[m] = comp * eps
-                    hi, _ = _potential_and_gradient(x + e, stack, stack_dag)
-                    lo, _ = _potential_and_gradient(x - e, stack, stack_dag)
+                    hi, _ = potential_and_gradient(x + e)
+                    lo, _ = potential_and_gradient(x - e)
                     num = (hi - lo) / (2 * eps)
                     assert abs(part[m] - num) <= 1e-5 * max(abs(num), 1.0)
 
@@ -157,6 +168,249 @@ class TestSicSearch:
         # an unreachable gradient target exhausts every restart
         with pytest.raises(NoConvergence):
             sic_search(2, seed=0, restarts=2, gtol=1e-30)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the search as one loop per restart (projected gradient descent,
+# then a Levenberg-Marquardt polish), evaluating one point per call.
+# sic_search runs its restarts in lockstep and must return exactly its bits.
+# ---------------------------------------------------------------------------
+
+
+def loop_potential_and_gradient(phi, stack, stack_dag):
+    dphi = stack @ phi
+    ddphi = stack_dag @ phi
+    c = dphi @ phi.conj()
+    c2 = c.real**2 + c.imag**2
+    pot = float(np.sum(c2[1:] ** 2))
+    w = c2[1:]
+    grad = 4.0 * ((w * c[1:].conj()) @ dphi[1:] + (w * c[1:]) @ ddphi[1:])
+    return pot, grad
+
+
+def loop_tangent(x, g):
+    return g - np.real(np.vdot(x, g)) * x
+
+
+def loop_residual_and_jacobian(phi, stack, stack_dag, target):
+    dphi = stack @ phi
+    ddphi = stack_dag @ phi
+    c = dphi @ phi.conj()
+    f = (c.real**2 + c.imag**2)[1:] - target
+    ga = c[1:, None].conj() * dphi[1:] + c[1:, None] * ddphi[1:]
+    jac = np.concatenate([2.0 * ga.real, 2.0 * ga.imag], axis=1)
+    return f, jac
+
+
+def loop_polish(x, stack, stack_dag, target, gtol, max_iterations=80):
+    d = x.shape[0]
+    mu = 1e-12
+    eye = np.eye(2 * d)
+    for _ in range(max_iterations):
+        f, jac = loop_residual_and_jacobian(x, stack, stack_dag, target)
+        fnorm2 = float(f @ f)
+        pot, g = loop_potential_and_gradient(x, stack, stack_dag)
+        rnorm = float(np.linalg.norm(loop_tangent(x, g)))
+        if rnorm < gtol and float(np.max(np.abs(f))) < 1e-12:
+            return x, pot, rnorm
+        a = jac.T @ jac
+        b = jac.T @ f
+        moved = False
+        for _ in range(40):
+            step = np.linalg.solve(a + mu * eye, -b)
+            xn = x + step[:d] + 1j * step[d:]
+            xn /= np.linalg.norm(xn)
+            fn, _ = loop_residual_and_jacobian(xn, stack, stack_dag, target)
+            if float(fn @ fn) < fnorm2:
+                moved = True
+                break
+            mu *= 10.0
+        if not moved:
+            break
+        x = xn
+        mu = max(mu * 0.25, 1e-14)
+    pot, g = loop_potential_and_gradient(x, stack, stack_dag)
+    return x, pot, float(np.linalg.norm(loop_tangent(x, g)))
+
+
+def loop_minimize_restart(dim, rng, gtol):
+    """(potential, unit vector, projected gradient norm) of one restart."""
+    stack = displacement_stack(dim)
+    stack_dag = stack.conj().transpose(0, 2, 1)
+    target = 1.0 / (dim + 1)
+
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x /= np.linalg.norm(x)
+    pot, g = loop_potential_and_gradient(x, stack, stack_dag)
+    r = loop_tangent(x, g)
+    alpha = 1e-2
+    prev = None
+    for _ in range(MAX_ITERATIONS):
+        rnorm2 = float(np.real(np.vdot(r, r)))
+        if np.sqrt(rnorm2) < 1e-5:
+            break
+        if prev is not None:
+            s = x - prev[0]
+            y = r - prev[1]
+            sy = abs(float(np.real(np.vdot(s, y))))
+            if sy > 1e-300:
+                alpha = min(max(float(np.real(np.vdot(s, s))) / sy, 1e-10), 1e2)
+        step = alpha
+        accepted = False
+        for _ in range(50):
+            xn = x - step * r
+            xn /= np.linalg.norm(xn)
+            pot_n, g_n = loop_potential_and_gradient(xn, stack, stack_dag)
+            if pot_n < pot and pot_n - pot <= -1e-4 * step * rnorm2:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        prev = (x, r)
+        x, pot = xn, pot_n
+        r = loop_tangent(x, g_n)
+
+    x, pot, rnorm = loop_polish(x, stack, stack_dag, target, gtol)
+    return pot, x, rnorm
+
+
+def loop_restarts(dim, seed, restarts, gtol):
+    """Results of restarts seed, seed + 1, ..., one after another."""
+    return [
+        loop_minimize_restart(dim, np.random.default_rng(seed + i), gtol)
+        for i in range(restarts)
+    ]
+
+
+def loop_outcome(results, dim, seed, gtol):
+    """What the search over these restart results returns or raises."""
+    best = closest = None
+    for i, (pot, x, rnorm) in enumerate(results):
+        if rnorm < gtol and (best is None or pot < best[0]):
+            best = (pot, x)
+        if closest is None or rnorm < closest[0]:
+            closest = (rnorm, seed + i)
+    if best is None:
+        return (
+            f"no restart of {len(results)} reached gradient norm < {gtol} in dimension {dim}; "
+            f"the closest reached {closest[0]:.3e} (restart seed {closest[1]})"
+        )
+    ket = make_ket(best[1])
+    return (dim, ket.amplitudes.tobytes(), repr(frame_potential(ket)),
+            repr(max_sic_deviation(ket)), seed, len(results))
+
+
+def search_outcome(dim, seed, restarts, gtol=GRAD_TOL):
+    """sic_search's candidate fields as bytes and reprs, or its NoConvergence message."""
+    try:
+        cand = sic_search(dim, seed, restarts, gtol)
+    except NoConvergence as err:
+        return str(err)
+    return (cand.dim, cand.vector.amplitudes.tobytes(), repr(cand.frame_potential),
+            repr(cand.max_sic_deviation), cand.seed, cand.restarts_used)
+
+
+class TestLockstepSearch:
+    """sic_search against the per-restart loop above."""
+
+    RESTARTS = (1, 3, SEARCH_WINDOW - 1, SEARCH_WINDOW, SEARCH_WINDOW + 1, 100)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_per_restart_loop_bit_for_bit(self, d):
+        for seed in (0, 7, 1000):
+            results = loop_restarts(d, seed, max(self.RESTARTS), GRAD_TOL)
+            for restarts in self.RESTARTS:
+                want = loop_outcome(results[:restarts], d, seed, GRAD_TOL)
+                assert isinstance(want, tuple), (d, seed, restarts)
+                assert search_outcome(d, seed, restarts) == want, (d, seed, restarts)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_no_convergence_matches_loop_and_names_closest_restart(self, d):
+        # an unreachable target: every restart polishes until it stalls
+        for seed in (0, 7):
+            results = loop_restarts(d, seed, 3, 1e-30)
+            for restarts in (1, 3):
+                want = loop_outcome(results[:restarts], d, seed, 1e-30)
+                assert isinstance(want, str)
+                assert search_outcome(d, seed, restarts, 1e-30) == want, (d, seed, restarts)
+
+    def test_exact_ties_go_to_the_lowest_restart(self, monkeypatch):
+        # Starts x0 and -x0 run through exactly negated arithmetic, so their
+        # restarts tie exactly on the potential with opposite vectors.
+        d = 3
+        draws = np.random.default_rng(3).standard_normal((2, d))
+
+        class SignedStart:
+            def __init__(self, seed):
+                self.sign = -1.0 if seed % 2 else 1.0
+                self.draws = iter(draws)
+
+            def standard_normal(self, n):
+                return self.sign * next(self.draws)
+
+        monkeypatch.setattr(np.random, "default_rng", SignedStart)
+        restarts = SEARCH_WINDOW + 2  # the last restart starts opposite to the first
+        for seed in (4, 5):
+            results = loop_restarts(d, seed, restarts, GRAD_TOL)
+            assert len({pot for pot, _, _ in results}) == 1
+            assert all(rnorm < GRAD_TOL for _, _, rnorm in results)
+            assert not np.array_equal(results[0][1], results[1][1])
+            found = sic_search(d, seed, restarts)
+            assert found.vector.amplitudes.tobytes() == results[0][1].tobytes()
+
+    def test_ties_go_to_the_lowest_restart_whatever_the_finishing_order(self, monkeypatch):
+        x = known_fiducial(2).amplitudes
+        finished = [(1, (0.25, -x, 0.0)), (3, (0.5, x, 0.0)), (0, (0.25, x, 0.0)),
+                    (2, (0.25, 1j * x, 0.0))]
+        monkeypatch.setattr(sic, "_lockstep", lambda *args: iter(finished))
+        found = sic_search(2, 0, 4)
+        assert np.array_equal(found.vector.amplitudes, x)
+        # none converged: the closest restart named is the lowest of the tied
+        finished = [(1, (0.25, x, 0.5)), (3, (0.25, x, 0.7)), (0, (0.25, x, 0.5)),
+                    (2, (0.25, x, 0.5))]
+        with pytest.raises(NoConvergence, match=r"5.000e-01 \(restart seed 10\)"):
+            sic_search(2, 10, 4)
+
+    def test_window_bounds_memory(self):
+        # With the window, 400 restarts peaked at 1.0-1.3x the peak of 100
+        # over seeds 0..7 (a longer search spends more rounds with the window
+        # full); with all restarts live the ratio was 3.7.
+        sic_search(8, 2, 1)  # fill the caches first
+        peaks = {}
+        for restarts in (100, 400):
+            tracemalloc.start()
+            try:
+                sic_search(8, 3, restarts)
+                peaks[restarts] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] <= 1.5 * peaks[100], peaks
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"restarts": 2.5},
+            {"restarts": True},
+            {"restarts": -1},
+            {"restarts": "3"},
+            {"seed": -1},
+            {"seed": 1.0},
+            {"seed": None},
+            {"gtol": 0.0},
+            {"gtol": -1e-10},
+            {"gtol": float("nan")},
+            {"gtol": float("inf")},
+            {"gtol": "1e-10"},
+        ],
+    )
+    def test_bad_inputs_rejected_before_any_restart(self, bad, monkeypatch):
+        def no_restart(*args):
+            raise AssertionError("a restart ran")
+
+        monkeypatch.setattr(sic, "_restart", no_restart)
+        with pytest.raises(ValueError):
+            sic_search(**{"dim": 2, "seed": 0, "restarts": 3, **bad})
 
 
 class TestSicCertify:
