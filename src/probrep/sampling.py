@@ -1,9 +1,11 @@
 """Seeded outcome sampling and exact binomial interval probabilities.
 
 One PRNG is fixed for the whole package: numpy's PCG64 as wired up by
-numpy.random.default_rng(seed). Outcome draws always go through the
-inverse CDF of the target distribution, so published seeds reproduce
-every count table bit-exactly.
+numpy.random.default_rng(seed). Outcome counts always equal those of
+drawing each outcome through the inverse CDF of the target distribution,
+so published seeds reproduce every count table bit-exactly. The draws are
+counted in blocks of DRAW_BLOCK uniforms, so memory stays O(DRAW_BLOCK)
+however many trials are asked for.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from .correlations import CorrelationTable, make_table
 from .operators import _freeze, _is_int, prob_values
 
 SAMPLING_MODES = ("blocked", "per-trial-random")
+
+#: Most uniforms _draw_counts holds at once; a block of float64s this size
+#: (512 KiB) sorts in cache and bounds the peak memory of any draw.
+DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -64,17 +70,45 @@ class DataTable:
 
 
 def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n inverse-CDF draws from a categorical distribution, as counts."""
+    """n inverse-CDF draws from a categorical distribution, as counts.
+
+    Uniform u goes to the first outcome i with u < cdf[i], and the counts
+    equal those of mapping each draw on its own. The draws are taken
+    DRAW_BLOCK at a time, so memory is O(DRAW_BLOCK) for any n. Each block
+    is sorted, and one binary search per outcome then gives
+    below[i] = #{u < cdf[i]}, the number of draws at outcomes <= i. PCG64's
+    random() spends one 64-bit output per double and buffers none, so the
+    block sizes do not change the stream.
+    """
     cdf = np.cumsum(probs)
     cdf[np.flatnonzero(probs)[-1]:] = 1.0
-    draws = np.searchsorted(cdf, rng.random(n), side="right")
-    return np.bincount(draws, minlength=probs.shape[0])
+    # A -1e-17 entry (a rounded quantum probability) can step the cumsum
+    # down by one ulp; a running maximum keeps every count non-negative.
+    np.maximum.accumulate(cdf, out=cdf)
+    below = np.zeros(cdf.shape[0], dtype=np.intp)
+    for start in range(0, n, DRAW_BLOCK):
+        block = rng.random(min(DRAW_BLOCK, n - start))
+        block.sort()
+        below += np.searchsorted(block, cdf)
+        del block  # freed before the next draw, so one block is live at a time
+    return np.diff(below, prepend=0)
+
+
+def _check_draw_args(n, n_name: str, seed) -> None:
+    """Refuse a trial count that is not an int >= 1 or a seed that is not an int >= 0."""
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"{n_name} must be an integer >= 1, got {n!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def sample_outcomes(q, n: int, seed: int) -> OutcomeCounts:
-    """n independent seeded draws from the distribution q."""
-    if n < 1:
-        raise ValueError(f"need at least one trial, got {n}")
+    """n independent seeded draws from the distribution q.
+
+    Raises ValueError unless n >= 1 and seed >= 0 are integers and q is a
+    distribution.
+    """
+    _check_draw_args(n, "n", seed)
     probs = prob_values(q)
     rng = np.random.default_rng(seed)
     counts = _draw_counts(probs, n, rng)
@@ -118,10 +152,11 @@ def data_table_sim(
     blocked: every setting pair gets exactly n_per_setting trials, sampled
     in row-major setting order from a single seeded stream. per-trial-random:
     the total n_per_setting * n_settings trials each draw their setting
-    uniformly first; counts are per realized setting.
+    uniformly first; counts are per realized setting. Raises ValueError
+    unless n_per_setting >= 1 and seed >= 0 are integers and mode is one of
+    SAMPLING_MODES.
     """
-    if n_per_setting < 1:
-        raise ValueError(f"need at least one trial per setting, got {n_per_setting}")
+    _check_draw_args(n_per_setting, "n_per_setting", seed)
     if mode not in SAMPLING_MODES:
         raise ValueError(f"mode must be one of {SAMPLING_MODES}, got {mode!r}")
     keys = [(a, b) for a in table.settings_a for b in table.settings_b]

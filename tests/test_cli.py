@@ -335,6 +335,15 @@ class TestSimulate:
         assert main(["simulate", "--probs", "probs.json", "--n", "10",
                      "--out", "c.json"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--probs", "probs.json", "--n", "10", "--seed", "-1", "--out", "c.json"],
+        ["bell", "--simulate", "10", "--seed", "-1"],
+    ])
+    def test_negative_seed_exits_one_naming_it(self, workdir, capsys, argv):
+        (workdir / "probs.json").write_text(serialize.dumps({"values": [0.5, 0.5]}))
+        assert main(argv) == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
 
 class TestInterval:
     def test_thirty_seventy_window(self, workdir, capsys):

@@ -68,6 +68,15 @@ CASES = (
      ["simulate", "--probs", "probs.json", "--n", "1000", "--seed", "7",
       "--out", "counts.json"],
      ["counts.json"]),
+    ("simulate-blocks",
+     ["simulate", "--probs", "probs.json", "--n", "200003", "--seed", "5",
+      "--out", "counts_200003.json"],
+     ["counts_200003.json"]),
+    ("bell-simulate-blocks",
+     ["bell", "--state", "singlet", "--simulate", "70000", "--seed", "5",
+      "--table-csv", "bell_table_70000.csv", "--counts-csv", "bell_counts_70000.csv",
+      "--report", "bell_summary_70000.json"],
+     ["bell_counts_70000.csv", "bell_summary_70000.json"]),
     ("interval",
      ["interval", "10000", "0.5", "4900", "5100", "--out", "interval.json"],
      ["interval.json"]),

@@ -4,7 +4,8 @@ Fuchs & Schack, Quantum-Bayesian coherence, Rev. Mod. Phys. 85, 1693 (2013):
 a reference's probabilities determine the state, and the general and SIC
 forms of the urgleichung both reproduce tr(rho F). The stacked evaluations
 that check_trials and sic_search rely on are checked against single calls
-bit for bit.
+bit for bit, and the blocked outcome counter against per-draw inverse-CDF
+sampling.
 
 The examples are derandomized and not stored, so every run checks the same
 inputs.
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from probrep import (
     born_probabilities,
+    data_table_sim,
     povm_to_cond,
     prob_to_state,
     random_density,
@@ -27,8 +29,10 @@ from probrep import (
     urgleichung_sic,
 )
 from probrep.born import _check_cond_stack, _general_rule, _sic_rule, random_ic_inputs
+from probrep.correlations import make_table
 from probrep.errors import IllConditionedReference
 from probrep.operators import _check_prob_rows, _wishart_draw, _wishart_povms
+from probrep.sampling import DRAW_BLOCK, _draw_counts
 from probrep.sic import SEARCH_WINDOW, _descend, _Evaluator, _least_squares, _lm_step
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -139,3 +143,90 @@ def test_batched_search_evaluations_equal_single_rows(d, seed, rows):
         }
         for kind, rows_b in single.items():
             assert _rows_bytes(rows_b) == _rows_bytes(batched[kind][b:b + 1]), (kind, b)
+
+
+def _inverse_cdf_counts(probs, n, rng):
+    """Reference kernel: one binary search per draw, then a histogram."""
+    cdf = np.cumsum(probs)
+    cdf[np.flatnonzero(probs)[-1]:] = 1.0
+    draws = np.searchsorted(cdf, rng.random(n), side="right")
+    return np.bincount(draws, minlength=probs.shape[0])
+
+
+# One draw, one short of a block, a block, one over, and several with a tail.
+DRAW_SIZES = (1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK + 7)
+ZERO_PATTERNS = ("none", "leading", "interior", "trailing", "all three")
+
+
+def _distribution(k, zeros, overshoot, seed):
+    """k outcome probabilities with the given zero runs.
+
+    For overshoot > 0 the first nonzero entry takes an excess of
+    overshoot * 1e-14 and the last nonzero entry shrinks to 1e-18, so the
+    cumsum passes 1 before the last outcome that can be drawn.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.random(k) ** 4  # spread the weights over several magnitudes
+    run = int(rng.integers(1, max(2, k // 3)))
+    if zeros in ("leading", "all three"):
+        w[:run] = 0.0
+    if zeros in ("interior", "all three"):
+        w[k // 2:k // 2 + run] = 0.0
+    if zeros in ("trailing", "all three"):
+        w[k - run:] = 0.0
+    if not w.any():
+        w[int(rng.integers(k))] = 1.0
+    p = w / w.sum()
+    if overshoot:
+        nz = np.flatnonzero(p)
+        p[nz[0]] += overshoot * 1e-14
+        if len(nz) > 1:
+            p[nz[0]] += p[nz[-1]] - 1e-18
+            p[nz[-1]] = 1e-18
+    return p
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    k=st.integers(1, 200),
+    zeros=st.sampled_from(ZERO_PATTERNS),
+    overshoot=st.integers(0, 4),
+    n=st.sampled_from(DRAW_SIZES),
+    seed=seeds,
+)
+def test_blocked_counts_equal_per_draw_inverse_cdf(k, zeros, overshoot, n, seed):
+    probs = _distribution(k, zeros, overshoot, seed)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw_counts(probs, n, rng)
+    want = _inverse_cdf_counts(probs, n, ref_rng)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    # the stream is left where the reference leaves it, for the next setting's draws
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@PROPERTY
+@given(
+    n_a=st.integers(1, 3),
+    n_b=st.integers(1, 3),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    n_per_setting=st.sampled_from((1, 2, 7, 1000, DRAW_BLOCK + 1)),
+    mode=st.sampled_from(("blocked", "per-trial-random")),
+    seed=seeds,
+)
+def test_data_table_counts_sum_to_trials(n_a, n_b, shape, n_per_setting, mode, seed):
+    settings_a = tuple(f"a{i}" for i in range(n_a))
+    settings_b = tuple(f"b{j}" for j in range(n_b))
+    size = shape[0] * shape[1]
+    probs = {
+        (a, b): _distribution(size, ZERO_PATTERNS[t % 5], 0, seed + t).reshape(shape)
+        for t, (a, b) in enumerate((a, b) for a in settings_a for b in settings_b)
+    }
+    dt = data_table_sim(make_table(settings_a, settings_b, probs), n_per_setting, seed, mode)
+    for key, block in dt.counts.items():
+        assert block.shape == shape and block.min() >= 0
+        assert block.sum() == dt.n_trials[key]
+    if mode == "blocked":
+        assert set(dt.n_trials.values()) == {n_per_setting}
+    else:
+        assert sum(dt.n_trials.values()) == n_per_setting * n_a * n_b

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -10,9 +11,10 @@ from probrep import (
     chsh_value,
     data_table_sim,
     sample_outcomes,
+    sampling,
 )
 from probrep.correlations import canonical_chsh_table, make_table
-from probrep.sampling import _draw_counts
+from probrep.sampling import DRAW_BLOCK, _draw_counts
 
 
 def exact_binomial_interval(n: int, p: float, lo: int, hi: int) -> Fraction:
@@ -55,6 +57,34 @@ class TestSampleOutcomes:
 
         counts = _draw_counts(probs, 5, TopOfRange())
         assert tuple(counts) == (0, 0, 5, 0)
+
+    def test_cdf_that_steps_down_gives_no_negative_count(self):
+        # a -4e-17 entry (as a rounded quantum probability may be) steps the
+        # cumsum down by one ulp; a draw in that gap still lands on outcome 0
+        probs = np.array([0.3, -4e-17, 0.4, 0.3 + 4e-17])
+        cdf = np.cumsum(probs)
+        assert cdf[1] < cdf[0]
+
+        class InTheGap:
+            def random(self, n):
+                return np.full(n, cdf[1])
+
+        assert tuple(_draw_counts(probs, 3, InTheGap())) == (3, 0, 0, 0)
+
+    def test_peak_memory_bounded_by_one_block(self):
+        # peaks measured: ~528 KB at both sizes; drawing all n uniforms at
+        # once would take 20x that
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        _draw_counts(probs, 10, np.random.default_rng(0))  # fill the caches first
+        peaks = {}
+        for n in (DRAW_BLOCK, 20 * DRAW_BLOCK):
+            tracemalloc.start()
+            try:
+                _draw_counts(probs, n, np.random.default_rng(1))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20 * DRAW_BLOCK] <= 1.5 * peaks[DRAW_BLOCK], peaks
 
     def test_frequencies_within_binomial_error(self):
         n = 100_000
@@ -155,6 +185,42 @@ class TestBinomialInterval:
             lo, hi = sorted(int(v) for v in rng.integers(0, n + 1, 2))
             p = float(rng.choice([0.5, 1e-3, 0.999, rng.uniform(0.01, 0.99)]))
             assert binomial_interval_prob(n, p, lo, hi).hex() == loop_interval(n, p, lo, hi).hex()
+
+
+# (trial count, seed) pairs refused before any draw: a bad count, then a bad seed
+BAD_N = [2.5, True, 0, -3, "3", np.float64(10.0)]
+BAD_SEED = [2.5, -1, True, None, "1"]
+BAD_DRAW_ARGS = [(n, 0, "n") for n in BAD_N] + [(10, seed, "seed") for seed in BAD_SEED]
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a draw ran")
+
+    monkeypatch.setattr(sampling, "_draw_counts", boom)
+    monkeypatch.setattr(np.random, "default_rng", boom)
+
+
+@pytest.mark.parametrize("n,seed,bad", BAD_DRAW_ARGS)
+def test_sample_outcomes_refuses_bad_n_or_seed(n, seed, bad, no_draws):
+    with pytest.raises(ValueError, match=f"^{bad} must"):
+        sample_outcomes([0.5, 0.5], n, seed)
+
+
+@pytest.mark.parametrize("mode", ["blocked", "per-trial-random"])
+@pytest.mark.parametrize("n,seed,bad", BAD_DRAW_ARGS)
+def test_data_table_sim_refuses_bad_n_or_seed(n, seed, bad, mode, no_draws):
+    name = "n_per_setting" if bad == "n" else bad
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        data_table_sim(canonical_chsh_table(), n, seed, mode=mode)
+
+
+def test_numpy_integer_arguments_accepted():
+    counts = sample_outcomes([0.5, 0.5], np.int64(100), np.uint32(11))
+    assert tuple(counts.counts) == tuple(sample_outcomes([0.5, 0.5], 100, 11).counts)
+    dt = data_table_sim(canonical_chsh_table(), np.int32(50), np.int64(3))
+    assert sum(dt.n_trials.values()) == 200
 
 
 def point_mass_table():
