@@ -32,15 +32,18 @@ from .errors import (
     WrongOutcomeCount,
 )
 from .operators import (
+    PROB_FLOOR,
+    PROB_SUM_TOL,
     DensityOperator,
     Povm,
     ProbVector,
     _check_prob_rows,
+    _complex_normal,
     _freeze,
     _require_finite,
     _trace_values,
-    _wishart_draw,
-    _wishart_povms,
+    _whiten,
+    _wishart_parts,
     check_dim,
     make_povm,
     make_prob_vector,
@@ -110,8 +113,8 @@ def _check_cond_stack(r: np.ndarray) -> None:
     lo = r.min(axis=(1, 2))
     hi = r.max(axis=(1, 2))
     worst = np.max(np.abs(r.sum(axis=2) - 1.0), axis=1)
-    outside = (lo < -1e-12) | (hi > 1.0 + 1e-12)
-    bad = outside | (worst > 1e-10)
+    outside = (lo < PROB_FLOOR) | (hi > 1.0 - PROB_FLOOR)
+    bad = outside | (worst > PROB_SUM_TOL)
     if bad.any():
         b = int(np.argmax(bad))
         if outside[b]:
@@ -128,8 +131,10 @@ def make_reference(povm: Povm) -> ReferenceMeasurement:
     """Validate a POVM as a reference measurement and build its transfer maps.
 
     Requires exactly d^2 elements, each rank 1 (second eigenvalue below
-    1e-10), spanning the full operator space. The projectors are the
-    dominant eigenvector projectors of the elements. ``sic_certified``
+    1e-10), spanning the full operator space. With G_ik = tr(E_i E_k) and
+    Pi_k = E_k / tr E_k, the transfer matrix is M = G diag(tr E)^-1; one eigh
+    of G gives the IC rank and M^-1 = diag(tr E) G^-1, refined by one Newton
+    step. ``condition_number`` is the 2-norm condition of M. ``sic_certified``
     holds when d^2 tr(E_i E_j) is within sic.CERT_TOL of the SIC values
     1 (i = j) and 1/(d+1) (i != j), the overlaps sic.sic_certify checks. Raises
     WrongOutcomeCount, NotRankOne, NotInformationallyComplete or
@@ -140,37 +145,36 @@ def make_reference(povm: Povm) -> ReferenceMeasurement:
     if n != d * d:
         raise WrongOutcomeCount(got=n, expected=d * d)
 
-    w, v = np.linalg.eigh(povm.elements)
+    w = np.linalg.eigvalsh(povm.elements)
     bad = (w[:, -2] > RANK_ONE_TOL) | (w[:, -1] <= RANK_ONE_TOL)
     if bad.any():
         i = int(np.argmax(bad))
         raise NotRankOne(i, float(w[i, -2]))
-    top = v[:, :, -1]
-    projectors = top[:, :, None] * top.conj()[:, None, :]
+    traces = np.real(np.trace(povm.elements, axis1=1, axis2=2))
 
     flat = povm.elements.reshape(n, d * d)
     gram = np.real(flat @ flat.conj().T)
-    svals = np.linalg.svd(gram, compute_uv=False)
-    rank = int(np.sum(svals > GRAM_RANK_FACTOR * svals[0]))
-    if rank < d * d:
-        raise NotInformationallyComplete(gram_rank=rank, needed=d * d)
+    lam, vec = np.linalg.eigh(gram)
+    rank = int(np.sum(lam > GRAM_RANK_FACTOR * lam[-1]))
+    if rank < n:
+        raise NotInformationallyComplete(gram_rank=rank, needed=n)
     sic_gram = (d * np.eye(n) + 1.0) / (d + 1)
     sic_certified = bool(np.max(np.abs(d * d * gram - sic_gram)) < sic.CERT_TOL)
 
-    transfer = np.real(np.einsum("iab,kba->ik", povm.elements, projectors))
+    transfer = gram / traces
     svals = np.linalg.svd(transfer, compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    if cond > CONDITION_CAP:
-        raise IllConditionedReference(cond)
-    inverse = np.linalg.inv(transfer)
-    check = float(np.max(np.abs(transfer @ inverse - np.eye(n))))
-    if check > INVERSE_CHECK_TOL:
-        raise IllConditionedReference(cond)
+    inverse = traces[:, None] * ((vec / lam) @ vec.T)
+    # a Newton step: the eigh inverse alone leaves ~5x an LU inverse's residual M X - I
+    inverse += inverse @ (np.eye(n) - transfer @ inverse)
+    residual = np.max(np.abs(transfer @ inverse - np.eye(n)))
+    if cond > CONDITION_CAP or residual > INVERSE_CHECK_TOL:
+        raise IllConditionedReference(cond, CONDITION_CAP)
 
     return ReferenceMeasurement(
         dim=d,
         elements=povm,
-        projectors=_freeze(projectors),
+        projectors=_freeze(povm.elements / traces[:, None, None]),
         transfer=_freeze(transfer),
         transfer_inverse=_freeze(inverse),
         condition_number=cond,
@@ -191,19 +195,12 @@ def sic_reference(dim: int) -> ReferenceMeasurement:
 
 
 def random_reference(dim: int, seed: int) -> ReferenceMeasurement:
-    """Random rank-1 IC reference: d^2 whitened random rank-1 operators."""
-    dim = check_dim(dim)
-    rng = np.random.default_rng(seed)
-    n = dim * dim
-    vecs = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    """Random rank-1 IC reference: d^2 random rank-1 operators, whitened as random_povm's."""
+    d = check_dim(dim)
+    vecs = _complex_normal(np.random.default_rng(seed), (d * d, d))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    parts = np.einsum("ai,aj->aij", vecs, vecs.conj())
-    s = parts.sum(axis=0)
-    w, v = np.linalg.eigh(s)
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    els = np.einsum("ab,kbc,cd->kad", inv_sqrt, parts, inv_sqrt)
-    els = 0.5 * (els + els.conj().transpose(0, 2, 1))
-    return make_reference(make_povm(els))
+    parts = vecs[:, :, None] * vecs.conj()[:, None, :]
+    return make_reference(Povm(d, _freeze(_whiten(parts[None])[0])))
 
 
 def _transfer_weights(ref: ReferenceMeasurement, values: np.ndarray) -> np.ndarray:
@@ -235,11 +232,6 @@ def _general_rule(ref: ReferenceMeasurement, p: np.ndarray, r: np.ndarray) -> np
 
 def _sic_rule(dim: int, p: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _weighted_rows((dim + 1) * p - 1.0 / dim, r)
-
-
-def _cond_values(elements: np.ndarray, projectors: np.ndarray) -> np.ndarray:
-    """r(j|i) = tr(F_j Pi_i) for (n, d, d) elements and (m, d, d) projectors."""
-    return np.real(np.einsum("jab,iba->ij", elements, projectors))
 
 
 def state_to_prob(ref: ReferenceMeasurement, rho: DensityOperator) -> ProbVector:
@@ -283,7 +275,7 @@ def povm_to_cond(ref: ReferenceMeasurement, povm: Povm) -> CondProbMatrix:
     """
     if povm.dim != ref.dim:
         raise DimensionMismatch(f"POVM dim {povm.dim} != reference dim {ref.dim}")
-    return make_cond_prob(_cond_values(povm.elements, ref.projectors))
+    return make_cond_prob(np.real(np.einsum("jab,iba->ij", povm.elements, ref.projectors)))
 
 
 def _check_shapes(ref_outcomes: int, p, r: CondProbMatrix) -> np.ndarray:
@@ -333,11 +325,16 @@ def classicality_gap(
     ref: ReferenceMeasurement, rho: DensityOperator, povm: Povm
 ) -> float:
     """max_j |quantum - classical| on the (p, r) induced by rho and the POVM."""
+    return _gap_rules(ref, rho, povm)[0]
+
+
+def _gap_rules(ref, rho, povm) -> tuple[float, ProbVector, ProbVector]:
+    """classicality_gap with the quantum and classical q it compares."""
     p = state_to_prob(ref, rho)
     r = povm_to_cond(ref, povm)
     quantum = urgleichung_general(ref, p, r)
     classical = classical_law(p, r)
-    return float(np.max(np.abs(quantum.values - classical.values)))
+    return float(np.max(np.abs(quantum.values - classical.values))), quantum, classical
 
 
 def random_ic_inputs(dim: int, seed: int):
@@ -427,7 +424,7 @@ def _stack_deviations(ref: ReferenceMeasurement, stack: list) -> tuple[float, fl
     """
     d = ref.dim
     rhos = [random_density(d, rank, seed + 1).matrix for _, seed, rank, _ in stack]
-    povms = _wishart_povms(np.stack([_wishart_draw(d, n, seed + 2) for _, seed, _, n in stack]))
+    povms = _whiten(np.stack([_wishart_parts(d, n, seed + 2) for _, seed, _, n in stack]))
     p = _check_prob_rows(np.array([_trace_values(rho, ref.elements.elements) for rho in rhos]))
     pi_t = np.ascontiguousarray(ref.projectors.transpose(0, 2, 1))
     r = np.ascontiguousarray(np.einsum("bjac,iac->bij", povms, pi_t).real)

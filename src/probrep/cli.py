@@ -143,11 +143,7 @@ def run_classical_gap(params: dict) -> int:
     rho = serialize.density_from_payload(_load_json(params["state"]))
     povm = serialize.povm_from_payload(_load_json(params["povm"]))
     ref = _reference_for(params["reference"], rho.dim, seed=0)
-    p = born.state_to_prob(ref, rho)
-    r = born.povm_to_cond(ref, povm)
-    q_quantum = born.urgleichung_general(ref, p, r)
-    q_classical = born.classical_law(p, r)
-    gap = float(np.max(np.abs(q_quantum.values - q_classical.values)))
+    gap, q_quantum, q_classical = born._gap_rules(ref, rho, povm)
     payload = {
         "manifest": manifest,
         "gap": gap,
@@ -179,7 +175,6 @@ def run_bell(params: dict) -> int:
     fam_a = correlations.angle_family(angles_a, plane=params["plane"])
     fam_b = correlations.angle_family(angles_b, plane=params["plane"])
     table = correlations.correlation_table(psi, fam_a, fam_b)
-    _write(params["table_csv"], serialize.table_csv(table, manifest_line=line))
 
     payload = {
         "manifest": manifest,
@@ -202,8 +197,10 @@ def run_bell(params: dict) -> int:
                 correlations.chsh_value(empirical) if params["chsh"] else None
             ),
         }
-        if params.get("counts_csv"):
-            _write(params["counts_csv"], serialize.data_table_csv(dt, manifest_line=line))
+    # written only once sampling has accepted its arguments
+    _write(params["table_csv"], serialize.table_csv(table, manifest_line=line))
+    if params["simulate"] and params.get("counts_csv"):
+        _write(params["counts_csv"], serialize.data_table_csv(dt, manifest_line=line))
     _write(params["report"], dumps(payload))
     msg = f"bell table -> {params['table_csv']}, summary -> {params['report']}"
     if params["chsh"]:

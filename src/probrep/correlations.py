@@ -14,17 +14,17 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotBipartite, WrongArity, WrongDimension
 from .operators import (
+    EIGENVALUE_TOL,
     DensityOperator,
     Ket,
     Povm,
+    _check_prob_rows,
     _freeze,
     born_probabilities,
     make_ket,
     make_povm,
     tensor,
 )
-
-BLOCK_SUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,16 @@ class CorrelationTable:
 
 
 def make_table(settings_a, settings_b, probs: Dict[Tuple, np.ndarray]) -> CorrelationTable:
+    """Table whose blocks are validated (and clipped) as make_prob_vector does."""
     out = {}
     for a in settings_a:
         for b in settings_b:
             blk = np.asarray(probs[(a, b)], dtype=float)
-            total = float(blk.sum())
-            if abs(total - 1.0) > BLOCK_SUM_TOL:
-                raise ValueError(
-                    f"block ({a!r}, {b!r}) sums to {total!r}, expected 1"
-                )
-            out[(a, b)] = _freeze(blk.copy())
+            try:
+                rows = _check_prob_rows(blk.reshape(1, -1))
+            except ValueError as err:
+                raise ValueError(f"block ({a!r}, {b!r}): {err}") from err
+            out[(a, b)] = _freeze(rows.reshape(blk.shape))
     return CorrelationTable(tuple(settings_a), tuple(settings_b), out)
 
 
@@ -193,7 +193,7 @@ def _projective_rank1_vectors(povm: Povm) -> np.ndarray:
     vecs = np.empty((d, d), dtype=complex)
     for k, el in enumerate(povm.elements):
         w, v = np.linalg.eigh(el)
-        if abs(w[-1] - 1.0) > 1e-10 or (d > 1 and w[-2] > 1e-10):
+        if abs(w[-1] - 1.0) > EIGENVALUE_TOL or (d > 1 and w[-2] > EIGENVALUE_TOL):
             raise ValueError(f"element {k} is not a rank-1 projector")
         vecs[k] = v[:, -1]
     return vecs

@@ -29,9 +29,9 @@ class NotPositive(ProbrepError):
 
 
 class TraceNotOne(ProbrepError):
-    def __init__(self, trace: float):
+    def __init__(self, trace: float, tolerance: float):
         self.trace = float(trace)
-        super().__init__(f"trace = {trace!r}, expected 1 within 1e-10")
+        super().__init__(f"trace = {trace!r}, expected 1 within {tolerance}")
 
 
 class SumNotIdentity(ProbrepError):
@@ -88,10 +88,11 @@ class NotInformationallyComplete(ProbrepError):
 
 
 class IllConditionedReference(ProbrepError):
-    def __init__(self, condition_number: float):
+    def __init__(self, condition_number: float, cap: float):
         self.condition_number = float(condition_number)
         super().__init__(
-            f"reference transfer matrix condition number {condition_number:.3e} exceeds 1e10"
+            f"reference transfer matrix is ill-conditioned: condition number "
+            f"{condition_number:.3e}, limit {cap:g}"
         )
 
 

@@ -36,6 +36,8 @@ TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
 PROB_FLOOR = -1e-12
 PROB_SUM_TOL = 1e-10
+#: Largest condition number of the normalizer S that _whiten inverts.
+NORMALIZER_COND_CAP = 1e12
 
 
 def check_dim(d: int) -> int:
@@ -200,7 +202,7 @@ def validate_density(matrix) -> DensityOperator:
     m = 0.5 * (m + m.conj().T)
     trace = float(np.real(np.trace(m)))
     if abs(trace - 1.0) > TRACE_TOL:
-        raise TraceNotOne(trace)
+        raise TraceNotOne(trace, TRACE_TOL)
     w, v = np.linalg.eigh(m)
     if w[0] < -EIGENVALUE_TOL:
         raise NotPositive(float(w[0]), what="density matrix")
@@ -310,36 +312,36 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
 
     Draws A_k = G_k G_k^dag, S = sum_k A_k and returns
     {S^{-1/2} A_k S^{-1/2}}. Raises SingularNormalizer when S has
-    condition number above 1e12.
+    condition number above NORMALIZER_COND_CAP.
     """
     d = check_dim(dim)
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
-    return Povm(d, _freeze(_wishart_povms(_wishart_draw(d, n_outcomes, seed)[None])[0]))
+    return Povm(d, _freeze(_whiten(_wishart_parts(d, n_outcomes, seed)[None])[0]))
 
 
-def _wishart_draw(dim: int, n_outcomes: int, seed: int) -> np.ndarray:
-    """The (n, 2, d, d) normals random_povm(dim, n_outcomes, seed) whitens."""
+def _wishart_parts(dim: int, n_outcomes: int, seed: int) -> np.ndarray:
+    """The (n, d, d) factors A_k = G_k G_k^dag random_povm(dim, n_outcomes, seed) whitens."""
     rng = np.random.default_rng(seed)
     # consumes the stream as per-outcome draws would: real then imaginary factor
-    return rng.standard_normal((n_outcomes, 2, dim, dim))
-
-
-def _wishart_povms(x: np.ndarray) -> np.ndarray:
-    """Whitened, validated POVMs from a (stack, n, 2, d, d) array of draws.
-
-    The error describes the first POVM in the stack that fails, the
-    normalizer's conditioning first (SingularNormalizer), then the checks of
-    make_povm.
-    """
-    g = x[:, :, 0] + 1j * x[:, :, 1]
+    x = rng.standard_normal((n_outcomes, 2, dim, dim))
+    g = x[:, 0] + 1j * x[:, 1]
     a = g @ g.conj().swapaxes(-1, -2)
-    parts = 0.5 * (a + a.conj().swapaxes(-1, -2))
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def _whiten(parts: np.ndarray) -> np.ndarray:
+    """POVMs {S^{-1/2} A_k S^{-1/2}}, S = sum_k A_k, from a (stack, n, d, d) array of parts.
+
+    The error describes the first POVM in the stack that fails: SingularNormalizer
+    when cond(S) > NORMALIZER_COND_CAP, then the checks of make_povm.
+    """
     s = np.sum(parts, axis=1)
     w, v = np.linalg.eigh(s)
     cond = np.divide(w[:, -1], w[:, 0], out=np.full(len(w), np.inf), where=w[:, 0] > 0)
-    if (cond > 1e12).any():
-        raise SingularNormalizer(float(cond[np.argmax(cond > 1e12)]))
+    singular = cond > NORMALIZER_COND_CAP
+    if singular.any():
+        raise SingularNormalizer(float(cond[np.argmax(singular)]))
     inv_sqrt = (v / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
     els = inv_sqrt[:, None] @ parts @ inv_sqrt[:, None]
     els = 0.5 * (els + els.conj().swapaxes(-1, -2))

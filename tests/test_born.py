@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from probrep import (
+    born,
     operators,
     born_probabilities,
     classical_law,
@@ -36,6 +37,7 @@ from probrep.born import (
 )
 from probrep.cli import main
 from probrep.errors import (
+    IllConditionedReference,
     InvalidDimension,
     NotAValidState,
     NotInformationallyComplete,
@@ -43,6 +45,7 @@ from probrep.errors import (
     NotRankOne,
     ProbrepError,
     ShapeMismatch,
+    SingularNormalizer,
     TrialFailed,
     WrongOutcomeCount,
 )
@@ -68,16 +71,23 @@ def x_projectors():
     return projector_povm(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
-def loop_projectors(povm):
-    """Per-element eigh loop that make_reference's stacked call replaced."""
-    projectors = np.empty_like(povm.elements)
+def loop_rank_check(povm):
+    """Per-element rank-1 check that make_reference's stacked eigvalsh replaced."""
     for i, el in enumerate(povm.elements):
-        w, v = np.linalg.eigh(el)
+        w = np.linalg.eigvalsh(el)
         if w[-2] > RANK_ONE_TOL or w[-1] <= RANK_ONE_TOL:
             raise NotRankOne(i, float(w[-2]))
-        top = v[:, -1]
-        projectors[i] = np.outer(top, top.conj())
-    return projectors
+
+
+def eigh_construction(povm):
+    """Projectors, transfer matrix and inverse as make_reference built them
+    before it worked from the Gram matrix: eigenvector projectors, the
+    transfer matrix by trace contraction, and an explicit inverse."""
+    _, v = np.linalg.eigh(povm.elements)
+    top = v[:, :, -1]
+    projectors = top[:, :, None] * top.conj()[:, None, :]
+    transfer = np.real(np.einsum("iab,kba->ik", povm.elements, projectors))
+    return projectors, transfer, np.linalg.inv(transfer)
 
 
 def loop_trial(ref, seed):
@@ -139,15 +149,20 @@ class TestMakeReference:
             with pytest.raises(NotRankOne) as exc:
                 make_reference(povm)
             with pytest.raises(NotRankOne) as loop_exc:
-                loop_projectors(povm)
+                loop_rank_check(povm)
             assert exc.value.index == k == loop_exc.value.index
             assert exc.value.second_eigenvalue == loop_exc.value.second_eigenvalue
 
-    def test_projectors_match_per_element_loop(self):
+    def test_matches_eigh_construction(self):
         refs = [sic_reference(d) for d in range(2, 9)]
-        refs += [random_reference(d, seed) for d in (2, 3, 5) for seed in (0, 1, 4)]
+        refs += [random_reference(d, seed) for d in range(2, 9) for seed in range(4)]
         for ref in refs:
-            assert ref.projectors.tobytes() == loop_projectors(ref.elements).tobytes()
+            projectors, transfer, inverse = eigh_construction(ref.elements)
+            assert np.max(np.abs(ref.projectors - projectors)) <= 1e-15
+            assert np.max(np.abs(ref.transfer - transfer)) <= 1e-15
+            # both inverses carry ~cond(M) * eps of rounding; these conds stay below 4e6
+            gap = np.max(np.abs(ref.transfer_inverse - inverse)) / np.max(np.abs(inverse))
+            assert gap <= 1e-10, (ref.dim, ref.condition_number)
 
     def test_not_informationally_complete(self):
         p0 = np.diag([1.0, 0.0])
@@ -155,6 +170,12 @@ class TestMakeReference:
         els = np.array([p0 / 2, p0 / 2, p1 / 2, p1 / 2])
         with pytest.raises(NotInformationallyComplete):
             make_reference(make_povm(els))
+
+    def test_ill_conditioned_error_quotes_the_cap_in_force(self, monkeypatch):
+        elements = sic_reference(2).elements  # built before the cap is lowered
+        monkeypatch.setattr(born, "CONDITION_CAP", 2.0)  # the qubit SIC's is 3
+        with pytest.raises(IllConditionedReference, match=r"condition number 3\.000e\+00, limit 2$"):
+            make_reference(elements)
 
     def test_transfer_inverse_is_inverse(self):
         for seed in (0, 1, 2):
@@ -175,6 +196,17 @@ class TestMakeReference:
         for d in (2.5, 9, 1):
             with pytest.raises(InvalidDimension):
                 random_reference(d, 0)
+
+    def test_random_reference_refuses_singular_normalizer(self, monkeypatch):
+        class Degenerate:
+            """Draws d^2 copies of one vector: their sum has rank 1."""
+
+            def standard_normal(self, shape):
+                return np.ones(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Degenerate())
+        with pytest.raises(SingularNormalizer):
+            random_reference(3, 0)
 
     def test_sic_flag_derived_from_elements(self):
         for d in range(2, 9):

@@ -257,6 +257,12 @@ class TestBell:
         assert "non-finite" in capsys.readouterr().err
         assert not (workdir / "bell_summary.json").exists()
 
+    def test_refused_simulation_writes_no_file(self, workdir, capsys):
+        argv = ["bell", "--simulate", "10", "--seed", "-1", "--counts-csv", "counts.csv"]
+        assert main(argv) == 1
+        assert "seed" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
     def test_rerun_reproduces_csv_and_json(self, workdir):
         main(["bell", "--state", "singlet", "--chsh", "--simulate", "500",
               "--counts-csv", "counts.csv"])

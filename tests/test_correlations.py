@@ -92,6 +92,22 @@ class TestCorrelationTable:
             for b in table.settings_b:
                 assert abs(table.block(a, b).sum() - 1.0) < 1e-10
 
+    def test_make_table_refuses_nan_block(self):
+        probs = {("a", "b"): [[np.nan, 1.0], [0.0, 0.0]]}
+        with pytest.raises(ValueError, match=r"^block \('a', 'b'\): .*non-finite"):
+            make_table(("a",), ("b",), probs)
+
+    def test_make_table_refuses_negative_entry(self):
+        probs = {("a", "b"): [[0.0, 0.3], [0.7, 0.0]], ("a", "c"): [[-0.5, 0.8], [0.7, 0.0]]}
+        with pytest.raises(ValueError, match=r"^block \('a', 'c'\): probability -5"):
+            make_table(("a",), ("b", "c"), probs)
+
+    def test_make_table_clips_rounding_negatives(self):
+        blk = np.array([[0.5, -1e-17], [1e-17, 0.5]])
+        table = make_table(("a",), ("b",), {("a", "b"): blk})
+        assert table.block("a", "b").tolist() == [[0.5, 0.0], [1e-17, 0.5]]
+        assert blk[0, 1] == -1e-17
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             correlation_table(

@@ -24,6 +24,7 @@ from probrep.errors import (
     SumNotIdentity,
     TraceNotOne,
 )
+from probrep import operators
 from probrep.operators import (
     DIM_CAP,
     EIGENVALUE_TOL,
@@ -140,6 +141,11 @@ class TestValidateDensity:
     def test_trace_not_one(self):
         with pytest.raises(TraceNotOne):
             validate_density(np.eye(2))
+
+    def test_trace_error_quotes_the_tolerance_in_force(self, monkeypatch):
+        monkeypatch.setattr(operators, "TRACE_TOL", 1e-3)
+        with pytest.raises(TraceNotOne, match=r"expected 1 within 0\.001$"):
+            validate_density(np.eye(2) * 0.51)
 
     def test_small_negative_eigenvalue_clipped(self):
         eps = 5e-11

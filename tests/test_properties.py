@@ -31,7 +31,7 @@ from probrep import (
 from probrep.born import _check_cond_stack, _general_rule, _sic_rule, random_ic_inputs
 from probrep.correlations import make_table
 from probrep.errors import IllConditionedReference
-from probrep.operators import _check_prob_rows, _wishart_draw, _wishart_povms
+from probrep.operators import _check_prob_rows, _whiten, _wishart_parts
 from probrep.sampling import DRAW_BLOCK, _draw_counts
 from probrep.sic import SEARCH_WINDOW, _descend, _Evaluator, _least_squares, _lm_step
 
@@ -97,7 +97,7 @@ def test_stacked_rows_equal_single_calls(d, ref_seed, n, trial_seeds):
     ps = [state_to_prob(ref, random_density(d, 1 + s % d, s)) for s in trial_seeds]
     rs = [povm_to_cond(ref, povm) for povm in povms]
 
-    stacked_povms = _wishart_povms(np.stack([_wishart_draw(d, n, s) for s in trial_seeds]))
+    stacked_povms = _whiten(np.stack([_wishart_parts(d, n, s) for s in trial_seeds]))
     p = np.array([p_t.values for p_t in ps])
     r = np.array([r_t.rows for r_t in rs])
     _check_cond_stack(r)
