@@ -39,17 +39,16 @@ from .operators import (
     ProbVector,
     _check_prob_rows,
     _complex_normal,
+    _density_draw,
     _freeze,
     _require_finite,
-    _trace_values,
+    _traces,
     _whiten,
     _wishart_parts,
     check_dim,
     make_povm,
     make_prob_vector,
     prob_values,
-    random_density,
-    random_povm,
     validate_density,
 )
 
@@ -238,7 +237,7 @@ def state_to_prob(ref: ReferenceMeasurement, rho: DensityOperator) -> ProbVector
     """p(i) = tr(rho E_i): the state as a probability vector."""
     if rho.dim != ref.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != reference dim {ref.dim}")
-    return make_prob_vector(_trace_values(rho.matrix, ref.elements.elements))
+    return make_prob_vector(_traces(rho.matrix[None], ref.elements.elements)[0])
 
 
 def prob_to_state(ref: ReferenceMeasurement, p: ProbVector) -> DensityOperator:
@@ -275,7 +274,7 @@ def povm_to_cond(ref: ReferenceMeasurement, povm: Povm) -> CondProbMatrix:
     """
     if povm.dim != ref.dim:
         raise DimensionMismatch(f"POVM dim {povm.dim} != reference dim {ref.dim}")
-    return make_cond_prob(np.real(np.einsum("jab,iba->ij", povm.elements, ref.projectors)))
+    return make_cond_prob(_traces(ref.projectors, povm.elements))
 
 
 def _check_shapes(ref_outcomes: int, p, r: CondProbMatrix) -> np.ndarray:
@@ -338,15 +337,21 @@ def _gap_rules(ref, rho, povm) -> tuple[float, ProbVector, ProbVector]:
 
 
 def random_ic_inputs(dim: int, seed: int):
-    """Deterministic (rho, povm) pair for sweep tests; plumbing helper."""
-    rank, n = _ic_counts(dim, seed)
-    return random_density(dim, rank, seed + 1), random_povm(dim, n, seed + 2)
+    """Deterministic (rho, povm) pair for sweep tests, drawn from default_rng(seed)."""
+    d = check_dim(dim)
+    _, rho, parts = _trial_draw(d, seed)
+    return DensityOperator(d, _freeze(rho)), Povm(d, _freeze(_whiten(parts[None])[0]))
 
 
-def _ic_counts(dim: int, seed: int) -> tuple[int, int]:
-    """The state's rank and the POVM's outcome count random_ic_inputs draws."""
+def _trial_draw(dim: int, seed: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Outcome count n, state and POVM parts of one trial, all from default_rng(seed).
+
+    The rank and n come first, then the draws of random_density and random_povm.
+    """
     rng = np.random.default_rng(seed)
-    return int(rng.integers(1, dim + 1)), int(rng.integers(2, dim + 3))
+    rank = int(rng.integers(1, dim + 1))
+    n = int(rng.integers(2, dim + 3))
+    return n, _density_draw(rng, dim, rank), _wishart_parts(rng, dim, n)
 
 
 def check_trials(ref: ReferenceMeasurement, seeds) -> tuple[float, float | None]:
@@ -354,11 +359,11 @@ def check_trials(ref: ReferenceMeasurement, seeds) -> tuple[float, float | None]
 
     Returns the largest max_j |q_general(j) - tr(rho F_j)| over the trials,
     and, when ref is a SIC, the largest max_j |q_sic(j) - q_general(j)|
-    (None otherwise). Trials with the same outcome count are drawn and
-    evaluated in stacks of up to TRIAL_STACK; every value is bit-identical to
-    evaluating the trials one at a time with the public functions. A failing
-    trial raises TrialFailed for the first failing trial in seed order, with
-    the error evaluating that trial alone raises as its cause.
+    (None otherwise). Trials with the same outcome count are evaluated in
+    stacks of up to TRIAL_STACK; every value is bit-identical to evaluating
+    the trials one at a time with the public functions. A failing trial
+    raises TrialFailed for the first failing trial in seed order, with the
+    error evaluating that trial alone raises as its cause.
     """
     worst_general = worst_sic = 0.0
     first_failure = None
@@ -377,7 +382,7 @@ def check_trials(ref: ReferenceMeasurement, seeds) -> tuple[float, float | None]
 
 
 def _stacks(dim: int, seeds):
-    """(trial, seed, rank, n) tuples in stacks of up to TRIAL_STACK trials with one n.
+    """(trial, seed, rho, parts) tuples in stacks of up to TRIAL_STACK trials with one n.
 
     Each outcome count's trials are stacked in seed order; a stack is
     yielded as soon as it is full, so only the pending partial stacks are
@@ -385,9 +390,9 @@ def _stacks(dim: int, seeds):
     """
     pending: dict[int, list] = {}
     for t, seed in enumerate(seeds):
-        rank, n = _ic_counts(dim, seed)
+        n, rho, parts = _trial_draw(dim, seed)
         stack = pending.setdefault(n, [])
-        stack.append((t, seed, rank, n))
+        stack.append((t, seed, rho, parts))
         if len(stack) == TRIAL_STACK:
             yield pending.pop(n)
     yield from pending.values()
@@ -414,25 +419,17 @@ def _evaluate(ref: ReferenceMeasurement, stack: list) -> tuple[float, float]:
 def _stack_deviations(ref: ReferenceMeasurement, stack: list) -> tuple[float, float]:
     """Largest general-rule and SIC-rule deviations over trials of one outcome count.
 
-    ``stack`` holds (trial, seed, rank, n) tuples with one n. Each trial draws
-    from the seeds random_ic_inputs uses. The two trace contractions stay
-    per trial: stacking them changes the last bits. The contraction for r
-    runs once per stack, over transposed projectors so that the summed
-    indices are contiguous, with the per-trial bits; it is copied to C order
-    as the per-trial rows were, because the rules' products round
-    differently on strided input.
+    ``stack`` holds (trial, seed, rho, parts) tuples with one n.
     """
-    d = ref.dim
-    rhos = [random_density(d, rank, seed + 1).matrix for _, seed, rank, _ in stack]
-    povms = _whiten(np.stack([_wishart_parts(d, n, seed + 2) for _, seed, _, n in stack]))
-    p = _check_prob_rows(np.array([_trace_values(rho, ref.elements.elements) for rho in rhos]))
-    pi_t = np.ascontiguousarray(ref.projectors.transpose(0, 2, 1))
-    r = np.ascontiguousarray(np.einsum("bjac,iac->bij", povms, pi_t).real)
+    rhos = np.stack([rho for _, _, rho, _ in stack])[:, None]
+    povms = _whiten(np.stack([parts for _, _, _, parts in stack]))
+    p = _check_prob_rows(_traces(rhos, ref.elements.elements)[:, 0])
+    r = _traces(ref.projectors, povms)
     _check_cond_stack(r)
     q = _check_prob_rows(_general_rule(ref, p, r))
-    q_true = _check_prob_rows(np.array([_trace_values(rho, els) for rho, els in zip(rhos, povms)]))
+    q_true = _check_prob_rows(_traces(rhos, povms)[:, 0])
     general = float(np.max(np.abs(q - q_true)))
     if not ref.sic_certified:
         return general, 0.0
-    q_sic = _check_prob_rows(_sic_rule(d, p, r))
+    q_sic = _check_prob_rows(_sic_rule(ref.dim, p, r))
     return general, float(np.max(np.abs(q_sic - q)))

@@ -115,9 +115,7 @@ def run_born_check(params: dict) -> int:
         raise ValueError("need at least one trial")
     manifest = _manifest("born-check", params)
     ref = _reference_for(params["reference"], dim, seed)
-    worst_general, worst_sic = born.check_trials(
-        ref, (seed + 1 + 3 * t for t in range(trials))
-    )
+    worst_general, worst_sic = born.check_trials(ref, range(seed + 1, seed + 1 + trials))
     passed = worst_general < BORN_CHECK_TOL
     payload = {
         "manifest": manifest,
@@ -275,6 +273,10 @@ def run_rerun(params: dict) -> int:
     manifest = data if "command" in data else data.get("manifest")
     if not isinstance(manifest, dict) or "command" not in manifest:
         raise ValueError(f"{params['file']} does not embed a manifest")
+    version = manifest.get("artifact_version", "none")
+    if version != __version__:
+        raise ValueError(f"{params['file']} has artifact_version {version} and this is probrep "
+                         f"{__version__}; rerun writes only over files of its own version")
     command = manifest["command"]
     if command not in _HANDLERS:
         raise ValueError(f"unknown command {command!r} in manifest")

@@ -20,6 +20,7 @@ from .operators import (
     Povm,
     _check_prob_rows,
     _freeze,
+    _traces,
     born_probabilities,
     make_ket,
     make_povm,
@@ -98,18 +99,10 @@ def correlation_table(
     amp = psi.amplitudes.reshape(da, db)
     probs = {}
     for a, pa in zip(fam_a.settings, fam_a.povms):
+        # p(x, y) = tr(C_x B_y^T) with C_x = amp^dag A_x amp, and B_y^T = conj(B_y)
+        c = amp.conj().T @ pa.elements @ amp
         for b, pb in zip(fam_b.settings, fam_b.povms):
-            blk = np.real(
-                np.einsum(
-                    "mu,xmn,yuv,nv->xy",
-                    amp.conj(),
-                    pa.elements,
-                    pb.elements,
-                    amp,
-                    optimize=True,
-                )
-            )
-            probs[(a, b)] = blk
+            probs[(a, b)] = _traces(c, pb.elements.conj())
     return make_table(fam_a.settings, fam_b.settings, probs)
 
 
@@ -171,12 +164,14 @@ class SteeringReport:
 
     ``ensembles`` holds (probability, conditional state) pairs restricted to
     outcomes with nonzero probability; ``marginals`` are the two partial
-    traces (equal by no-signalling); ``overlap`` is the maximum fidelity
-    between a member of one ensemble and a member of the other.
+    traces (equal by no-signalling); ``cross_fidelities[k, l]`` is the
+    fidelity between member k of the first ensemble and member l of the
+    second, and ``overlap`` is its maximum.
     """
 
     ensembles: Tuple[List[Tuple[float, DensityOperator]], List[Tuple[float, DensityOperator]]]
     marginals: Tuple[DensityOperator, DensityOperator]
+    cross_fidelities: np.ndarray
     overlap: float
 
     @property
@@ -235,15 +230,14 @@ def steering_ensembles(psi: Ket, basis_1: Povm, basis_2: Povm) -> SteeringReport
         marginal = 0.5 * (marginal + marginal.conj().T)
         marginals.append(DensityOperator(db, _freeze(marginal)))
 
-    overlap = 0.0
-    for _, rho1 in ensembles[0]:
-        for _, rho2 in ensembles[1]:
-            # members are pure, so fidelity reduces to tr(rho1 rho2)
-            overlap = max(overlap, float(np.real(np.trace(rho1.matrix @ rho2.matrix))))
+    # members are pure, so fidelity reduces to tr(rho1 rho2)
+    states = [np.array([rho.matrix for _, rho in members]) for members in ensembles]
+    cross = _freeze(_traces(states[0], states[1]))
     return SteeringReport(
         ensembles=(ensembles[0], ensembles[1]),
         marginals=(marginals[0], marginals[1]),
-        overlap=overlap,
+        cross_fidelities=cross,
+        overlap=float(cross.max()),
     )
 
 

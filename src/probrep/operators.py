@@ -273,12 +273,19 @@ def born_probabilities(rho: DensityOperator, povm: Povm) -> ProbVector:
     """
     if rho.dim != povm.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != POVM dim {povm.dim}")
-    return make_prob_vector(_trace_values(rho.matrix, povm.elements))
+    return make_prob_vector(_traces(rho.matrix[None], povm.elements)[0])
 
 
-def _trace_values(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """tr(rho E_a) for each element E_a of an (n, d, d) array."""
-    return np.real(np.einsum("ij,aji->a", rho, elements))
+def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(A_x B_y) for (..., X, d, d) and (..., Y, d, d) stacks, as C-ordered (..., X, Y).
+
+    One product of flattened A_x and flattened B_y^T per leading index, so an index has
+    the same bits alone as in a stack; C order, since the rules round differently on strides.
+    """
+    flat = a.shape[-2] * a.shape[-1]
+    rows = a.reshape(*a.shape[:-2], flat)
+    cols = b.swapaxes(-1, -2).reshape(*b.shape[:-2], flat)
+    return np.ascontiguousarray((rows @ cols.swapaxes(-1, -2)).real)
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -299,12 +306,16 @@ def random_density(dim: int, rank: int, seed: int) -> DensityOperator:
     d = check_dim(dim)
     if not 1 <= rank <= d:
         raise BadRank(f"rank {rank} outside 1..{d}")
-    rng = np.random.default_rng(seed)
-    g = _complex_normal(rng, (d, rank))
+    return DensityOperator(d, _freeze(_density_draw(np.random.default_rng(seed), d, rank)))
+
+
+def _density_draw(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    """The (d, d) matrix random_density draws from rng."""
+    g = _complex_normal(rng, (dim, rank))
     m = g @ g.conj().T
     m = 0.5 * (m + m.conj().T)
     m /= np.real(np.trace(m))
-    return DensityOperator(d, _freeze(m))
+    return m
 
 
 def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
@@ -317,12 +328,12 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     d = check_dim(dim)
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
-    return Povm(d, _freeze(_whiten(_wishart_parts(d, n_outcomes, seed)[None])[0]))
+    parts = _wishart_parts(np.random.default_rng(seed), d, n_outcomes)
+    return Povm(d, _freeze(_whiten(parts[None])[0]))
 
 
-def _wishart_parts(dim: int, n_outcomes: int, seed: int) -> np.ndarray:
-    """The (n, d, d) factors A_k = G_k G_k^dag random_povm(dim, n_outcomes, seed) whitens."""
-    rng = np.random.default_rng(seed)
+def _wishart_parts(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:
+    """The (n, d, d) factors A_k = G_k G_k^dag random_povm draws from rng and whitens."""
     # consumes the stream as per-outcome draws would: real then imaginary factor
     x = rng.standard_normal((n_outcomes, 2, dim, dim))
     g = x[:, 0] + 1j * x[:, 1]

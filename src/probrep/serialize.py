@@ -192,17 +192,10 @@ def steering_payload(report: SteeringReport) -> dict:
             for p, rho in members
         ]
 
-    cross = [
-        [
-            float(np.real(np.trace(r1.matrix @ r2.matrix)))
-            for _, r2 in report.ensembles[1]
-        ]
-        for _, r1 in report.ensembles[0]
-    ]
     return {
         "ensembles": [ensemble(e) for e in report.ensembles],
         "marginals": [complex_pairs(m.matrix) for m in report.marginals],
-        "cross_fidelities": cross,
+        "cross_fidelities": report.cross_fidelities.tolist(),
         "overlap": float(report.overlap),
         "no_steering": bool(report.no_steering),
     }

@@ -30,7 +30,6 @@ from probrep import (
 from probrep.born import (
     RANK_ONE_TOL,
     TRIAL_STACK,
-    _ic_counts,
     check_trials,
     make_cond_prob,
     random_ic_inputs,
@@ -102,6 +101,13 @@ def loop_trial(ref, seed):
         return general, 0.0
     q_sic = urgleichung_sic(ref.dim, p, r)
     return general, float(np.max(np.abs(q_sic.values - q_ref.values)))
+
+
+def outcome_count(dim, seed):
+    """The outcome count random_ic_inputs(dim, seed) draws, read from its generator."""
+    rng = np.random.default_rng(seed)
+    rng.integers(1, dim + 1)
+    return int(rng.integers(2, dim + 3))
 
 
 def loop_check_trials(ref, seeds):
@@ -380,9 +386,9 @@ class TestCheckTrials:
         group_sizes = Counter()
         for seed in (0, 5):
             for trials in (7, 100):
-                seeds = [seed + 1 + 3 * t for t in range(trials)]
+                seeds = [seed + 1 + t for t in range(trials)]
                 for d in range(2, 9):
-                    group_sizes.update(Counter(_ic_counts(d, s)[1] for s in seeds).values())
+                    group_sizes.update(Counter(outcome_count(d, s) for s in seeds).values())
                     for ref in (sic_reference(d), random_reference(d, seed)):
                         got = check_trials(ref, seeds)
                         want = loop_check_trials(ref, seeds)
@@ -393,15 +399,15 @@ class TestCheckTrials:
 
     def test_failure_names_lowest_failing_trial(self, monkeypatch, capsys, tmp_path):
         ref = sic_reference(2)  # built before the tolerances are tightened
-        seeds = [16 + 3 * t for t in range(32)]
+        seeds = [110 + t for t in range(32)]
         monkeypatch.setattr(operators, "EIGENVALUE_TOL", -0.003)
         monkeypatch.setattr(operators, "PROB_SUM_TOL", 1e-15)
         failing = {t: err for t, s in enumerate(seeds) if (err := loop_error(ref, s))}
         first = min(failing)
-        outcomes = {t: _ic_counts(2, seeds[t])[1] for t in failing}
-        # The lowest failing trial (4) fails a later check than a later trial
-        # with its outcome count (7), and trials of the other outcome counts
-        # fail too, in stacks that fill or start before trial 4's.
+        outcomes = {t: outcome_count(2, seeds[t]) for t in failing}
+        # The lowest failing trial (2) fails a later check than a later trial
+        # with its outcome count (3), and trials of another outcome count
+        # fail too, in a stack that fills before trial 2's.
         assert not isinstance(failing[first], NotPositive)
         assert any(
             isinstance(err, NotPositive) and outcomes[t] == outcomes[first]
@@ -416,7 +422,7 @@ class TestCheckTrials:
         assert (type(cause), str(cause)) == (type(failing[first]), str(failing[first]))
 
         report = tmp_path / "r.json"
-        argv = ["born-check", "--dim", "2", "--trials", "32", "--seed", "15",
+        argv = ["born-check", "--dim", "2", "--trials", "32", "--seed", "109",
                 "--report", str(report)]
         assert main(argv) == 1
         assert f"trial {first} (seed {seeds[first]}): {failing[first]}" in capsys.readouterr().err

@@ -1,13 +1,18 @@
 import hashlib
 import json
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from probrep import serialize, validate_density
+from probrep import __version__, serialize, validate_density
 from probrep.cli import main
 from probrep.correlations import direction_povm
 from probrep.operators import projector_povm
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def sha(path):
@@ -373,6 +378,28 @@ class TestRerun:
 
     def test_missing_file(self, workdir):
         assert main(["rerun", "nope.json"]) == 1
+
+    @pytest.mark.parametrize("version", ["0.2.0", None])
+    def test_refuses_file_of_another_version(self, workdir, capsys, version):
+        name = "born_random_d3.json"
+        data = load(GOLDEN / name)
+        if version is None:
+            del data["manifest"]["artifact_version"]
+        else:
+            data["manifest"]["artifact_version"] = version
+        (workdir / name).write_text(serialize.dumps(data))
+        before = sha(workdir / name)
+        assert main(["rerun", name]) == 1
+        assert sha(workdir / name) == before
+        assert [p.name for p in workdir.iterdir()] == [name]
+        err = capsys.readouterr().err
+        assert __version__ in err
+        assert f"artifact_version {version or 'none'}" in err
+
+
+def test_pyproject_version_is_package_version():
+    pyproject = tomllib.loads((Path(__file__).parent.parent / "pyproject.toml").read_text())
+    assert pyproject["project"]["version"] == __version__
 
 
 def test_unknown_command_exits_one():

@@ -231,10 +231,13 @@ class TestSteering:
                 assert_allclose(rho.matrix, want, atol=1e-12)
 
         # every cross-fidelity is 1/2
-        for _, rho1 in report.ensembles[0]:
-            for _, rho2 in report.ensembles[1]:
+        assert report.cross_fidelities.shape == (2, 2)
+        for k, (_, rho1) in enumerate(report.ensembles[0]):
+            for l, (_, rho2) in enumerate(report.ensembles[1]):
                 fid = np.real(np.trace(rho1.matrix @ rho2.matrix))
                 assert fid == pytest.approx(0.5, abs=1e-10)
+                assert report.cross_fidelities[k, l] == pytest.approx(fid, abs=1e-15)
+        assert report.overlap == report.cross_fidelities.max()
         assert report.overlap == pytest.approx(0.5, abs=1e-10)
         assert not report.no_steering
 

@@ -70,6 +70,16 @@ def loop_random_povm(dim, n_outcomes, seed):
     return 0.5 * (els + els.conj().transpose(0, 2, 1))
 
 
+def old_random_density(dim, rank, seed):
+    """random_density's draw as it was before it took a generator."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    m = 0.5 * (m + m.conj().T)
+    m /= np.real(np.trace(m))
+    return m
+
+
 def outcome(fn, *args):
     """Result bytes, or the raised class with its message and measured values."""
     try:
@@ -288,6 +298,13 @@ class TestRandomDensity:
         se_im = samples.imag.std(axis=0) / np.sqrt(n)
         bound = 5 * np.hypot(se_re, se_im) + 1e-12
         assert np.all(err <= bound)
+
+    def test_matches_old_draw(self):
+        for d in (2, 3, 5, 8):
+            for rank in sorted({1, 2, d}):
+                for seed in (0, 1, 17):
+                    got = random_density(d, rank, seed).matrix
+                    assert got.tobytes() == old_random_density(d, rank, seed).tobytes()
 
     def test_validate_never_errors_across_seeds(self):
         for d in range(2, DIM_CAP + 1):

@@ -5,7 +5,9 @@ a reference's probabilities determine the state, and the general and SIC
 forms of the urgleichung both reproduce tr(rho F). The stacked evaluations
 that check_trials and sic_search rely on are checked against single calls
 bit for bit, and the blocked outcome counter against per-draw inverse-CDF
-sampling.
+sampling. Correlation tables (Fuchs, Mermin & Schack, Am. J. Phys. 82, 749
+(2014)) are checked against a per-block einsum and for no-signalling
+(Popescu & Rohrlich, Found. Phys. 24, 379 (1994)).
 
 The examples are derandomized and not stored, so every run checks the same
 inputs.
@@ -17,11 +19,14 @@ from hypothesis import strategies as st
 
 from probrep import (
     born_probabilities,
+    correlation_table,
     data_table_sim,
+    no_signalling_check,
     povm_to_cond,
     prob_to_state,
     random_density,
     random_povm,
+    random_pure_state,
     random_reference,
     sic_reference,
     state_to_prob,
@@ -29,9 +34,9 @@ from probrep import (
     urgleichung_sic,
 )
 from probrep.born import _check_cond_stack, _general_rule, _sic_rule, random_ic_inputs
-from probrep.correlations import make_table
+from probrep.correlations import family, make_table
 from probrep.errors import IllConditionedReference
-from probrep.operators import _check_prob_rows, _whiten, _wishart_parts
+from probrep.operators import _check_prob_rows, _traces, _whiten, _wishart_parts
 from probrep.sampling import DRAW_BLOCK, _draw_counts
 from probrep.sic import SEARCH_WINDOW, _descend, _Evaluator, _least_squares, _lm_step
 
@@ -97,7 +102,8 @@ def test_stacked_rows_equal_single_calls(d, ref_seed, n, trial_seeds):
     ps = [state_to_prob(ref, random_density(d, 1 + s % d, s)) for s in trial_seeds]
     rs = [povm_to_cond(ref, povm) for povm in povms]
 
-    stacked_povms = _whiten(np.stack([_wishart_parts(d, n, s) for s in trial_seeds]))
+    parts = [_wishart_parts(np.random.default_rng(s), d, n) for s in trial_seeds]
+    stacked_povms = _whiten(np.stack(parts))
     p = np.array([p_t.values for p_t in ps])
     r = np.array([r_t.rows for r_t in rs])
     _check_cond_stack(r)
@@ -109,6 +115,34 @@ def test_stacked_rows_equal_single_calls(d, ref_seed, n, trial_seeds):
         sic = _check_prob_rows(_sic_rule(d, p, r))
         for t, (p_t, r_t) in enumerate(zip(ps, rs)):
             assert sic[t].tobytes() == urgleichung_sic(d, p_t, r_t).values.tobytes()
+
+
+@PROPERTY
+@given(
+    d=dims,
+    lead=st.integers(1, 6),
+    x=st.integers(1, 10),
+    y=st.integers(1, 10),
+    broadcast=st.booleans(),
+    seed=seeds,
+)
+def test_stacked_traces_equal_single_rows(d, lead, x, y, broadcast, seed):
+    """Every leading index of a _traces stack has the bytes it has alone, near the einsum form."""
+    rng = np.random.default_rng(seed)
+
+    def stack(*shape):
+        return rng.standard_normal((*shape, d, d)) + 1j * rng.standard_normal((*shape, d, d))
+
+    a = stack(lead, x)
+    b = stack(y) if broadcast else stack(lead, y)
+    got = _traces(a, b)
+    assert got.shape == (lead, x, y) and got.flags.c_contiguous
+    scale = np.max(np.abs(a)) * np.max(np.abs(b)) * d * d
+    for k in range(lead):
+        b_k = b if broadcast else b[k]
+        assert got[k].tobytes() == _traces(a[k], b_k).tobytes()
+        einsum = np.real(np.einsum("xij,yji->xy", a[k], b_k))
+        assert np.max(np.abs(got[k] - einsum)) <= 1e-15 * scale
 
 
 def _rows_bytes(rows):
@@ -230,3 +264,40 @@ def test_data_table_counts_sum_to_trials(n_a, n_b, shape, n_per_setting, mode, s
         assert set(dt.n_trials.values()) == {n_per_setting}
     else:
         assert sum(dt.n_trials.values()) == n_per_setting * n_a * n_b
+
+
+def _einsum_table(psi, fam_a, fam_b):
+    """Reference kernel: the per-block einsum correlation_table ran before _traces."""
+    amp = psi.amplitudes.reshape(fam_a.dim, fam_b.dim)
+    return {
+        (a, b): np.real(
+            np.einsum("mu,xmn,yuv,nv->xy", amp.conj(), pa.elements, pb.elements, amp,
+                      optimize=True)
+        )
+        for a, pa in zip(fam_a.settings, fam_a.povms)
+        for b, pb in zip(fam_b.settings, fam_b.povms)
+    }
+
+
+SPLITS = ((2, 2), (2, 3), (2, 4), (3, 2), (4, 2))
+
+
+@PROPERTY
+@given(
+    split=st.sampled_from(SPLITS),
+    counts_a=st.lists(st.integers(2, 5), min_size=2, max_size=3, unique=True),
+    counts_b=st.lists(st.integers(2, 5), min_size=2, max_size=3, unique=True),
+    seed=seeds,
+)
+def test_correlation_table_matches_einsum_and_does_not_signal(split, counts_a, counts_b, seed):
+    d_a, d_b = split
+    psi = random_pure_state(d_a * d_b, seed)
+    fam_a = family([f"a{k}" for k in range(len(counts_a))],
+                   [random_povm(d_a, n, seed + 1 + k) for k, n in enumerate(counts_a)])
+    fam_b = family([f"b{k}" for k in range(len(counts_b))],
+                   [random_povm(d_b, n, seed + 11 + k) for k, n in enumerate(counts_b)])
+    table = correlation_table(psi, fam_a, fam_b)
+    for key, want in _einsum_table(psi, fam_a, fam_b).items():
+        assert table.block(*key).shape == want.shape
+        assert np.max(np.abs(table.block(*key) - want)) <= 1e-15
+    assert no_signalling_check(table) <= 1e-12
