@@ -339,7 +339,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="counts.json")
 
-    p = sub.add_parser("interval", help="exact binomial interval probability")
+    p = sub.add_parser("interval", help="binomial interval probability, within 1e-14 of the exact sum")
     p.add_argument("n", type=int)
     p.add_argument("p", type=float)
     p.add_argument("lo", type=int)

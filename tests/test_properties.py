@@ -7,19 +7,24 @@ that check_trials and sic_search rely on are checked against single calls
 bit for bit, and the blocked outcome counter against per-draw inverse-CDF
 sampling. Correlation tables (Fuchs, Mermin & Schack, Am. J. Phys. 82, 749
 (2014)) are checked against a per-block einsum and for no-signalling
-(Popescu & Rohrlich, Found. Phys. 24, 379 (1994)).
+(Popescu & Rohrlich, Found. Phys. 24, 379 (1994)). Their CHSH values stay
+below Tsirelson's bound 2 sqrt 2 (Cirel'son, Lett. Math. Phys. 4, 93
+(1980)), reaching the Horodecki maximum of each state, and mixtures of
+local deterministic strategies stay below 2.
 
 The examples are derandomized and not stored, so every run checks the same
 inputs.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from probrep import (
     born_probabilities,
+    chsh_value,
     correlation_table,
+    make_povm,
     data_table_sim,
     no_signalling_check,
     povm_to_cond,
@@ -301,3 +306,62 @@ def test_correlation_table_matches_einsum_and_does_not_signal(split, counts_a, c
         assert table.block(*key).shape == want.shape
         assert np.max(np.abs(table.block(*key) - want)) <= 1e-15
     assert no_signalling_check(table) <= 1e-12
+
+
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _spin_family(labels, directions):
+    """Projective qubit measurements along 3-vectors, the +1 outcome first."""
+    povms = []
+    for u in directions:
+        n = np.tensordot(u / np.linalg.norm(u), PAULIS, axes=1)
+        povms.append(make_povm([(np.eye(2) + n) / 2, (np.eye(2) - n) / 2]))
+    return family(labels, povms)
+
+
+def _chsh(psi, a_dirs, b_dirs):
+    return chsh_value(correlation_table(
+        psi, _spin_family(("a1", "a2"), a_dirs), _spin_family(("b1", "b2"), b_dirs)))
+
+
+@PROPERTY
+@given(seed=seeds, direction_seed=seeds)
+def test_chsh_obeys_tsirelson_and_reaches_horodecki_maximum(seed, direction_seed):
+    psi = random_pure_state(4, seed)
+    a1, a2, b1, b2 = np.random.default_rng(direction_seed).standard_normal((4, 3))
+    value = _chsh(psi, (a1, a2), (b1, b2))
+    assert value <= 2 * np.sqrt(2) + 1e-12
+    # Horodecki: with T_ij = <psi| s_i (x) s_j |psi> = U diag(s) V^T, the
+    # directions u1, u2 and (s1 v1 +- s2 v2)/r give the state's maximum 2r,
+    # r = hypot(s1, s2)
+    amp = psi.amplitudes
+    t = np.array([[np.real(amp.conj() @ np.kron(si, sj) @ amp) for sj in PAULIS]
+                  for si in PAULIS])
+    u, s, vt = np.linalg.svd(t)
+    r = np.hypot(s[0], s[1])
+    best = _chsh(psi, (u[:, 0], u[:, 1]),
+                 ((s[0] * vt[0] + s[1] * vt[1]) / r, (s[0] * vt[0] - s[1] * vt[1]) / r))
+    assert abs(best - 2 * r) <= 1e-12
+    assert best <= 2 * np.sqrt(2) + 1e-12
+    assert value <= best + 1e-12
+
+
+# The 16 local deterministic strategies: setting i of a side answers bit i of f.
+LOCAL_STRATEGIES = [(f, g) for f in range(4) for g in range(4)]
+
+
+@PROPERTY
+@given(weights=st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16))
+@example(weights=[1.0] + [0.0] * 15)
+def test_local_deterministic_mixtures_obey_chsh_bound(weights):
+    total = sum(weights)
+    assume(total > 0)
+    probs = {}
+    for i, a in enumerate(("a1", "a2")):
+        for j, b in enumerate(("b1", "b2")):
+            block = np.zeros((2, 2))
+            for w, (f, g) in zip(weights, LOCAL_STRATEGIES):
+                block[(f >> i) & 1, (g >> j) & 1] += w / total
+            probs[(a, b)] = block
+    assert chsh_value(make_table(("a1", "a2"), ("b1", "b2"), probs)) <= 2 + 1e-12

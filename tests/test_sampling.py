@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from probrep import (
     binomial_interval_prob,
@@ -21,6 +23,40 @@ def exact_binomial_interval(n: int, p: float, lo: int, hi: int) -> Fraction:
     """Independent oracle: exact rational sum at the exact float value of p."""
     pf = Fraction(p)
     return sum(comb(n, k) * pf**k * (1 - pf) ** (n - k) for k in range(lo, hi + 1))
+
+
+def mpmath_interval(n: int, p: float, lo: int, hi: int):
+    """Oracle for any n: the sum at 40 digits, walked outward from the term
+    nearest the mode until a term falls below 1e-45 of the sum."""
+    mpmath = pytest.importorskip("mpmath")
+    if p in (0.0, 1.0):
+        return mpmath.mpf(lo <= n * p <= hi)
+    with mpmath.workdps(40):
+        pf = mpmath.mpf(p)
+        ratio = pf / (1 - pf)
+        start = min(max(int((n + 1) * p), lo), hi)
+        first = mpmath.exp(
+            mpmath.loggamma(n + 1) - mpmath.loggamma(start + 1) - mpmath.loggamma(n - start + 1)
+            + start * mpmath.log(pf) + (n - start) * mpmath.log1p(-pf)
+        )
+        total = first
+        for step, stop in ((1, hi), (-1, lo)):
+            term, k = first, start
+            while k != stop and term >= total * mpmath.mpf(10) ** -45:
+                term *= (n - k) * ratio / (k + 1) if step == 1 else k / ((n - k + 1) * ratio)
+                k += step
+                total += term
+        return total
+
+
+def interval_tolerance(exact) -> float:
+    """1e-14 relative, widened below ~1e-5 to 4 eps ln(1/P), the rounding a
+    log of that size carries into its exp, and at least 1e-300 absolute
+    (subnormal results)."""
+    exact = float(exact)
+    if exact < 1e-300:
+        return 1e-300
+    return max(1e-14, 4 * 2.0**-52 * math.log(1 / exact)) * exact
 
 
 class TestSampleOutcomes:
@@ -147,6 +183,13 @@ class TestBinomialInterval:
                 oracle, rel=1e-10
             )
 
+    def test_mpmath_oracle_matches_exact_sum(self):
+        for n, p, lo, hi in ((0, 0.5, 0, 0), (1, 0.3, 1, 1), (317, 0.9, 260, 300),
+                             (1000, 0.01, 0, 3), (1000, 0.5, 0, 1000), (1000, 0.5, 900, 950)):
+            mantissa, exponent = mpmath_interval(n, p, lo, hi).man_exp
+            exact = exact_binomial_interval(n, p, lo, hi)
+            assert abs(mantissa * Fraction(2) ** exponent - exact) <= Fraction(1, 10**35) * exact
+
     def test_degenerate_probabilities(self):
         assert binomial_interval_prob(10, 0.0, 0, 0) == 1.0
         assert binomial_interval_prob(10, 0.0, 1, 10) == 0.0
@@ -166,25 +209,65 @@ class TestBinomialInterval:
             with pytest.raises(ValueError):
                 binomial_interval_prob(n, 0.5, lo, hi)
 
-    def test_matches_scalar_lgamma_loop_bit_for_bit(self):
-        def loop_interval(n, p, lo, hi):
-            k = np.arange(lo, hi + 1, dtype=float)
-            lg = math.lgamma
-            log_terms = (
-                lg(n + 1)
-                - np.array([lg(x + 1) + lg(n - x + 1) for x in k])
-                + k * math.log(p)
-                + (n - k) * math.log1p(-p)
-            )
-            peak = log_terms.max()
-            return float(np.exp(peak) * np.sum(np.exp(log_terms - peak)))
+    @pytest.mark.parametrize("n,p,lo,hi", [
+        # n >= 1e4, where lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) cancels to ~1e-10
+        (100_000, 0.3, 29_800, 30_200),
+        (1_000_000, 0.5, 499_000, 501_000),
+        (10_000, 0.5, 4_900, 5_100),
+        (1_000_000, 0.5, 20, 999_980),
+        # full ranges give exactly 1.0; the unclamped sum at n = 613 is
+        # 1.0000000000000002
+        (100_000, 0.5, 0, 100_000),
+        (1_000_000, 0.5, 0, 1_000_000),
+        (613, 0.5, 0, 613),
+        # terms at |v| ~ 0.1, where bd0's closed form cancels to ~3e-14
+        (288, 0.5, 176, 176),
+        (337, 0.5, 215, 232),
+        # stirlerr(14) twice, where lgamma(15) minus the Stirling terms cancels to 7e-15
+        (28, 0.5, 14, 14),
+        # far from np, where rounding np to a float moves each log by |k - np| eps
+        (178_574, 0.4941286449196186, 87_469, 87_475),
+        (1_000_000, 0.3, 301_000, 303_000),
+    ])
+    def test_hard_queries_match_mpmath(self, n, p, lo, hi):
+        value = binomial_interval_prob(n, p, lo, hi)
+        assert abs(value - mpmath_interval(n, p, lo, hi)) <= 1e-14 * value
+        if (lo, hi) == (0, n):
+            assert value == 1.0
 
-        rng = np.random.default_rng(4)
-        for _ in range(60):
-            n = int(rng.choice([1, 2, 7, 100, 999, 20000]))
-            lo, hi = sorted(int(v) for v in rng.integers(0, n + 1, 2))
-            p = float(rng.choice([0.5, 1e-3, 0.999, rng.uniform(0.01, 0.99)]))
-            assert binomial_interval_prob(n, p, lo, hi).hex() == loop_interval(n, p, lo, hi).hex()
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        n=st.integers(0, 10**6) | st.integers(0, 1000),
+        p=(st.sampled_from((1e-12, 1 - 1e-12, 0.5))
+           | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+           | st.floats(0.01, 0.99)),
+        z=st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+    )
+    @example(n=0, p=0.3, z=(0.0, 0.0))
+    @example(n=1, p=0.3, z=(-1.0, 1.0))
+    @example(n=1, p=1e-12, z=(2.0, 2.0))
+    def test_matches_mpmath(self, n, p, z):
+        # window ends z standard deviations from the mean, clipped to [0, n]
+        mean, sd = n * p, math.sqrt(n * p * (1 - p)) + 1
+        lo, hi = sorted(min(n, max(0, round(mean + t * sd))) for t in z)
+        value = binomial_interval_prob(n, p, lo, hi)
+        assert 0.0 <= value <= 1.0
+        exact = mpmath_interval(n, p, lo, hi)
+        assert abs(value - exact) <= interval_tolerance(exact), (value, float(exact))
+
+    def test_peak_memory_bounded_by_one_block(self):
+        # summing all terms at once would take 20x the memory at the wider range
+        n = 20 * DRAW_BLOCK + 1
+        binomial_interval_prob(n, 0.5, 1, 10)  # fill the caches first
+        peaks = {}
+        for width in (DRAW_BLOCK, 20 * DRAW_BLOCK):
+            tracemalloc.start()
+            try:
+                binomial_interval_prob(n, 0.5, 1, width)
+                peaks[width] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20 * DRAW_BLOCK] <= 1.5 * peaks[DRAW_BLOCK], peaks
 
 
 # (trial count, seed) pairs refused before any draw: a bad count, then a bad seed
