@@ -5,17 +5,22 @@ numpy.random.default_rng(seed). Outcome counts always equal those of
 drawing each outcome through the inverse CDF of the target distribution,
 so published seeds reproduce every count table bit-exactly. The draws are
 counted in blocks of DRAW_BLOCK uniforms, so memory stays O(DRAW_BLOCK)
-however many trials are asked for.
+however many trials are asked for. A block is counted by one compare pass
+per CDF boundary when there are few boundaries, and by sorting it when
+there are many; both give each boundary's exact count of draws below it.
 
 Interval probabilities sum binomial terms in Loader's saddle-point form
 (C. Loader, Fast and Accurate Computation of Binomial Probabilities, 2000,
 the algorithm of R's dbinom), DRAW_BLOCK terms at a time. They are within
 1e-14 relative of the exact sum (for results above 1e-5; see
-binomial_interval_prob), clamped to [0, 1], in O(DRAW_BLOCK) memory.
+binomial_interval_prob), clamped to [0, 1], in O(DRAW_BLOCK) memory. Only
+the blocks that can hold a term above exp(-800) are evaluated: the others
+sum to exactly 0.0, so skipping them leaves every result bit unchanged.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -75,27 +80,42 @@ class DataTable:
         return make_table(self.settings_a, self.settings_b, probs)
 
 
+#: From this many CDF boundaries below 1 on, _draw_counts sorts a block
+#: rather than making one compare pass per boundary: a comparison sort costs
+#: ~log2(DRAW_BLOCK) compares per draw.
+_SORT_MIN_BOUNDARIES = DRAW_BLOCK.bit_length() - 1
+
+
 def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """n inverse-CDF draws from a categorical distribution, as counts.
 
-    Uniform u goes to the first outcome i with u < cdf[i], and the counts
-    equal those of mapping each draw on its own. The draws are taken
-    DRAW_BLOCK at a time, so memory is O(DRAW_BLOCK) for any n. Each block
-    is sorted, and one binary search per outcome then gives
-    below[i] = #{u < cdf[i]}, the number of draws at outcomes <= i. PCG64's
-    random() spends one 64-bit output per double and buffers none, so the
-    block sizes do not change the stream.
+    Uniform u goes to the first outcome i with u < cdf[i], so
+    below[i] = #{u < cdf[i]} is the number of draws at outcomes <= i, and
+    counts built from it equal those of mapping each draw on its own. The
+    draws are taken DRAW_BLOCK at a time, so memory is O(DRAW_BLOCK) for
+    any n. A boundary cdf[i] >= 1 counts every draw. The m boundaries below
+    1 are counted exactly, either way: with m < _SORT_MIN_BOUNDARIES by one
+    compare pass over the block per boundary, otherwise by sorting the block
+    and one binary search per boundary. PCG64's random() spends one 64-bit
+    output per double and buffers none, so neither the block sizes nor the
+    way a block is counted changes the stream.
     """
     cdf = np.cumsum(probs)
     cdf[np.flatnonzero(probs)[-1]:] = 1.0
     # A -1e-17 entry (a rounded quantum probability) can step the cumsum
     # down by one ulp; a running maximum keeps every count non-negative.
     np.maximum.accumulate(cdf, out=cdf)
-    below = np.zeros(cdf.shape[0], dtype=np.intp)
+    m = int(np.searchsorted(cdf, 1.0))  # cdf is non-decreasing: cdf[:m] < 1 <= cdf[m:]
+    below = np.full(cdf.shape[0], n, dtype=np.intp)
+    below[:m] = 0
     for start in range(0, n, DRAW_BLOCK):
         block = rng.random(min(DRAW_BLOCK, n - start))
-        block.sort()
-        below += np.searchsorted(block, cdf)
+        if m < _SORT_MIN_BOUNDARIES:
+            for i in range(m):
+                below[i] += np.count_nonzero(block < cdf[i])
+        else:
+            block.sort()
+            below[:m] += np.searchsorted(block, cdf[:m])
         del block  # freed before the next draw, so one block is live at a time
     return np.diff(below, prepend=0)
 
@@ -147,7 +167,8 @@ def _stirlerr(k: np.ndarray) -> np.ndarray:
 _BD0_SERIES_V = 0.5
 #: Series terms kept: the first left out is below v^54 < 2^-54 of the sum.
 _BD0_SERIES_TERMS = 27
-#: exp(-800) is 0.0 in float64, so a larger bd0 needs no refining.
+#: exp(-800) is 0.0 in float64 (exp underflows from -745 on), so a larger bd0
+#: needs no refining, and a log term below -800 is a term of 0.0.
 _BD0_UNDERFLOW = 800.0
 
 
@@ -192,9 +213,18 @@ def binomial_interval_prob(n: int, p: float, lo: int, hi: int) -> float:
     * sqrt(n / (2 pi k (n-k))), with no lgamma differences to cancel;
     k = 0 and k = n are exp(n log(1-p)) and exp(n log p), added once each
     (once in all when n = 0). np and nq enter exactly, as float pairs. The
-    terms are summed DRAW_BLOCK at a time, so memory is O(DRAW_BLOCK) for
-    any n; the block sums are added with math.fsum and the result is
-    clamped to [0, 1].
+    terms are summed DRAW_BLOCK at a time, in blocks aligned at max(lo, 1),
+    so memory is O(DRAW_BLOCK) for any n; the block sums are added with
+    math.fsum and the result is clamped to [0, 1].
+
+    The terms rise up to the mode floor((n + 1) p) and fall after it, so a
+    block before the mode's block peaks at its last k and one after it at
+    its first k. A block whose peak log term is below -800 (exp underflows
+    to 0.0 from -745 on) holds only terms that are 0.0, so its sum was
+    exactly 0.0 and skipping it moves no bit of the fsum. Bisection on the
+    peaks, evaluated by the same code on 1-element arrays, finds the
+    skipped blocks on each side, so the cost is O(log n) probes plus the
+    blocks that hold a non-zero term, however wide the window is.
 
     A result P below ~1e-5 is the exp of logs of size ln(1/P) > 11 and
     inherits their rounding: its bound is 4 eps ln(1/P) relative (4e-14 at
@@ -223,13 +253,27 @@ def binomial_interval_prob(n: int, p: float, lo: int, hi: int) -> float:
         num, den = p.as_integer_ratio()
         mean_k, mean_k_low = _split(n * num, den)
         mean_n_k, mean_n_k_low = _split(n * (den - num), den)
-        for start in range(first, last + 1, DRAW_BLOCK):
+
+        def log_terms(k: np.ndarray) -> np.ndarray:
+            x = k.astype(float)
+            return (stirlerr_n - _stirlerr(k) - _stirlerr(n - k)
+                    - _bd0(x, mean_k, mean_k_low) - _bd0(n - x, mean_n_k, mean_n_k_low))
+
+        def live(k: int) -> bool:
+            return bool(log_terms(np.array([k]))[0] >= -_BD0_UNDERFLOW)
+
+        starts = range(first, last + 1, DRAW_BLOCK)
+        mode = min(max((n + 1) * num // den, first), last)
+        centre = (mode - first) // DRAW_BLOCK
+        left = bisect.bisect_left(range(centre), True,
+                                  key=lambda j: live(starts[j] + DRAW_BLOCK - 1))
+        right = centre + 1 + bisect.bisect_left(range(centre + 1, len(starts)), True,
+                                                key=lambda j: not live(starts[j]))
+        for start in starts[left:right]:
             k = np.arange(start, min(start + DRAW_BLOCK, last + 1))
             x = k.astype(float)
             y = n - x
-            log_terms = (stirlerr_n - _stirlerr(k) - _stirlerr(n - k)
-                         - _bd0(x, mean_k, mean_k_low) - _bd0(y, mean_n_k, mean_n_k_low))
-            sums.append(float(np.sum(np.exp(log_terms) * np.sqrt(n / (2 * math.pi * x * y)))))
+            sums.append(float(np.sum(np.exp(log_terms(k)) * np.sqrt(n / (2 * math.pi * x * y)))))
     return min(1.0, max(0.0, math.fsum(sums)))
 
 

@@ -10,13 +10,18 @@ sampling. Correlation tables (Fuchs, Mermin & Schack, Am. J. Phys. 82, 749
 (Popescu & Rohrlich, Found. Phys. 24, 379 (1994)). Their CHSH values stay
 below Tsirelson's bound 2 sqrt 2 (Cirel'son, Lett. Math. Phys. 4, 93
 (1980)), reaching the Horodecki maximum of each state, and mixtures of
-local deterministic strategies stay below 2.
+local deterministic strategies stay below 2. Binomial interval
+probabilities, which skip the blocks of terms that underflow, are checked
+bit for bit against the sum over every block of the window.
 
 The examples are derandomized and not stored, so every run checks the same
 inputs.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +47,15 @@ from probrep.born import _check_cond_stack, _general_rule, _sic_rule, random_ic_
 from probrep.correlations import family, make_table
 from probrep.errors import IllConditionedReference
 from probrep.operators import _check_prob_rows, _traces, _whiten, _wishart_parts
-from probrep.sampling import DRAW_BLOCK, _draw_counts
+from probrep.sampling import (
+    _SORT_MIN_BOUNDARIES,
+    DRAW_BLOCK,
+    _bd0,
+    _draw_counts,
+    _split,
+    _stirlerr,
+    binomial_interval_prob,
+)
 from probrep.sic import SEARCH_WINDOW, _descend, _Evaluator, _least_squares, _lm_step
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -242,6 +255,97 @@ def test_blocked_counts_equal_per_draw_inverse_cdf(k, zeros, overshoot, n, seed)
     assert np.array_equal(got, want)
     # the stream is left where the reference leaves it, for the next setting's draws
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _Cycle:
+    """A stand-in generator whose random() repeats a fixed list of values."""
+
+    def __init__(self, values):
+        self.values, self.taken = values, 0
+
+    def random(self, size):
+        out = self.values[(self.taken + np.arange(size)) % len(self.values)]
+        self.taken += size
+        return out
+
+
+@pytest.mark.parametrize("stream", ["pcg64", "ties"])
+@pytest.mark.parametrize("boundaries", [_SORT_MIN_BOUNDARIES + d for d in (-1, 0, 1)])
+def test_compare_and_sort_counts_equal_per_draw_inverse_cdf(boundaries, stream):
+    # boundaries + 1 positive outcomes put exactly `boundaries` CDF entries
+    # below 1: one short of the sort threshold, at it, and one over
+    probs = np.random.default_rng(boundaries).random(boundaries + 1) + 0.5
+    probs /= probs.sum()
+    cdf = np.cumsum(probs)[:-1]
+    assert np.count_nonzero(cdf < 1.0) == boundaries
+    n = 3 * DRAW_BLOCK + 7
+    if stream == "pcg64":
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    else:
+        # draws equal to each boundary and to its neighbouring floats
+        values = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [0.0]])
+        rng, ref_rng = _Cycle(values), _Cycle(values)
+    assert np.array_equal(_draw_counts(probs, n, rng), _inverse_cdf_counts(probs, n, ref_rng))
+    if stream == "pcg64":
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _whole_window_interval(n, p, lo, hi):
+    """Reference loop: binomial_interval_prob for 0 < p < 1 with every block
+    of [lo, hi] summed, none skipped."""
+    sums = []
+    if lo == 0:
+        sums.append(math.exp(n * math.log1p(-p)))
+    if hi == n and n > 0:
+        sums.append(math.exp(n * math.log(p)))
+    first, last = max(lo, 1), min(hi, n - 1)
+    if first <= last:
+        stirlerr_n = float(_stirlerr(np.array(n)))
+        num, den = p.as_integer_ratio()
+        mean_k, mean_k_low = _split(n * num, den)
+        mean_n_k, mean_n_k_low = _split(n * (den - num), den)
+        for start in range(first, last + 1, DRAW_BLOCK):
+            k = np.arange(start, min(start + DRAW_BLOCK, last + 1))
+            x = k.astype(float)
+            y = n - x
+            log_terms = (stirlerr_n - _stirlerr(k) - _stirlerr(n - k)
+                         - _bd0(x, mean_k, mean_k_low) - _bd0(y, mean_n_k, mean_n_k_low))
+            sums.append(float(np.sum(np.exp(log_terms) * np.sqrt(n / (2 * math.pi * x * y)))))
+    return min(1.0, max(0.0, math.fsum(sums)))
+
+
+@st.composite
+def interval_queries(draw):
+    """(n, p, lo, hi): each window end a fraction of n (windows that span
+    many blocks) or up to 80 standard deviations from np (beyond ~40 the
+    terms underflow, so windows straddle np or lie wholly in a tail). Some
+    windows are moved so that the mode is the first or last k of its block,
+    where a neighbouring block holds up to half the sum."""
+    n = draw(st.integers(1, 3 * 10**6) | st.integers(1, 3000))
+    p = draw(st.sampled_from((0.5, 1e-12, 1 - 1e-12))
+             | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    mean, sd = n * p, math.sqrt(n * p * (1 - p))
+    ends = [draw(st.floats(0.0, 1.0)) * n if draw(st.booleans())
+            else mean + draw(st.floats(-80.0, 80.0)) * sd for _ in range(2)]
+    lo, hi = sorted(min(n, max(0, round(end))) for end in ends)
+    mode_at = draw(st.sampled_from((None, 0, DRAW_BLOCK - 1)))
+    if mode_at is not None:
+        mode = int((n + 1) * p)
+        lo = max(1, lo - (lo - mode + mode_at) % DRAW_BLOCK)
+        hi = max(lo, hi)
+    return n, p, lo, hi
+
+
+@settings(PROPERTY, max_examples=40)
+@given(query=interval_queries())
+@example(query=(3 * 10**6, 0.5, 0, 3 * 10**6))
+@example(query=(3 * 10**6, 1e-12, 0, 3 * 10**6))
+@example(query=(3 * 10**6, 1 - 1e-12, 0, 3 * 10**6))
+@example(query=(3 * 10**6, 0.3, 1_000_000, 3 * 10**6))
+@example(query=(3 * 10**6, 0.5, 1 + 1_500_000 % DRAW_BLOCK, 2_000_000))
+@example(query=(3 * 10**6, 0.5, 1_500_000 % DRAW_BLOCK, 2_000_000))
+def test_interval_skipping_dead_blocks_equals_whole_window_sum(query):
+    assert binomial_interval_prob(*query).hex() == _whole_window_interval(*query).hex()
 
 
 @PROPERTY

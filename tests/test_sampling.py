@@ -256,18 +256,48 @@ class TestBinomialInterval:
         assert abs(value - exact) <= interval_tolerance(exact), (value, float(exact))
 
     def test_peak_memory_bounded_by_one_block(self):
-        # summing all terms at once would take 20x the memory at the wider range
+        # summing all terms at once would take 20x the memory at the wider
+        # range; both windows are centred on np, so each evaluates blocks of
+        # non-zero terms (a window in the underflowing tail, such as
+        # 1..DRAW_BLOCK, would measure a block of zeros at most)
         n = 20 * DRAW_BLOCK + 1
         binomial_interval_prob(n, 0.5, 1, 10)  # fill the caches first
         peaks = {}
         for width in (DRAW_BLOCK, 20 * DRAW_BLOCK):
+            lo = max(1, n // 2 - width // 2)
             tracemalloc.start()
             try:
-                binomial_interval_prob(n, 0.5, 1, width)
+                binomial_interval_prob(n, 0.5, lo, min(n - 1, lo + width - 1))
                 peaks[width] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peaks[20 * DRAW_BLOCK] <= 1.5 * peaks[DRAW_BLOCK], peaks
+
+    @pytest.mark.parametrize("n,lo,hi,most_blocks", [
+        # The terms above exp(-800) lie within sqrt(1600 npq) of np: 40,000
+        # wide at n = 1e6, so at most 2 aligned blocks, and 1.27e6 wide at
+        # n = 1e9, so at most 21 of the window's 15,259 blocks.
+        (10**6, 20, 10**6 - 20, 2),
+        (10**9, 0, 10**9, 21),
+    ])
+    def test_evaluates_only_blocks_that_can_be_non_zero(self, monkeypatch, n, lo, hi, most_blocks):
+        sizes = []
+        bd0 = sampling._bd0
+
+        def counted(x, m, m_low):
+            sizes.append(x.size)
+            return bd0(x, m, m_low)
+
+        monkeypatch.setattr(sampling, "_bd0", counted)
+        value = binomial_interval_prob(n, 0.5, lo, hi)
+        # each evaluated block or 1-element probe calls bd0 once for k and once for n - k
+        blocks = sum(size > 1 for size in sizes) // 2
+        probes = sizes.count(1) // 2
+        blocks_in_window = -(-(min(hi, n - 1) - max(lo, 1) + 1) // DRAW_BLOCK)
+        assert blocks <= most_blocks
+        assert probes <= 2 * math.ceil(math.log2(blocks_in_window))
+        if (lo, hi) == (0, n):
+            assert value == 1.0
 
 
 # (trial count, seed) pairs refused before any draw: a bad count, then a bad seed
