@@ -2,8 +2,9 @@
 
 Every command is a pure function of its flags: randomness flows through
 --seed (default 0), output is JSON/CSV with sorted keys, and each result
-file embeds the manifest that produced it, so `probrep rerun FILE`
-regenerates it byte-for-byte.
+file embeds the manifest that produced it (a JSON one also the environment
+that wrote it), so `probrep rerun FILE` regenerates it byte-for-byte on
+the same numpy.
 
 Exit codes: 0 success, 1 input/validation error, 2 numerical or
 certification failure.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 from pathlib import Path
 
@@ -20,7 +22,8 @@ import numpy as np
 
 from . import __version__, born, correlations, sampling, serialize, sic
 from .errors import NoConvergence, ProbrepError
-from .operators import _require_positive, check_dim, make_prob_vector, projector_povm
+from .operators import (_check_draw_args, _require_positive, check_dim, make_prob_vector,
+                        projector_povm)
 from .serialize import dumps
 
 BORN_CHECK_TOL = 1e-9
@@ -47,9 +50,29 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_json(path: str) -> dict:
+def _environment() -> dict:
+    """What produced a result's bytes; static fields only, so a rerun on one machine matches."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "system": platform.system(), "machine": platform.machine()}
+
+
+def _write_result(path: str, payload: dict) -> None:
+    """A JSON result, with the environment that produced it next to its manifest."""
+    _write(path, dumps({**payload, "environment": _environment()}))
+
+
+def _read(path: str, parse):
+    """parse(JSON object in path); a top level or field of the wrong type is a malformed input."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    try:
+        if not isinstance(data, dict):
+            raise TypeError(f"expected an object at the top level, got {type(data).__name__}")
+        return parse(data)
+    except (TypeError, AttributeError) as err:
+        raise ValueError(f"malformed input file {path}: {err}") from err
 
 
 def _builtin_state(name: str, expect_dim=None):
@@ -58,7 +81,7 @@ def _builtin_state(name: str, expect_dim=None):
     elif name == "singlet":
         ket = correlations.singlet()
     else:
-        ket = serialize.ket_from_payload(_load_json(name))
+        ket = _read(name, serialize.ket_from_payload)
     if expect_dim is not None and ket.dim != expect_dim:
         raise ValueError(f"state has dimension {ket.dim}, expected {expect_dim}")
     return ket
@@ -74,7 +97,7 @@ _BUILTIN_BASES = {
 def _builtin_basis(name: str):
     if name in _BUILTIN_BASES:
         return projector_povm(_BUILTIN_BASES[name])
-    return serialize.povm_from_payload(_load_json(name))
+    return _read(name, serialize.povm_from_payload)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +113,7 @@ def run_sic_search(params: dict) -> int:
     certified = candidate.max_sic_deviation < params["tol"]
     payload = {"manifest": manifest, "certified": certified}
     payload.update(serialize.fiducial_payload(candidate))
-    _write(params["out"], dumps(payload))
+    _write_result(params["out"], payload)
     print(
         f"dim {dim}: frame potential {candidate.frame_potential:.12f}, "
         f"max SIC deviation {candidate.max_sic_deviation:.3e}, "
@@ -104,15 +127,14 @@ def _reference_for(kind: str, dim: int, seed: int):
         return born.sic_reference(dim)
     if kind == "random":
         return born.random_reference(dim, seed)
-    return serialize.reference_from_payload(_load_json(kind))
+    return _read(kind, serialize.reference_from_payload)
 
 
 def run_born_check(params: dict) -> int:
     dim = check_dim(params["dim"])
     trials = params["trials"]
     seed = params["seed"]
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_draw_args(trials, "trials", seed)
     manifest = _manifest("born-check", params)
     ref = _reference_for(params["reference"], dim, seed)
     worst_general, worst_sic = born.check_trials(ref, range(seed + 1, seed + 1 + trials))
@@ -127,7 +149,7 @@ def run_born_check(params: dict) -> int:
         "tolerance": BORN_CHECK_TOL,
         "passed": passed,
     }
-    _write(params["report"], dumps(payload))
+    _write_result(params["report"], payload)
     print(
         f"born-check dim {dim}, {trials} trials, reference {params['reference']}: "
         f"max deviation {worst_general:.3e} (tolerance {BORN_CHECK_TOL}) -> "
@@ -138,8 +160,8 @@ def run_born_check(params: dict) -> int:
 
 def run_classical_gap(params: dict) -> int:
     manifest = _manifest("classical-gap", params)
-    rho = serialize.density_from_payload(_load_json(params["state"]))
-    povm = serialize.povm_from_payload(_load_json(params["povm"]))
+    rho = _read(params["state"], serialize.density_from_payload)
+    povm = _read(params["povm"], serialize.povm_from_payload)
     ref = _reference_for(params["reference"], rho.dim, seed=0)
     gap, q_quantum, q_classical = born._gap_rules(ref, rho, povm)
     payload = {
@@ -148,7 +170,7 @@ def run_classical_gap(params: dict) -> int:
         "q_quantum": [float(v) for v in q_quantum.values],
         "q_classical": [float(v) for v in q_classical.values],
     }
-    _write(params["report"], dumps(payload))
+    _write_result(params["report"], payload)
     print(f"classicality gap {gap:.9f} -> {params['report']}")
     return 0
 
@@ -199,7 +221,7 @@ def run_bell(params: dict) -> int:
     _write(params["table_csv"], serialize.table_csv(table, manifest_line=line))
     if params["simulate"] and params.get("counts_csv"):
         _write(params["counts_csv"], serialize.data_table_csv(dt, manifest_line=line))
-    _write(params["report"], dumps(payload))
+    _write_result(params["report"], payload)
     msg = f"bell table -> {params['table_csv']}, summary -> {params['report']}"
     if params["chsh"]:
         msg += f", CHSH = {payload['chsh']:.9f}"
@@ -219,7 +241,7 @@ def run_steer(params: dict) -> int:
         np.max(np.abs(report.marginals[0].matrix - report.marginals[1].matrix))
     )
     payload["marginal_deviation"] = marg_gap
-    _write(params["report"], dumps(payload))
+    _write_result(params["report"], payload)
     print(
         f"steering overlap {report.overlap:.6f}, "
         f"no_steering={report.no_steering} -> {params['report']}"
@@ -229,7 +251,7 @@ def run_steer(params: dict) -> int:
 
 def run_simulate(params: dict) -> int:
     manifest = _manifest("simulate", params)
-    values = serialize.prob_values_from_payload(_load_json(params["probs"]))
+    values = _read(params["probs"], serialize.prob_values_from_payload)
     q = make_prob_vector(values)
     counts = sampling.sample_outcomes(q, params["n"], params["seed"])
     payload = {
@@ -238,7 +260,7 @@ def run_simulate(params: dict) -> int:
         "n_trials": counts.n_trials,
         "seed": counts.seed,
     }
-    _write(params["out"], dumps(payload))
+    _write_result(params["out"], payload)
     print(f"counts {list(map(int, counts.counts))} -> {params['out']}")
     return 0
 
@@ -252,7 +274,7 @@ def run_interval(params: dict) -> int:
         "probability": value,
     }
     if params.get("out"):
-        _write(params["out"], dumps(payload))
+        _write_result(params["out"], payload)
     print(f"P({params['lo']} <= K <= {params['hi']}) = {value!r}")
     return 0
 
@@ -268,10 +290,19 @@ _HANDLERS = {
 }
 
 
-def run_rerun(params: dict) -> int:
-    data = _load_json(params["file"])
+def _embedded_manifest(data: dict):
+    """The manifest a result file embeds (or is), or None when it has none."""
     manifest = data if "command" in data else data.get("manifest")
     if not isinstance(manifest, dict) or "command" not in manifest:
+        return None
+    if not (isinstance(manifest["command"], str) and isinstance(manifest.get("params"), dict)):
+        raise TypeError("the manifest's command is not a string or its params not an object")
+    return manifest
+
+
+def run_rerun(params: dict) -> int:
+    manifest = _read(params["file"], _embedded_manifest)
+    if manifest is None:
         raise ValueError(f"{params['file']} does not embed a manifest")
     version = manifest.get("artifact_version", "none")
     if version != __version__:

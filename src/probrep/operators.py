@@ -59,6 +59,14 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_draw_args(n, n_name: str, seed) -> None:
+    """Refuse a count not an int in 1..2**63-1 (numpy's int64 counts) or a seed not an int >= 0."""
+    if not _is_int(n) or not 1 <= n < 2**63:
+        raise ValueError(f"{n_name} must be an integer in 1..2**63-1, got {n!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
     """Reject NaN and infinite entries, which every tolerance comparison lets through."""
     if not np.isfinite(a).all():

@@ -1,13 +1,14 @@
 """Seeded outcome sampling and binomial interval probabilities.
 
 One PRNG is fixed for the whole package: numpy's PCG64 as wired up by
-numpy.random.default_rng(seed). Outcome counts always equal those of
-drawing each outcome through the inverse CDF of the target distribution,
-so published seeds reproduce every count table bit-exactly. The draws are
-counted in blocks of DRAW_BLOCK uniforms, so memory stays O(DRAW_BLOCK)
-however many trials are asked for. A block is counted by one compare pass
-per CDF boundary when there are few boundaries, and by sorting it when
-there are many; both give each boundary's exact count of draws below it.
+numpy.random.default_rng(seed). The counts of n draws over k outcomes are
+one multinomial draw, which numpy's Generator.multinomial takes as k - 1
+conditional binomials (BTPE: Kachitvichyanukul & Schmeiser, Binomial
+random variate generation, CACM 31, 1988). So a count table costs O(k)
+time and memory however many trials are asked for, and is distributed as
+the counts of drawing each trial on its own. Published seeds reproduce the
+counts for one numpy version: numpy does not promise the multinomial
+stream across versions (NEP 19), which is why result files record it.
 
 Interval probabilities sum binomial terms in Loader's saddle-point form
 (C. Loader, Fast and Accurate Computation of Binomial Probabilities, 2000,
@@ -28,12 +29,12 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .correlations import CorrelationTable, make_table
-from .operators import _freeze, _is_int, prob_values
+from .operators import _check_draw_args, _freeze, _is_int, prob_values
 
 SAMPLING_MODES = ("blocked", "per-trial-random")
 
-#: Most uniforms _draw_counts holds at once; a block of float64s this size
-#: (512 KiB) sorts in cache and bounds the peak memory of any draw.
+#: Most terms binomial_interval_prob evaluates at once; a block of float64s
+#: this size (512 KiB) bounds the peak memory of any interval.
 DRAW_BLOCK = 1 << 16
 
 
@@ -80,59 +81,27 @@ class DataTable:
         return make_table(self.settings_a, self.settings_b, probs)
 
 
-#: From this many CDF boundaries below 1 on, _draw_counts sorts a block
-#: rather than making one compare pass per boundary: a comparison sort costs
-#: ~log2(DRAW_BLOCK) compares per draw.
-_SORT_MIN_BOUNDARIES = DRAW_BLOCK.bit_length() - 1
-
-
 def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n inverse-CDF draws from a categorical distribution, as counts.
+    """Counts of n draws from a categorical distribution: one multinomial draw.
 
-    Uniform u goes to the first outcome i with u < cdf[i], so
-    below[i] = #{u < cdf[i]} is the number of draws at outcomes <= i, and
-    counts built from it equal those of mapping each draw on its own. The
-    draws are taken DRAW_BLOCK at a time, so memory is O(DRAW_BLOCK) for
-    any n. A boundary cdf[i] >= 1 counts every draw. The m boundaries below
-    1 are counted exactly, either way: with m < _SORT_MIN_BOUNDARIES by one
-    compare pass over the block per boundary, otherwise by sorting the block
-    and one binary search per boundary. PCG64's random() spends one 64-bit
-    output per double and buffers none, so neither the block sizes nor the
-    way a block is counted changes the stream.
+    probs arrives validated, its entries in [PROB_FLOOR, 0) already set to
+    0 by make_prob_vector or make_table. The positive entries are divided by
+    their math.fsum, since numpy refuses sum(p[:-1]) > 1 + 1e-12 and a
+    distribution may sum to 1 +- PROB_SUM_TOL; the zero entries get no
+    counts. n must be below 2**63 (numpy counts in int64), as
+    _check_draw_args ensures.
     """
-    cdf = np.cumsum(probs)
-    cdf[np.flatnonzero(probs)[-1]:] = 1.0
-    # A -1e-17 entry (a rounded quantum probability) can step the cumsum
-    # down by one ulp; a running maximum keeps every count non-negative.
-    np.maximum.accumulate(cdf, out=cdf)
-    m = int(np.searchsorted(cdf, 1.0))  # cdf is non-decreasing: cdf[:m] < 1 <= cdf[m:]
-    below = np.full(cdf.shape[0], n, dtype=np.intp)
-    below[:m] = 0
-    for start in range(0, n, DRAW_BLOCK):
-        block = rng.random(min(DRAW_BLOCK, n - start))
-        if m < _SORT_MIN_BOUNDARIES:
-            for i in range(m):
-                below[i] += np.count_nonzero(block < cdf[i])
-        else:
-            block.sort()
-            below[:m] += np.searchsorted(block, cdf[:m])
-        del block  # freed before the next draw, so one block is live at a time
-    return np.diff(below, prepend=0)
-
-
-def _check_draw_args(n, n_name: str, seed) -> None:
-    """Refuse a trial count that is not an int >= 1 or a seed that is not an int >= 0."""
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"{n_name} must be an integer >= 1, got {n!r}")
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    counts = np.zeros(probs.shape[0], dtype=np.int64)
+    live = np.flatnonzero(probs)
+    counts[live] = rng.multinomial(n, probs[live] / math.fsum(probs[live]))
+    return counts
 
 
 def sample_outcomes(q, n: int, seed: int) -> OutcomeCounts:
-    """n independent seeded draws from the distribution q.
+    """n independent seeded draws from the distribution q, as counts.
 
-    Raises ValueError unless n >= 1 and seed >= 0 are integers and q is a
-    distribution.
+    Raises ValueError unless 1 <= n < 2**63 and seed >= 0 are integers and q
+    is a distribution.
     """
     _check_draw_args(n, "n", seed)
     probs = prob_values(q)
@@ -288,8 +257,10 @@ def data_table_sim(
     blocked: every setting pair gets exactly n_per_setting trials, sampled
     in row-major setting order from a single seeded stream. per-trial-random:
     the total n_per_setting * n_settings trials each draw their setting
-    uniformly first; counts are per realized setting. Raises ValueError
-    unless n_per_setting >= 1 and seed >= 0 are integers and mode is one of
+    uniformly first, so the realized setting counts are one multinomial draw
+    of the total; counts are per realized setting. Raises ValueError unless
+    n_per_setting >= 1 and seed >= 0 are integers, the counts (and in
+    per-trial-random mode the total) are below 2**63, and mode is one of
     SAMPLING_MODES.
     """
     _check_draw_args(n_per_setting, "n_per_setting", seed)
@@ -302,18 +273,14 @@ def data_table_sim(
         trials = {key: n_per_setting for key in keys}
     else:
         total = n_per_setting * len(keys)
-        drawn = rng.integers(0, len(keys), size=total)
-        realized = np.bincount(drawn, minlength=len(keys))
+        _check_draw_args(total, "the total trial count n_per_setting * settings", seed)
+        realized = rng.multinomial(total, [1 / len(keys)] * len(keys))
         trials = {key: int(realized[i]) for i, key in enumerate(keys)}
 
     counts = {}
     for key in keys:
         block = table.block(*key)
-        n = trials[key]
-        if n == 0:
-            flat = np.zeros(block.size, dtype=int)
-        else:
-            flat = _draw_counts(block.reshape(-1), n, rng)
+        flat = _draw_counts(block.reshape(-1), trials[key], rng)
         counts[key] = _freeze(flat.reshape(block.shape))
     return DataTable(
         settings_a=table.settings_a,

@@ -129,19 +129,22 @@ def table_payload(table: CorrelationTable) -> dict:
     }
 
 
+def _blocks_csv(settings_a, settings_b, block, column: str, cell, manifest_line) -> str:
+    """CSV with header a,b,x,y,<column>: one row per cell of block(a, b), in
+    row-major setting and outcome order, the value rendered by cell."""
+    lines = [] if manifest_line is None else [f"# manifest={manifest_line}"]
+    lines.append(f"a,b,x,y,{column}")
+    for a in settings_a:
+        for b in settings_b:
+            for (x, y), value in np.ndenumerate(block(a, b)):
+                lines.append(f"{a},{b},{x},{y},{cell(value)}")
+    return "\n".join(lines) + "\n"
+
+
 def table_csv(table: CorrelationTable, manifest_line: Optional[str] = None) -> str:
     """CSV rendering with header a,b,x,y,p (one row per joint outcome)."""
-    lines = []
-    if manifest_line is not None:
-        lines.append(f"# manifest={manifest_line}")
-    lines.append("a,b,x,y,p")
-    for a in table.settings_a:
-        for b in table.settings_b:
-            block = table.block(a, b)
-            for x in range(block.shape[0]):
-                for y in range(block.shape[1]):
-                    lines.append(f"{a},{b},{x},{y},{float(block[x, y])!r}")
-    return "\n".join(lines) + "\n"
+    return _blocks_csv(table.settings_a, table.settings_b, table.block, "p",
+                       lambda v: repr(float(v)), manifest_line)
 
 
 def table_from_payload(data: dict) -> CorrelationTable:
@@ -172,17 +175,9 @@ def data_table_payload(dt: DataTable) -> dict:
 
 
 def data_table_csv(dt: DataTable, manifest_line: Optional[str] = None) -> str:
-    lines = []
-    if manifest_line is not None:
-        lines.append(f"# manifest={manifest_line}")
-    lines.append("a,b,x,y,count")
-    for a in dt.settings_a:
-        for b in dt.settings_b:
-            block = dt.counts[(a, b)]
-            for x in range(block.shape[0]):
-                for y in range(block.shape[1]):
-                    lines.append(f"{a},{b},{x},{y},{int(block[x, y])}")
-    return "\n".join(lines) + "\n"
+    """CSV rendering with header a,b,x,y,count (one row per joint outcome)."""
+    return _blocks_csv(dt.settings_a, dt.settings_b, lambda a, b: dt.counts[(a, b)], "count",
+                       int, manifest_line)
 
 
 def steering_payload(report: SteeringReport) -> dict:

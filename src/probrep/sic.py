@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergence
-from .operators import Ket, _freeze, _is_int, _require_positive, check_dim, make_ket
+from .operators import Ket, _check_draw_args, _freeze, _require_positive, check_dim, make_ket
 
 GRAD_TOL = 1e-10
 CERT_TOL = 1e-8
@@ -367,10 +367,7 @@ def sic_search(
     within the iteration cap.
     """
     d = check_dim(dim)
-    if not _is_int(restarts) or restarts < 1:
-        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_draw_args(restarts, "restarts", seed)
     _require_positive(gtol, "gtol")
     best = None  # (potential, restart index, vector) of the best converged restart
     closest = None  # (projected gradient norm, restart index) over all restarts

@@ -349,11 +349,24 @@ class TestSimulate:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--probs", "probs.json", "--n", "10", "--seed", "-1", "--out", "c.json"],
         ["bell", "--simulate", "10", "--seed", "-1"],
+        ["born-check", "--dim", "2", "--seed", "-1"],
+        ["born-check", "--dim", "2", "--seed", "-1", "--reference", "random"],
     ])
     def test_negative_seed_exits_one_naming_it(self, workdir, capsys, argv):
         (workdir / "probs.json").write_text(serialize.dumps({"values": [0.5, 0.5]}))
         assert main(argv) == 1
         assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == [workdir / "probs.json"]
+
+    def test_count_beyond_int64_exits_one(self, workdir, capsys):
+        # numpy's multinomial would raise OverflowError at 2**63
+        (workdir / "probs.json").write_text(serialize.dumps({"values": [0.5, 0.5]}))
+        assert main(["simulate", "--probs", "probs.json", "--n", str(2**63),
+                     "--out", "c.json"]) == 1
+        assert capsys.readouterr().err.startswith("error: n must be an integer in 1..2**63-1")
+        assert main(["simulate", "--probs", "probs.json", "--n", str(2**63 - 1),
+                     "--out", "c.json"]) == 0
+        assert sum(load(workdir / "c.json")["counts"]) == 2**63 - 1
 
 
 class TestInterval:
@@ -395,6 +408,52 @@ class TestRerun:
         err = capsys.readouterr().err
         assert __version__ in err
         assert f"artifact_version {version or 'none'}" in err
+
+
+# Every flag that reads a JSON file, with valid files for the flags it is given alongside.
+FILE_FLAGS = {
+    "simulate --probs": ["simulate", "--probs", "{}", "--n", "10"],
+    "classical-gap --state": ["classical-gap", "--state", "{}", "--povm", "x.json"],
+    "classical-gap --povm": ["classical-gap", "--state", "plus.json", "--povm", "{}"],
+    "classical-gap --reference": ["classical-gap", "--state", "plus.json", "--povm", "x.json",
+                                  "--reference", "{}"],
+    "born-check --reference": ["born-check", "--dim", "2", "--reference", "{}"],
+    "bell --state": ["bell", "--state", "{}"],
+    "steer --state": ["steer", "--state", "{}"],
+    "steer --basis-a": ["steer", "--basis-a", "{}"],
+    "steer --basis-b": ["steer", "--basis-b", "{}"],
+    "rerun": ["rerun", "{}"],
+}
+
+
+@pytest.mark.parametrize("shape", ["[1, 2]", '"text"', "5"], ids=["list", "string", "int"])
+@pytest.mark.parametrize("flag", FILE_FLAGS)
+def test_input_file_of_the_wrong_json_shape_exits_one(workdir, capsys, flag, shape):
+    write_plus_state(workdir / "plus.json")
+    write_x_povm(workdir / "x.json")
+    (workdir / "bad.json").write_text(shape)
+    argv = ["bad.json" if arg == "{}" else arg for arg in FILE_FLAGS[flag]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: malformed input file bad.json: ")
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["steer", "--basis-a", "bad.json"], {"dim": 2, "elements": 5}),
+    (["simulate", "--probs", "bad.json", "--n", "10"], {"values": {"p": 1.0}}),
+    (["rerun", "bad.json"], {"manifest": {"command": "simulate", "params": [1]}}),
+    (["rerun", "bad.json"], {"manifest": {"command": ["simulate"], "params": {}}}),
+])
+def test_input_field_of_the_wrong_type_exits_one(workdir, capsys, argv, payload):
+    (workdir / "bad.json").write_text(json.dumps(payload))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: malformed input file bad.json: ")
+
+
+def test_json_results_record_their_environment(workdir):
+    assert main(["interval", "10", "0.5", "2", "7", "--out", "i.json"]) == 0
+    environment = load(workdir / "i.json")["environment"]  # beside, not inside, the manifest
+    assert sorted(environment) == ["blas", "machine", "numpy", "python", "system"]
+    assert environment["numpy"] == np.__version__
 
 
 def test_pyproject_version_is_package_version():

@@ -4,12 +4,13 @@ Fuchs & Schack, Quantum-Bayesian coherence, Rev. Mod. Phys. 85, 1693 (2013):
 a reference's probabilities determine the state, and the general and SIC
 forms of the urgleichung both reproduce tr(rho F). The stacked evaluations
 that check_trials and sic_search rely on are checked against single calls
-bit for bit, and the blocked outcome counter against per-draw inverse-CDF
-sampling. Correlation tables (Fuchs, Mermin & Schack, Am. J. Phys. 82, 749
-(2014)) are checked against a per-block einsum and for no-signalling
-(Popescu & Rohrlich, Found. Phys. 24, 379 (1994)). Their CHSH values stay
-below Tsirelson's bound 2 sqrt 2 (Cirel'son, Lett. Math. Phys. 4, 93
-(1980)), reaching the Horodecki maximum of each state, and mixtures of
+bit for bit. Outcome counts, one multinomial draw, sum to the trial count,
+leave zero-probability outcomes empty, and pass a two-sample chi-square
+test against per-draw inverse-CDF sampling. Correlation tables (Fuchs,
+Mermin & Schack, Am. J. Phys. 82, 749 (2014)) are checked against a
+per-block einsum and for no-signalling (Popescu & Rohrlich, Found. Phys.
+24, 379 (1994)). Their CHSH values stay below Tsirelson's bound 2 sqrt 2
+(Cirel'son, Lett. Math. Phys. 4, 93 (1980)), reaching the Horodecki maximum of each state, and mixtures of
 local deterministic strategies stay below 2. Binomial interval
 probabilities, which skip the blocks of terms that underflow, are checked
 bit for bit against the sum over every block of the window.
@@ -19,6 +20,7 @@ inputs.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from probrep import (
     random_povm,
     random_pure_state,
     random_reference,
+    sample_outcomes,
     sic_reference,
     state_to_prob,
     urgleichung_general,
@@ -48,10 +51,8 @@ from probrep.correlations import family, make_table
 from probrep.errors import IllConditionedReference
 from probrep.operators import _check_prob_rows, _traces, _whiten, _wishart_parts
 from probrep.sampling import (
-    _SORT_MIN_BOUNDARIES,
     DRAW_BLOCK,
     _bd0,
-    _draw_counts,
     _split,
     _stirlerr,
     binomial_interval_prob,
@@ -198,15 +199,13 @@ def test_batched_search_evaluations_equal_single_rows(d, seed, rows):
 
 
 def _inverse_cdf_counts(probs, n, rng):
-    """Reference kernel: one binary search per draw, then a histogram."""
+    """Reference sampler: one binary search per draw, then a histogram."""
     cdf = np.cumsum(probs)
     cdf[np.flatnonzero(probs)[-1]:] = 1.0
     draws = np.searchsorted(cdf, rng.random(n), side="right")
     return np.bincount(draws, minlength=probs.shape[0])
 
 
-# One draw, one short of a block, a block, one over, and several with a tail.
-DRAW_SIZES = (1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK + 7)
 ZERO_PATTERNS = ("none", "leading", "interior", "trailing", "all three")
 
 
@@ -214,8 +213,9 @@ def _distribution(k, zeros, overshoot, seed):
     """k outcome probabilities with the given zero runs.
 
     For overshoot > 0 the first nonzero entry takes an excess of
-    overshoot * 1e-14 and the last nonzero entry shrinks to 1e-18, so the
-    cumsum passes 1 before the last outcome that can be drawn.
+    overshoot * 2e-11 (within PROB_SUM_TOL) and the last nonzero entry
+    shrinks to 1e-18, so the cumsum passes 1 + 1e-12, the most numpy's
+    multinomial accepts, before the last outcome that can be drawn.
     """
     rng = np.random.default_rng(seed)
     w = rng.random(k) ** 4  # spread the weights over several magnitudes
@@ -231,11 +231,15 @@ def _distribution(k, zeros, overshoot, seed):
     p = w / w.sum()
     if overshoot:
         nz = np.flatnonzero(p)
-        p[nz[0]] += overshoot * 1e-14
+        p[nz[0]] += overshoot * 2e-11
         if len(nz) > 1:
             p[nz[0]] += p[nz[-1]] - 1e-18
             p[nz[-1]] = 1e-18
     return p
+
+
+# One draw, a few, a block's worth, and counts no per-draw sampler could reach.
+DRAW_SIZES = (1, 2, 7, DRAW_BLOCK + 1, 10**12, 2**63 - 1)
 
 
 @settings(PROPERTY, max_examples=150)
@@ -246,48 +250,61 @@ def _distribution(k, zeros, overshoot, seed):
     n=st.sampled_from(DRAW_SIZES),
     seed=seeds,
 )
-def test_blocked_counts_equal_per_draw_inverse_cdf(k, zeros, overshoot, n, seed):
+def test_counts_sum_to_n_and_zero_outcomes_get_none(k, zeros, overshoot, n, seed):
     probs = _distribution(k, zeros, overshoot, seed)
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _draw_counts(probs, n, rng)
-    want = _inverse_cdf_counts(probs, n, ref_rng)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
-    # the stream is left where the reference leaves it, for the next setting's draws
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    counts = sample_outcomes(probs, n, seed).counts
+    assert counts.shape == (k,) and counts.min() >= 0
+    assert int(counts.sum()) == n
+    assert not counts[probs == 0].any()
 
 
-class _Cycle:
-    """A stand-in generator whose random() repeats a fixed list of values."""
+def _two_sample_chi_square_p(x, y):
+    """p-value of the chi-square test that two equal-sized samples of count
+    vectors come from one distribution. Vectors seen fewer than 10 times in
+    the two samples together are pooled into one category."""
+    mpmath = pytest.importorskip("mpmath")
+    seen_x, seen_y = Counter(map(tuple, x)), Counter(map(tuple, y))
+    cells, pooled = [], [0, 0]
+    for key in seen_x.keys() | seen_y.keys():
+        cell = (seen_x[key], seen_y[key])
+        if sum(cell) >= 10:
+            cells.append(cell)
+        else:
+            pooled = [pooled[0] + cell[0], pooled[1] + cell[1]]
+    cells += [tuple(pooled)] if sum(pooled) else []
+    statistic = sum((a - b) ** 2 / (a + b) for a, b in cells)
+    return float(mpmath.gammainc((len(cells) - 1) / 2, statistic / 2, regularized=True))
 
-    def __init__(self, values):
-        self.values, self.taken = values, 0
 
-    def random(self, size):
-        out = self.values[(self.taken + np.arange(size)) % len(self.values)]
-        self.taken += size
-        return out
+CHI_SQUARE_SEEDS = 2000
 
 
-@pytest.mark.parametrize("stream", ["pcg64", "ties"])
-@pytest.mark.parametrize("boundaries", [_SORT_MIN_BOUNDARIES + d for d in (-1, 0, 1)])
-def test_compare_and_sort_counts_equal_per_draw_inverse_cdf(boundaries, stream):
-    # boundaries + 1 positive outcomes put exactly `boundaries` CDF entries
-    # below 1: one short of the sort threshold, at it, and one over
-    probs = np.random.default_rng(boundaries).random(boundaries + 1) + 0.5
-    probs /= probs.sum()
-    cdf = np.cumsum(probs)[:-1]
-    assert np.count_nonzero(cdf < 1.0) == boundaries
-    n = 3 * DRAW_BLOCK + 7
-    if stream == "pcg64":
-        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-    else:
-        # draws equal to each boundary and to its neighbouring floats
-        values = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [0.0]])
-        rng, ref_rng = _Cycle(values), _Cycle(values)
-    assert np.array_equal(_draw_counts(probs, n, rng), _inverse_cdf_counts(probs, n, ref_rng))
-    if stream == "pcg64":
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+def _count_samples(probs, n, offset=0):
+    """Multinomial count vectors and per-draw oracle ones, from disjoint fixed seeds."""
+    seeds = range(offset, offset + CHI_SQUARE_SEEDS)
+    multinomial = [sample_outcomes(probs, n, seed).counts for seed in seeds]
+    oracle = [_inverse_cdf_counts(probs, n, np.random.default_rng(seed + CHI_SQUARE_SEEDS))
+              for seed in seeds]
+    return multinomial, oracle
+
+
+@pytest.mark.parametrize("probs,n", [
+    (np.array([0.7, 0.2, 0.1, 0.0]), 5),
+    (_distribution(7, "all three", 0, 3), 4),
+    (_distribution(5, "none", 3, 1), 3),
+    (np.full(3, 1 / 3), 1),
+])
+def test_multinomial_counts_are_distributed_as_per_draw_inverse_cdf(probs, n):
+    # 2,000 fixed seeds a sampler; the p-values are 0.37, 0.39, 0.80 and 0.89
+    multinomial, oracle = _count_samples(probs, n)
+    assert _two_sample_chi_square_p(multinomial, oracle) > 1e-3
+
+
+def test_chi_square_test_sees_a_shift_of_five_percent():
+    # the same comparison with 0.05 moved between two outcomes: ~8 sigma
+    multinomial, _ = _count_samples(np.array([0.7, 0.2, 0.1, 0.0]), 5)
+    _, shifted = _count_samples(np.array([0.65, 0.25, 0.1, 0.0]), 5)
+    assert _two_sample_chi_square_p(multinomial, shifted) < 1e-6
 
 
 def _whole_window_interval(n, p, lo, hi):

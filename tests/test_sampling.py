@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -16,7 +17,7 @@ from probrep import (
     sampling,
 )
 from probrep.correlations import canonical_chsh_table, make_table
-from probrep.sampling import DRAW_BLOCK, _draw_counts
+from probrep.sampling import DRAW_BLOCK
 
 
 def exact_binomial_interval(n: int, p: float, lo: int, hi: int) -> Fraction:
@@ -84,43 +85,28 @@ class TestSampleOutcomes:
                 sample_outcomes(bad, 1000, seed=0)
 
     def test_trailing_zero_outcome_never_drawn(self):
-        # cumsum of these entries is 0.9999999999999999 before the zero
-        probs = np.array([0.7, 0.2, 0.1, 0.0])
-
-        class TopOfRange:
-            def random(self, n):
-                return np.full(n, np.nextafter(1.0, 0.0))
-
-        counts = _draw_counts(probs, 5, TopOfRange())
-        assert tuple(counts) == (0, 0, 5, 0)
+        # numpy's multinomial gives its last outcome whatever the others
+        # leave; passed the zero too, it gets ~100 of 2**62 draws
+        for seed in range(20):
+            counts = sample_outcomes([0.7, 0.2, 0.1, 0.0], 2**62, seed).counts
+            assert counts[3] == 0 and counts.sum() == 2**62
 
     def test_cdf_that_steps_down_gives_no_negative_count(self):
         # a -4e-17 entry (as a rounded quantum probability may be) steps the
-        # cumsum down by one ulp; a draw in that gap still lands on outcome 0
-        probs = np.array([0.3, -4e-17, 0.4, 0.3 + 4e-17])
-        cdf = np.cumsum(probs)
-        assert cdf[1] < cdf[0]
+        # cumsum down by one ulp; it is clipped to 0 and gets no counts
+        probs = [0.3, -4e-17, 0.4, 0.3 + 4e-17]
+        assert np.cumsum(probs)[1] < np.cumsum(probs)[0]
+        for seed in range(50):
+            counts = sample_outcomes(probs, 1000, seed).counts
+            assert counts.min() >= 0 and counts[1] == 0 and counts.sum() == 1000
 
-        class InTheGap:
-            def random(self, n):
-                return np.full(n, cdf[1])
-
-        assert tuple(_draw_counts(probs, 3, InTheGap())) == (3, 0, 0, 0)
-
-    def test_peak_memory_bounded_by_one_block(self):
-        # peaks measured: ~528 KB at both sizes; drawing all n uniforms at
-        # once would take 20x that
-        probs = np.array([0.1, 0.2, 0.3, 0.4])
-        _draw_counts(probs, 10, np.random.default_rng(0))  # fill the caches first
-        peaks = {}
-        for n in (DRAW_BLOCK, 20 * DRAW_BLOCK):
-            tracemalloc.start()
-            try:
-                _draw_counts(probs, n, np.random.default_rng(1))
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[20 * DRAW_BLOCK] <= 1.5 * peaks[DRAW_BLOCK], peaks
+    def test_huge_count_takes_constant_work(self):
+        # the work is O(outcomes): 10**12 draws one at a time would take hours
+        start = time.perf_counter()
+        counts = sample_outcomes([0.1, 0.2, 0.3, 0.4], 10**12, seed=0)
+        assert time.perf_counter() - start < 1.0
+        assert counts.counts.sum() == 10**12
+        assert np.all(np.abs(counts.frequencies() - [0.1, 0.2, 0.3, 0.4]) < 1e-5)
 
     def test_frequencies_within_binomial_error(self):
         n = 100_000
@@ -147,9 +133,9 @@ class TestSampleOutcomes:
         assert abs(freqs.mean() - 0.5) <= 5 * sigma
 
     def test_observed_57_heads_exists_and_is_unremarkable(self):
-        # seed 11 happens to give h = 57; its exact probability is ~0.0301,
+        # seed 10 happens to give h = 57; its exact probability is ~0.0301,
         # and that is all there is to say about it
-        counts = sample_outcomes([0.5, 0.5], 100, seed=11)
+        counts = sample_outcomes([0.5, 0.5], 100, seed=10)
         assert counts.counts[0] == 57
         pmf = binomial_interval_prob(100, 0.5, 57, 57)
         assert abs(pmf - 0.0301) < 1e-4
@@ -301,7 +287,7 @@ class TestBinomialInterval:
 
 
 # (trial count, seed) pairs refused before any draw: a bad count, then a bad seed
-BAD_N = [2.5, True, 0, -3, "3", np.float64(10.0)]
+BAD_N = [2.5, True, 0, -3, "3", np.float64(10.0), 2**63]
 BAD_SEED = [2.5, -1, True, None, "1"]
 BAD_DRAW_ARGS = [(n, 0, "n") for n in BAD_N] + [(10, seed, "seed") for seed in BAD_SEED]
 
@@ -327,6 +313,12 @@ def test_data_table_sim_refuses_bad_n_or_seed(n, seed, bad, mode, no_draws):
     name = "n_per_setting" if bad == "n" else bad
     with pytest.raises(ValueError, match=f"^{name} must"):
         data_table_sim(canonical_chsh_table(), n, seed, mode=mode)
+
+
+def test_per_trial_random_total_beyond_int64_refused():
+    # each of the 4 settings' count fits in int64, their total does not
+    with pytest.raises(ValueError, match="^the total trial count"):
+        data_table_sim(canonical_chsh_table(), 2**62, 0, mode="per-trial-random")
 
 
 def test_numpy_integer_arguments_accepted():
@@ -360,6 +352,20 @@ class TestDataTableSim:
         assert total == 200 * 4
         for key, block in dt.counts.items():
             assert block.sum() == dt.n_trials[key]
+
+    def test_per_trial_random_peak_memory_does_not_grow_with_trials(self):
+        # drawing each trial's setting on its own would take 8 bytes a trial
+        table = canonical_chsh_table()
+        data_table_sim(table, 10, 0, mode="per-trial-random")  # fill the caches first
+        peaks = {}
+        for n in (1000, 10**6):
+            tracemalloc.start()
+            try:
+                data_table_sim(table, n, 0, mode="per-trial-random")
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10**6] <= 1.5 * peaks[1000], peaks
 
     def test_deterministic(self):
         table = canonical_chsh_table()
