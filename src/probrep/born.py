@@ -32,6 +32,7 @@ from .errors import (
     WrongOutcomeCount,
 )
 from .operators import (
+    CERT_TOL,
     PROB_FLOOR,
     PROB_SUM_TOL,
     DensityOperator,
@@ -134,7 +135,7 @@ def make_reference(povm: Povm) -> ReferenceMeasurement:
     Pi_k = E_k / tr E_k, the transfer matrix is M = G diag(tr E)^-1; one eigh
     of G gives the IC rank and M^-1 = diag(tr E) G^-1, refined by one Newton
     step. ``condition_number`` is the 2-norm condition of M. ``sic_certified``
-    holds when d^2 tr(E_i E_j) is within sic.CERT_TOL of the SIC values
+    holds when d^2 tr(E_i E_j) is within CERT_TOL of the SIC values
     1 (i = j) and 1/(d+1) (i != j), the overlaps sic.sic_certify checks. Raises
     WrongOutcomeCount, NotRankOne, NotInformationallyComplete or
     IllConditionedReference.
@@ -158,7 +159,7 @@ def make_reference(povm: Povm) -> ReferenceMeasurement:
     if rank < n:
         raise NotInformationallyComplete(gram_rank=rank, needed=n)
     sic_gram = (d * np.eye(n) + 1.0) / (d + 1)
-    sic_certified = bool(np.max(np.abs(d * d * gram - sic_gram)) < sic.CERT_TOL)
+    sic_certified = bool(np.max(np.abs(d * d * gram - sic_gram)) < CERT_TOL)
 
     transfer = gram / traces
     svals = np.linalg.svd(transfer, compute_uv=False)

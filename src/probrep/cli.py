@@ -22,9 +22,8 @@ import numpy as np
 
 from . import __version__, born, correlations, sampling, serialize, sic
 from .errors import NoConvergence, ProbrepError
-from .operators import (_check_draw_args, _require_positive, check_dim, make_prob_vector,
-                        projector_povm)
-from .serialize import dumps
+from .operators import (CERT_TOL, _check_draw_args, _require_positive, check_dim,
+                        make_prob_vector, projector_povm)
 
 BORN_CHECK_TOL = 1e-9
 
@@ -60,7 +59,7 @@ def _environment() -> dict:
 
 def _write_result(path: str, payload: dict) -> None:
     """A JSON result, with the environment that produced it next to its manifest."""
-    _write(path, dumps({**payload, "environment": _environment()}))
+    _write(path, serialize.dumps({**payload, "environment": _environment()}))
 
 
 def _read(path: str, parse):
@@ -311,7 +310,29 @@ def run_rerun(params: dict) -> int:
     command = manifest["command"]
     if command not in _HANDLERS:
         raise ValueError(f"unknown command {command!r} in manifest")
+    _check_params(params["file"], command, manifest["params"])
     return _HANDLERS[command](manifest["params"])
+
+
+def _check_params(path: str, command: str, params: dict) -> None:
+    """Refuse a param the command has no flag for, or of a type its flag never gives.
+
+    A flag gives its type= (str when it has none), bool for store_true, and
+    None only where its default is None.
+    """
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices[command]._actions
+             if not isinstance(a, argparse._HelpAction)}
+    for key, value in params.items():
+        flag = flags.get(key)
+        if flag is None:
+            raise ValueError(f"malformed input file {path}: {command} has no param {key!r}")
+        kind = bool if isinstance(flag, argparse._StoreTrueAction) else flag.type or str
+        if value is None and flag.default is None:
+            continue
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ValueError(f"malformed input file {path}: param {key!r} of {command} must be "
+                             f"{kind.__name__}, got {type(value).__name__}")
 
 
 def build_parser() -> _Parser:
@@ -323,7 +344,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=sic.CERT_TOL)
+    p.add_argument("--tol", type=float, default=CERT_TOL)
     p.add_argument("--out", default="fiducial.json")
 
     p = sub.add_parser("born-check", help="probability-rule vs Born-rule sweep")

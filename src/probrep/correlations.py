@@ -185,13 +185,11 @@ def _projective_rank1_vectors(povm: Povm) -> np.ndarray:
     d = povm.dim
     if len(povm) != d:
         raise ValueError(f"projective basis in dimension {d} needs {d} elements")
-    vecs = np.empty((d, d), dtype=complex)
-    for k, el in enumerate(povm.elements):
-        w, v = np.linalg.eigh(el)
-        if abs(w[-1] - 1.0) > EIGENVALUE_TOL or (d > 1 and w[-2] > EIGENVALUE_TOL):
-            raise ValueError(f"element {k} is not a rank-1 projector")
-        vecs[k] = v[:, -1]
-    return vecs
+    w, v = np.linalg.eigh(povm.elements)
+    bad = (np.abs(w[:, -1] - 1.0) > EIGENVALUE_TOL) | (w[:, -2] > EIGENVALUE_TOL)
+    if bad.any():
+        raise ValueError(f"element {int(np.argmax(bad))} is not a rank-1 projector")
+    return v[:, :, -1]
 
 
 def steering_ensembles(psi: Ket, basis_1: Povm, basis_2: Povm) -> SteeringReport:

@@ -38,6 +38,9 @@ PROB_FLOOR = -1e-12
 PROB_SUM_TOL = 1e-10
 #: Largest condition number of the normalizer S that _whiten inverts.
 NORMALIZER_COND_CAP = 1e12
+#: Largest distance of a certified SIC's overlaps from 1/(d+1) (sic.sic_certify,
+#: born.make_reference) and sic-search's default --tol.
+CERT_TOL = 1e-8
 
 
 def check_dim(d: int) -> int:

@@ -28,7 +28,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .correlations import CorrelationTable, make_table
+from . import correlations
 from .operators import _check_draw_args, _freeze, _is_int, prob_values
 
 SAMPLING_MODES = ("blocked", "per-trial-random")
@@ -66,7 +66,7 @@ class DataTable:
     sampling_mode: str
     seed: int
 
-    def empirical_table(self) -> CorrelationTable:
+    def empirical_table(self) -> correlations.CorrelationTable:
         """Relative frequencies as a correlation table.
 
         Raises ValueError when a setting has no realized trials (possible
@@ -78,7 +78,7 @@ class DataTable:
             if n == 0:
                 raise ValueError(f"setting {key!r} received no trials")
             probs[key] = block / n
-        return make_table(self.settings_a, self.settings_b, probs)
+        return correlations.make_table(self.settings_a, self.settings_b, probs)
 
 
 def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -247,7 +247,7 @@ def binomial_interval_prob(n: int, p: float, lo: int, hi: int) -> float:
 
 
 def data_table_sim(
-    table: CorrelationTable,
+    table: correlations.CorrelationTable,
     n_per_setting: int,
     seed: int,
     mode: str = "blocked",

@@ -12,11 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .born import ReferenceMeasurement, make_reference
-from .correlations import CorrelationTable, SteeringReport, make_table
+from . import born, correlations, sampling, sic
 from .operators import DensityOperator, Ket, Povm, make_ket, make_povm, validate_density
-from .sampling import DataTable
-from .sic import FiducialCandidate
 
 
 def dumps(payload) -> str:
@@ -75,18 +72,18 @@ def povm_from_payload(data: dict) -> Povm:
     return make_povm(els)
 
 
-def reference_payload(ref: ReferenceMeasurement) -> dict:
+def reference_payload(ref: born.ReferenceMeasurement) -> dict:
     payload = povm_payload(ref.elements)
     payload["sic_certified"] = bool(ref.sic_certified)
     return payload
 
 
-def reference_from_payload(data: dict) -> ReferenceMeasurement:
+def reference_from_payload(data: dict) -> born.ReferenceMeasurement:
     """Reference from its POVM fields; make_reference recomputes "sic_certified"."""
-    return make_reference(povm_from_payload(data))
+    return born.make_reference(povm_from_payload(data))
 
 
-def fiducial_payload(candidate: FiducialCandidate) -> dict:
+def fiducial_payload(candidate: sic.FiducialCandidate) -> dict:
     return {
         "dim": candidate.dim,
         "vector": complex_pairs(candidate.vector.amplitudes),
@@ -97,9 +94,9 @@ def fiducial_payload(candidate: FiducialCandidate) -> dict:
     }
 
 
-def fiducial_from_payload(data: dict) -> FiducialCandidate:
+def fiducial_from_payload(data: dict) -> sic.FiducialCandidate:
     ket = make_ket(from_pairs(data["vector"]))
-    return FiducialCandidate(
+    return sic.FiducialCandidate(
         dim=int(data["dim"]),
         vector=ket,
         frame_potential=float(data["frame_potential"]),
@@ -113,7 +110,7 @@ def prob_values_from_payload(data: dict) -> np.ndarray:
     return np.asarray(data["values"], dtype=float)
 
 
-def table_payload(table: CorrelationTable) -> dict:
+def table_payload(table: correlations.CorrelationTable) -> dict:
     return {
         "settings_a": [str(a) for a in table.settings_a],
         "settings_b": [str(b) for b in table.settings_b],
@@ -141,21 +138,21 @@ def _blocks_csv(settings_a, settings_b, block, column: str, cell, manifest_line)
     return "\n".join(lines) + "\n"
 
 
-def table_csv(table: CorrelationTable, manifest_line: Optional[str] = None) -> str:
+def table_csv(table: correlations.CorrelationTable, manifest_line: Optional[str] = None) -> str:
     """CSV rendering with header a,b,x,y,p (one row per joint outcome)."""
     return _blocks_csv(table.settings_a, table.settings_b, table.block, "p",
                        lambda v: repr(float(v)), manifest_line)
 
 
-def table_from_payload(data: dict) -> CorrelationTable:
+def table_from_payload(data: dict) -> correlations.CorrelationTable:
     probs = {
         (blk["a"], blk["b"]): np.asarray(blk["p"], dtype=float)
         for blk in data["blocks"]
     }
-    return make_table(tuple(data["settings_a"]), tuple(data["settings_b"]), probs)
+    return correlations.make_table(tuple(data["settings_a"]), tuple(data["settings_b"]), probs)
 
 
-def data_table_payload(dt: DataTable) -> dict:
+def data_table_payload(dt: sampling.DataTable) -> dict:
     return {
         "settings_a": [str(a) for a in dt.settings_a],
         "settings_b": [str(b) for b in dt.settings_b],
@@ -174,13 +171,13 @@ def data_table_payload(dt: DataTable) -> dict:
     }
 
 
-def data_table_csv(dt: DataTable, manifest_line: Optional[str] = None) -> str:
+def data_table_csv(dt: sampling.DataTable, manifest_line: Optional[str] = None) -> str:
     """CSV rendering with header a,b,x,y,count (one row per joint outcome)."""
     return _blocks_csv(dt.settings_a, dt.settings_b, lambda a, b: dt.counts[(a, b)], "count",
                        int, manifest_line)
 
 
-def steering_payload(report: SteeringReport) -> dict:
+def steering_payload(report: correlations.SteeringReport) -> dict:
     def ensemble(members):
         return [
             {"probability": float(p), "state": complex_pairs(rho.matrix)}

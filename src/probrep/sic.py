@@ -22,10 +22,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergence
-from .operators import Ket, _check_draw_args, _freeze, _require_positive, check_dim, make_ket
+from .operators import (CERT_TOL, Ket, _check_draw_args, _freeze, _require_positive, check_dim,
+                        make_ket)
 
 GRAD_TOL = 1e-10
-CERT_TOL = 1e-8
 MAX_ITERATIONS = 10_000
 _GD_SWITCH = 1e-5          # hand over to the least-squares polish below this
 _RESIDUAL_TARGET = 1e-12   # polish until every SIC residual is this small

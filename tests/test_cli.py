@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import tomllib
 from pathlib import Path
 
@@ -408,6 +409,22 @@ class TestRerun:
         err = capsys.readouterr().err
         assert __version__ in err
         assert f"artifact_version {version or 'none'}" in err
+
+
+@pytest.mark.parametrize("field,value", [("out", 5), ("probs", 7), ("n", "10"), ("bins", 3)])
+def test_rerun_refuses_a_param_its_flag_never_gives(workdir, capsys, field, value):
+    shutil.copy(GOLDEN / "inputs" / "probs.json", workdir)
+    assert main(["simulate", "--probs", "probs.json", "--n", "10", "--out", "c.json"]) == 0
+    data = load(workdir / "c.json")
+    data["manifest"]["params"][field] = value
+    (workdir / "c.json").write_text(serialize.dumps(data))
+    before = sha(workdir / "c.json")
+    capsys.readouterr()
+    assert main(["rerun", "c.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed input file c.json: ") and repr(field) in err
+    assert sha(workdir / "c.json") == before
+    assert sorted(p.name for p in workdir.iterdir()) == ["c.json", "probs.json"]
 
 
 # Every flag that reads a JSON file, with valid files for the flags it is given alongside.

@@ -18,6 +18,8 @@ from probrep import (
 from probrep.born import make_cond_prob, classical_law
 from probrep.correlations import (
     CANONICAL_CHSH_ANGLES,
+    EIGENVALUE_TOL,
+    _projective_rank1_vectors,
     angle_family,
     canonical_chsh_table,
     direction_povm,
@@ -281,6 +283,36 @@ class TestSteering:
         z = projector_povm(np.eye(2))
         with pytest.raises(ValueError):
             steering_ensembles(phi_plus(), noisy, z)
+
+
+def _basis_vectors_one_by_one(povm):
+    """The per-element eigh loop that the stacked basis check replaced: its oracle."""
+    d = povm.dim
+    if len(povm) != d:
+        raise ValueError(f"projective basis in dimension {d} needs {d} elements")
+    vecs = np.empty((d, d), dtype=complex)
+    for k, el in enumerate(povm.elements):
+        w, v = np.linalg.eigh(el)
+        if abs(w[-1] - 1.0) > EIGENVALUE_TOL or (d > 1 and w[-2] > EIGENVALUE_TOL):
+            raise ValueError(f"element {k} is not a rank-1 projector")
+        vecs[k] = v[:, -1]
+    return vecs
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_stacked_basis_check_matches_per_element_loop(d):
+    for seed in range(5):
+        rng = np.random.default_rng(1000 * d + seed)
+        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        basis = projector_povm(np.linalg.qr(raw)[0].T)
+        stacked = _projective_rank1_vectors(basis)
+        assert stacked.tobytes() == _basis_vectors_one_by_one(basis).tobytes()
+    noisy = random_povm(d, d, seed=d)
+    with pytest.raises(ValueError) as loop_err:
+        _basis_vectors_one_by_one(noisy)
+    with pytest.raises(ValueError, match="is not a rank-1 projector") as stacked_err:
+        _projective_rank1_vectors(noisy)
+    assert str(stacked_err.value) == str(loop_err.value)
 
 
 class TestSpin32Embedding:
