@@ -39,13 +39,12 @@ from .operators import (
     Povm,
     ProbVector,
     _check_prob_rows,
-    _complex_normal,
-    _density_draw,
     _freeze,
+    _grams,
     _require_finite,
     _traces,
+    _unit_trace,
     _whiten,
-    _wishart_parts,
     check_dim,
     make_povm,
     make_prob_vector,
@@ -58,9 +57,8 @@ GRAM_RANK_FACTOR = 1e-10
 CONDITION_CAP = 1e10
 INVERSE_CHECK_TOL = 1e-8
 
-#: Most trials check_trials evaluates in one stack; small stacks keep the
-#: stacked arrays, and so the peak memory, small.
-TRIAL_STACK = 8
+#: Most trials x outcomes x d^2 entries in one check_trials stack: 8 x 10 x 64 at d = 8.
+STACK_ENTRIES = 8 * 10 * 64
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,8 @@ def sic_reference(dim: int) -> ReferenceMeasurement:
 def random_reference(dim: int, seed: int) -> ReferenceMeasurement:
     """Random rank-1 IC reference: d^2 random rank-1 operators, whitened as random_povm's."""
     d = check_dim(dim)
-    vecs = _complex_normal(np.random.default_rng(seed), (d * d, d))
+    x = np.random.default_rng(seed).standard_normal((2, d * d, d))
+    vecs = x[0] + 1j * x[1]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     parts = vecs[:, :, None] * vecs.conj()[:, None, :]
     return make_reference(Povm(d, _freeze(_whiten(parts[None])[0])))
@@ -340,19 +339,8 @@ def _gap_rules(ref, rho, povm) -> tuple[float, ProbVector, ProbVector]:
 def random_ic_inputs(dim: int, seed: int):
     """Deterministic (rho, povm) pair for sweep tests, drawn from default_rng(seed)."""
     d = check_dim(dim)
-    _, rho, parts = _trial_draw(d, seed)
-    return DensityOperator(d, _freeze(rho)), Povm(d, _freeze(_whiten(parts[None])[0]))
-
-
-def _trial_draw(dim: int, seed: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Outcome count n, state and POVM parts of one trial, all from default_rng(seed).
-
-    The rank and n come first, then the draws of random_density and random_povm.
-    """
-    rng = np.random.default_rng(seed)
-    rank = int(rng.integers(1, dim + 1))
-    n = int(rng.integers(2, dim + 3))
-    return n, _density_draw(rng, dim, rank), _wishart_parts(rng, dim, n)
+    ((_, rhos, parts),) = _stacks(d, [seed])
+    return DensityOperator(d, _freeze(rhos[0])), Povm(d, _freeze(_whiten(parts)[0]))
 
 
 def check_trials(ref: ReferenceMeasurement, seeds) -> tuple[float, float | None]:
@@ -360,17 +348,17 @@ def check_trials(ref: ReferenceMeasurement, seeds) -> tuple[float, float | None]
 
     Returns the largest max_j |q_general(j) - tr(rho F_j)| over the trials,
     and, when ref is a SIC, the largest max_j |q_sic(j) - q_general(j)|
-    (None otherwise). Trials with the same outcome count are evaluated in
-    stacks of up to TRIAL_STACK; every value is bit-identical to evaluating
-    the trials one at a time with the public functions. A failing trial
-    raises TrialFailed for the first failing trial in seed order, with the
-    error evaluating that trial alone raises as its cause.
+    (None otherwise). Trials with one outcome count n are evaluated in stacks
+    of up to STACK_ENTRIES // (n d^2); every value is bit-identical to
+    evaluating the trials one at a time with the public functions. A failing
+    trial raises TrialFailed for the first failing trial in seed order, with
+    the error evaluating that trial alone raises as its cause.
     """
     worst_general = worst_sic = 0.0
     first_failure = None
     for stack in _stacks(ref.dim, seeds):
         try:
-            general, sic_dev = _evaluate(ref, stack)
+            general, sic_dev = _evaluate(ref, *stack)
         except TrialFailed as err:
             if first_failure is None or err.trial < first_failure.trial:
                 first_failure = err
@@ -383,23 +371,44 @@ def check_trials(ref: ReferenceMeasurement, seeds) -> tuple[float, float | None]
 
 
 def _stacks(dim: int, seeds):
-    """(trial, seed, rho, parts) tuples in stacks of up to TRIAL_STACK trials with one n.
+    """(trials, rhos, parts) stacks of up to STACK_ENTRIES // (n d^2) trials with one n.
 
-    Each outcome count's trials are stacked in seed order; a stack is
-    yielded as soon as it is full, so only the pending partial stacks are
-    held however many seeds there are.
+    default_rng(seeds[t]) draws trial t's rank and n; a pending (t, seed, rank, state) trial
+    holds its PCG64 state (all standard_normal reads), not its draws, until its stack is full.
     """
     pending: dict[int, list] = {}
+    drawer = np.random.default_rng(0)  # set to each trial's state before its draw
     for t, seed in enumerate(seeds):
-        n, rho, parts = _trial_draw(dim, seed)
-        stack = pending.setdefault(n, [])
-        stack.append((t, seed, rho, parts))
-        if len(stack) == TRIAL_STACK:
-            yield pending.pop(n)
-    yield from pending.values()
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(1, dim + 1))
+        n = int(rng.integers(2, dim + 3))
+        trials = pending.setdefault(n, [])
+        trials.append((t, seed, rank, rng.bit_generator.state["state"]))
+        if len(trials) == STACK_ENTRIES // (n * dim * dim):
+            yield _stack_inputs(drawer, dim, n, pending.pop(n))
+    for n, trials in pending.items():
+        yield _stack_inputs(drawer, dim, n, trials)
 
 
-def _evaluate(ref: ReferenceMeasurement, stack: list) -> tuple[float, float]:
+def _stack_inputs(drawer: np.random.Generator, dim: int, n: int, trials: list):
+    """(trials, rhos, parts) of a stack: each trial draws the normals of random_density and
+    random_povm in one call, right-aligned in its row so every POVM draw starts at one column."""
+    width = 2 * dim * dim
+    k = len(trials)
+    draws = np.empty((k, width * (n + 1)))
+    full = drawer.bit_generator.state
+    for row, (_, _, rank, state) in zip(draws, trials):
+        drawer.bit_generator.state = {**full, "state": state}
+        drawer.standard_normal(out=row[2 * dim * (dim - rank) :])
+    ranks = np.array([rank for _, _, rank, _ in trials])
+    rhos = np.empty((k, dim, dim), dtype=complex)
+    for rank in set(ranks.tolist()):
+        rows = ranks == rank
+        rhos[rows] = _grams(draws[rows, width - 2 * dim * rank : width].reshape(-1, 2, dim, rank))
+    return trials, _unit_trace(rhos), _grams(draws[:, width:].reshape(k, n, 2, dim, dim))
+
+
+def _evaluate(ref: ReferenceMeasurement, trials: list, rhos, parts) -> tuple[float, float]:
     """_stack_deviations, raising TrialFailed for the stack's first failing trial.
 
     The stack runs each check for all its trials before the next check, so
@@ -407,23 +416,21 @@ def _evaluate(ref: ReferenceMeasurement, stack: list) -> tuple[float, float]:
     the trials are then evaluated alone, in order, to find that one.
     """
     try:
-        return _stack_deviations(ref, stack)
+        return _stack_deviations(ref, rhos, parts)
     except (ProbrepError, ValueError) as err:
-        if len(stack) == 1:
-            t, seed, _, _ = stack[0]
+        if len(trials) == 1:
+            t, seed = trials[0][:2]
             raise TrialFailed(t, seed, err) from err
-        for trial in stack:
-            _evaluate(ref, [trial])
+        for i in range(len(trials)):
+            _evaluate(ref, trials[i : i + 1], rhos[i : i + 1], parts[i : i + 1])
         raise
 
 
-def _stack_deviations(ref: ReferenceMeasurement, stack: list) -> tuple[float, float]:
-    """Largest general-rule and SIC-rule deviations over trials of one outcome count.
-
-    ``stack`` holds (trial, seed, rho, parts) tuples with one n.
-    """
-    rhos = np.stack([rho for _, _, rho, _ in stack])[:, None]
-    povms = _whiten(np.stack([parts for _, _, _, parts in stack]))
+def _stack_deviations(ref: ReferenceMeasurement, rhos, parts) -> tuple[float, float]:
+    """Largest general-rule and SIC-rule deviations over a (k, d, d) stack of
+    states and a (k, n, d, d) stack of POVM parts with one n."""
+    rhos = rhos[:, None]
+    povms = _whiten(parts)
     p = _check_prob_rows(_traces(rhos, ref.elements.elements)[:, 0])
     r = _traces(ref.projectors, povms)
     _check_cond_stack(r)

@@ -299,15 +299,11 @@ def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((rows @ cols.swapaxes(-1, -2)).real)
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def random_pure_state(dim: int, seed: int) -> Ket:
     """Haar-distributed pure state: normalized complex standard normals."""
     d = check_dim(dim)
-    rng = np.random.default_rng(seed)
-    v = _complex_normal(rng, d)
+    x = np.random.default_rng(seed).standard_normal((2, d))
+    v = x[0] + 1j * x[1]
     v /= np.linalg.norm(v)
     return Ket(d, _freeze(v))
 
@@ -317,16 +313,8 @@ def random_density(dim: int, rank: int, seed: int) -> DensityOperator:
     d = check_dim(dim)
     if not 1 <= rank <= d:
         raise BadRank(f"rank {rank} outside 1..{d}")
-    return DensityOperator(d, _freeze(_density_draw(np.random.default_rng(seed), d, rank)))
-
-
-def _density_draw(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
-    """The (d, d) matrix random_density draws from rng."""
-    g = _complex_normal(rng, (dim, rank))
-    m = g @ g.conj().T
-    m = 0.5 * (m + m.conj().T)
-    m /= np.real(np.trace(m))
-    return m
+    x = np.random.default_rng(seed).standard_normal((1, 2, d, rank))
+    return DensityOperator(d, _freeze(_unit_trace(_grams(x))[0]))
 
 
 def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
@@ -339,17 +327,22 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     d = check_dim(dim)
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
-    parts = _wishart_parts(np.random.default_rng(seed), d, n_outcomes)
-    return Povm(d, _freeze(_whiten(parts[None])[0]))
+    x = np.random.default_rng(seed).standard_normal((1, n_outcomes, 2, d, d))
+    return Povm(d, _freeze(_whiten(_grams(x))[0]))
 
 
-def _wishart_parts(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:
-    """The (n, d, d) factors A_k = G_k G_k^dag random_povm draws from rng and whitens."""
-    # consumes the stream as per-outcome draws would: real then imaginary factor
-    x = rng.standard_normal((n_outcomes, 2, dim, dim))
-    g = x[:, 0] + 1j * x[:, 1]
+def _grams(x: np.ndarray) -> np.ndarray:
+    """Hermitized G G^dag for each G = X_0 + i X_1 of a real (..., 2, d, r) array of
+    draws; one matmul per leading index, so an index has the same bits alone as in a stack."""
+    g = x[..., 0, :, :] + 1j * x[..., 1, :, :]
     a = g @ g.conj().swapaxes(-1, -2)
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def _unit_trace(m: np.ndarray) -> np.ndarray:
+    """Divide each (d, d) matrix of a stack by its real trace, in place."""
+    m /= np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
+    return m
 
 
 def _whiten(parts: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -29,7 +30,6 @@ from probrep import (
 )
 from probrep.born import (
     RANK_ONE_TOL,
-    TRIAL_STACK,
     check_trials,
     make_cond_prob,
     random_ic_inputs,
@@ -108,6 +108,20 @@ def outcome_count(dim, seed):
     rng = np.random.default_rng(seed)
     rng.integers(1, dim + 1)
     return int(rng.integers(2, dim + 3))
+
+
+def stack_size(dim, n):
+    """Most trials of outcome count n that check_trials stacks at dimension dim."""
+    return born.STACK_ENTRIES // (n * dim * dim)
+
+
+def filled_at(dim, outcomes, t):
+    """The trial at which trial t's stack is full, or len(outcomes) if it never fills."""
+    n = outcomes[t]
+    size = stack_size(dim, n)
+    last = (outcomes[:t].count(n) // size + 1) * size
+    same = [u for u, m in enumerate(outcomes) if m == n]
+    return same[last - 1] if last <= len(same) else len(outcomes)
 
 
 def loop_check_trials(ref, seeds):
@@ -384,27 +398,47 @@ class TestCheckTrials:
 
     def test_matches_per_trial_loop_bit_for_bit(self):
         group_sizes = Counter()
+        stacks_spanned = []
         for seed in (0, 5):
-            for trials in (7, 100):
+            for trials in (7, 200):
                 seeds = [seed + 1 + t for t in range(trials)]
                 for d in range(2, 9):
-                    group_sizes.update(Counter(outcome_count(d, s) for s in seeds).values())
+                    counts = Counter(outcome_count(d, s) for s in seeds)
+                    group_sizes.update(counts.values())
+                    stacks_spanned += [size / stack_size(d, n) for n, size in counts.items()]
                     for ref in (sic_reference(d), random_reference(d, seed)):
                         got = check_trials(ref, seeds)
                         want = loop_check_trials(ref, seeds)
                         assert repr(got) == repr(want), (d, seed, trials, ref.sic_certified)
         # outcome counts drawn once, and outcome counts spread over several stacks
         assert group_sizes[1] > 0
-        assert max(group_sizes) > 2 * TRIAL_STACK
+        assert max(stacks_spanned) > 2
+
+    def test_peak_memory_of_d8_sweep_is_bounded(self):
+        """Pending trials hold a generator state, not their draws, so the larger stacks
+        keep the traced peak of this call below the 827.8 kB it reached with stacks of
+        at most 8 trials that held every pending trial's arrays (662 kB now)."""
+        ref = sic_reference(8)
+        check_trials(ref, range(1, 11))  # numpy.random's first import is not the sweep's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            check_trials(ref, range(1, 301))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 830_000
 
     def test_failure_names_lowest_failing_trial(self, monkeypatch, capsys, tmp_path):
         ref = sic_reference(2)  # built before the tolerances are tightened
         seeds = [110 + t for t in range(32)]
         monkeypatch.setattr(operators, "EIGENVALUE_TOL", -0.003)
         monkeypatch.setattr(operators, "PROB_SUM_TOL", 1e-15)
+        # stacks of 8 trials at n = 4, so that a stack fills among 32 trials
+        monkeypatch.setattr(born, "STACK_ENTRIES", 8 * 4 * 4)
         failing = {t: err for t, s in enumerate(seeds) if (err := loop_error(ref, s))}
         first = min(failing)
-        outcomes = {t: outcome_count(2, seeds[t]) for t in failing}
+        outcomes = [outcome_count(2, s) for s in seeds]
         # The lowest failing trial (2) fails a later check than a later trial
         # with its outcome count (3), and trials of another outcome count
         # fail too, in a stack that fills before trial 2's.
@@ -413,7 +447,11 @@ class TestCheckTrials:
             isinstance(err, NotPositive) and outcomes[t] == outcomes[first]
             for t, err in failing.items()
         )
-        assert len(set(outcomes.values())) > 1
+        first_full = filled_at(2, outcomes, first)
+        assert any(
+            outcomes[t] != outcomes[first] and filled_at(2, outcomes, t) < first_full
+            for t in failing
+        )
 
         with pytest.raises(TrialFailed) as exc:
             check_trials(ref, seeds)

@@ -46,10 +46,11 @@ from probrep import (
     urgleichung_general,
     urgleichung_sic,
 )
+from probrep import born
 from probrep.born import _check_cond_stack, _general_rule, _sic_rule, random_ic_inputs
 from probrep.correlations import family, make_table
 from probrep.errors import IllConditionedReference
-from probrep.operators import _check_prob_rows, _traces, _whiten, _wishart_parts
+from probrep.operators import _check_prob_rows, _grams, _traces, _whiten
 from probrep.sampling import (
     DRAW_BLOCK,
     _bd0,
@@ -121,8 +122,8 @@ def test_stacked_rows_equal_single_calls(d, ref_seed, n, trial_seeds):
     ps = [state_to_prob(ref, random_density(d, 1 + s % d, s)) for s in trial_seeds]
     rs = [povm_to_cond(ref, povm) for povm in povms]
 
-    parts = [_wishart_parts(np.random.default_rng(s), d, n) for s in trial_seeds]
-    stacked_povms = _whiten(np.stack(parts))
+    draws = [np.random.default_rng(s).standard_normal((n, 2, d, d)) for s in trial_seeds]
+    stacked_povms = _whiten(_grams(np.stack(draws)))
     p = np.array([p_t.values for p_t in ps])
     r = np.array([r_t.rows for r_t in rs])
     _check_cond_stack(r)
@@ -134,6 +135,110 @@ def test_stacked_rows_equal_single_calls(d, ref_seed, n, trial_seeds):
         sic = _check_prob_rows(_sic_rule(d, p, r))
         for t, (p_t, r_t) in enumerate(zip(ps, rs)):
             assert sic[t].tobytes() == urgleichung_sic(d, p_t, r_t).values.tobytes()
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _density_draw(rng, dim, rank):
+    """The state random_density drew from rng before draws were stacked."""
+    g = _complex_normal(rng, (dim, rank))
+    m = g @ g.conj().T
+    m = 0.5 * (m + m.conj().T)
+    m /= np.real(np.trace(m))
+    return m
+
+
+def _wishart_parts(rng, dim, n):
+    """The (n, d, d) factors random_povm drew from rng and whitened before draws were stacked."""
+    x = rng.standard_normal((n, 2, dim, dim))
+    g = x[:, 0] + 1j * x[:, 1]
+    a = g @ g.conj().swapaxes(-1, -2)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def _trial_draw(dim, seed):
+    """Rank, outcome count n, state and POVM parts of one born-check trial, drawn
+    with three normal draws and per-trial products, as before trials were stacked."""
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, dim + 1))
+    n = int(rng.integers(2, dim + 3))
+    return rank, n, _density_draw(rng, dim, rank), _wishart_parts(rng, dim, n)
+
+
+def _rank_and_n(dim, seed):
+    rng = np.random.default_rng(seed)
+    return int(rng.integers(1, dim + 1)), int(rng.integers(2, dim + 3))
+
+
+def _assert_stacks_equal_trial_draws(dim, seeds):
+    """Every trial _stacks builds has the bytes _trial_draw gives it alone."""
+    seen = []
+    for trials, rhos, parts in born._stacks(dim, seeds):
+        for (t, seed, rank, _), rho, part in zip(trials, rhos, parts):
+            want_rank, n, want_rho, want_parts = _trial_draw(dim, seed)
+            assert (rank, len(parts[0])) == (want_rank, n)
+            assert rho.tobytes() == want_rho.tobytes(), (dim, seed)
+            assert part.tobytes() == want_parts.tobytes(), (dim, seed)
+            seen.append(t)
+    assert sorted(seen) == list(range(len(seeds)))
+
+
+@PROPERTY
+@given(data=st.data(), d=dims, start=seeds)
+@example(data=None, d=2, start=0)
+@example(data=None, d=8, start=0)
+def test_stacks_equal_per_trial_draws(data, d, start):
+    """One stack of one outcome count n, 1 up to STACK_ENTRIES // (n d^2) trials long,
+    whose first trial has a chosen rank, against the per-trial oracle."""
+    if data is None:  # a full stack at the largest and at the smallest stack size
+        rank, n, length = d, 2 if d == 2 else d + 2, None
+    else:
+        rank = data.draw(st.integers(1, d), label="rank")
+        n = data.draw(st.integers(2, d + 2), label="n")
+        length = data.draw(st.integers(1, born.STACK_ENTRIES // (n * d * d)), label="length")
+    length = length or born.STACK_ENTRIES // (n * d * d)
+    seed = start
+    while _rank_and_n(d, seed) != (rank, n):
+        seed += 1
+    stack = [seed]
+    while len(stack) < length:
+        seed += 1
+        if _rank_and_n(d, seed)[1] == n:
+            stack.append(seed)
+    assert len(list(born._stacks(d, stack))) == 1
+    _assert_stacks_equal_trial_draws(d, stack)
+
+
+def test_stacks_cover_every_rank_and_outcome_count():
+    """For each d, one seed of every (rank, n), stacked by n with ranks mixed."""
+    for d in range(2, 9):
+        wanted = {(rank, n) for rank in range(1, d + 1) for n in range(2, d + 3)}
+        found = {}
+        seed = 0
+        while len(found) < len(wanted):
+            found.setdefault(_rank_and_n(d, seed), seed)
+            seed += 1
+        _assert_stacks_equal_trial_draws(d, sorted(found.values()))
+
+
+@PROPERTY
+@given(d=dims, rank_pick=st.integers(0, 7), n=st.integers(2, 12), seed=seeds)
+def test_random_inputs_equal_per_trial_draws(d, rank_pick, n, seed):
+    """random_density, random_povm, random_pure_state and random_ic_inputs keep the
+    bits of their per-trial draws."""
+    rank = 1 + rank_pick % d
+    want = _density_draw(np.random.default_rng(seed), d, rank)
+    assert random_density(d, rank, seed).matrix.tobytes() == want.tobytes()
+    want = _whiten(_wishart_parts(np.random.default_rng(seed), d, n)[None])[0]
+    assert random_povm(d, n, seed).elements.tobytes() == want.tobytes()
+    v = _complex_normal(np.random.default_rng(seed), d)
+    assert random_pure_state(d, seed).amplitudes.tobytes() == (v / np.linalg.norm(v)).tobytes()
+    _, _, rho, parts = _trial_draw(d, seed)
+    got_rho, got_povm = random_ic_inputs(d, seed)
+    assert got_rho.matrix.tobytes() == rho.tobytes()
+    assert got_povm.elements.tobytes() == _whiten(parts[None])[0].tobytes()
 
 
 @PROPERTY
