@@ -63,14 +63,18 @@ def _write_result(path: str, payload: dict) -> None:
 
 
 def _read(path: str, parse):
-    """parse(JSON object in path); a top level or field of the wrong type is a malformed input."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """parse(JSON object in path).
+
+    A top level or field of the wrong type, or JSON nested too deeply to
+    decode, is a malformed input.
+    """
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
         if not isinstance(data, dict):
             raise TypeError(f"expected an object at the top level, got {type(data).__name__}")
         return parse(data)
-    except (TypeError, AttributeError) as err:
+    except (TypeError, AttributeError, RecursionError) as err:
         raise ValueError(f"malformed input file {path}: {err}") from err
 
 
@@ -108,7 +112,8 @@ def run_sic_search(params: dict) -> int:
     dim = check_dim(params["dim"])
     _require_positive(params["tol"], "--tol")
     manifest = _manifest("sic-search", params)
-    candidate = sic.sic_search(dim, seed=params["seed"], restarts=params["restarts"])
+    candidate = sic.sic_search(dim, seed=params["seed"], restarts=params["restarts"],
+                               tol=params["tol"])
     certified = candidate.max_sic_deviation < params["tol"]
     payload = {"manifest": manifest, "certified": certified}
     payload.update(serialize.fiducial_payload(candidate))

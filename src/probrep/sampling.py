@@ -201,8 +201,8 @@ def binomial_interval_prob(n: int, p: float, lo: int, hi: int) -> float:
     """
     if not all(map(_is_int, (n, lo, hi))):
         raise ValueError(f"n, lo and hi must be integers, got n={n!r} lo={lo!r} hi={hi!r}")
-    if not 0 <= lo <= hi <= n:
-        raise ValueError(f"need 0 <= lo <= hi <= n, got lo={lo} hi={hi} n={n}")
+    if not 0 <= lo <= hi <= n < 2**63:
+        raise ValueError(f"need 0 <= lo <= hi <= n < 2**63, got lo={lo} hi={hi} n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be a probability, got {p}")
     if p == 0.0:

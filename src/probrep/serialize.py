@@ -13,7 +13,8 @@ from typing import Optional
 import numpy as np
 
 from . import born, correlations, sampling, sic
-from .operators import DensityOperator, Ket, Povm, make_ket, make_povm, validate_density
+from .operators import (DensityOperator, Ket, Povm, _is_int, make_ket, make_povm,
+                        validate_density)
 
 
 def dumps(payload) -> str:
@@ -41,7 +42,9 @@ def ket_payload(ket: Ket) -> dict:
 
 
 def _check_dim_field(data: dict, found: int) -> None:
-    stated = int(data["dim"])
+    stated = data["dim"]
+    if not _is_int(stated):
+        raise TypeError(f"field 'dim' must be a JSON integer, got {stated!r}")
     if stated != found:
         raise ValueError(f"field 'dim' says {stated} but the data has dimension {found}")
 
@@ -91,18 +94,22 @@ def fiducial_payload(candidate: sic.FiducialCandidate) -> dict:
         "max_sic_deviation": float(candidate.max_sic_deviation),
         "seed": candidate.seed,
         "restarts_used": candidate.restarts_used,
+        "restart_index": candidate.restart_index,
     }
 
 
 def fiducial_from_payload(data: dict) -> sic.FiducialCandidate:
+    """Candidate from its fields; "restart_index" is optional (absent before 0.6.0)."""
     ket = make_ket(from_pairs(data["vector"]))
+    _check_dim_field(data, ket.dim)
     return sic.FiducialCandidate(
-        dim=int(data["dim"]),
+        dim=ket.dim,
         vector=ket,
         frame_potential=float(data["frame_potential"]),
         max_sic_deviation=float(data["max_sic_deviation"]),
         seed=data.get("seed"),
         restarts_used=data.get("restarts_used"),
+        restart_index=data.get("restart_index"),
     )
 
 

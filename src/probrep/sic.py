@@ -96,8 +96,10 @@ def max_sic_deviation(fiducial: Ket) -> float:
 class FiducialCandidate:
     """Best unit vector found by a search, with its certification numbers.
 
-    ``seed``/``restarts_used`` are None for hand-supplied vectors that never
-    went through the search.
+    ``restarts_used`` is the search's restart budget and ``restart_index``
+    the index i of the restart that won (its start seed is seed + i); a
+    certified winner means restarts 0..i ran. All three are None for
+    hand-supplied vectors that never went through the search.
     """
 
     dim: int
@@ -106,6 +108,7 @@ class FiducialCandidate:
     max_sic_deviation: float
     seed: Optional[int]
     restarts_used: Optional[int]
+    restart_index: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,7 @@ def sic_certify(fiducial: Ket, tolerance: float = CERT_TOL) -> SicCertificate:
         max_sic_deviation=dev,
         seed=None,
         restarts_used=None,
+        restart_index=None,
     )
     return SicCertificate(candidate=cand, passed=dev < tolerance, tolerance=tolerance)
 
@@ -134,254 +138,151 @@ def sic_certify(fiducial: Ket, tolerance: float = CERT_TOL) -> SicCertificate:
 # frame-potential minimization
 # ---------------------------------------------------------------------------
 
-#: Restarts of one search that are live at once. A search steps its live
-#: restarts in lockstep, so the window bounds the stacked intermediates
-#: whatever the number of restarts.
-SEARCH_WINDOW = 32
 
-
-class _Evaluator:
-    """The search's evaluations over a stack of points, one row per point.
-
-    Each row gets exactly the bits the same evaluation of that point alone
-    gives: D_a x is one mat-vec of the flattened displacement stack per
-    point, D_a^dag x one mat-vec per displacement, and the dots, norms,
-    normal equations and solves run the same BLAS and LAPACK call per row
-    as they do on a single point. (Flattening the adjoint product, or
-    turning per-row dots into one matrix product, changes the last bits.)
-    """
-
-    def __init__(self, dim: int):
-        stack = displacement_stack(dim)
-        self.dim = dim
-        self.flat = stack.reshape(-1, dim)
-        self.adjoint = stack.conj().transpose(0, 2, 1)
-        self.target = 1.0 / (dim + 1)
-        self.eye = np.eye(2 * dim)
-
-    def overlaps(self, xs):
-        """D_a x and c_a = <x|D_a|x> for every row x of a (B, d) stack."""
-        b, d = xs.shape
-        dx = np.matmul(self.flat, xs[:, :, None]).reshape(b, d * d, d)
-        return dx, np.matmul(dx, xs.conj()[:, :, None])[..., 0]
-
-    def terms(self, xs):
-        """D_a x, D_a^dag x and c_a for every row x."""
-        dx, c = self.overlaps(xs)
-        return dx, np.matmul(self.adjoint, xs[:, None, :, None])[..., 0], c
-
-    def residuals(self, c):
-        """SIC residuals f_a = |c_a|^2 - 1/(d+1) over the nonzero a."""
-        return (c.real**2 + c.imag**2)[:, 1:] - self.target
+def _terms(x, stack, adjoint):
+    """D_a x, D_a^dag x and c_a = <x|D_a|x> for every displacement a."""
+    dx = stack @ x
+    return dx, adjoint @ x, dx @ x.conj()
 
 
 def _potential_and_gradient(dx, ddx, c):
-    """P(x) and its gradient per row, from the terms of _Evaluator.terms.
+    """P(x) and its gradient in the ambient real parametrization, from _terms.
 
     The gradient is packed as a complex vector g = dP/dx + i dP/dy for
     x + i y; it matches central finite differences to ~1e-9 relative
     (checked in the test suite).
     """
-    c2 = c.real**2 + c.imag**2
-    w = c2[:, 1:]
-    pot = np.sum(w**2, axis=1)
-    grad = 4.0 * (
-        _rowvec_mat(w * c[:, 1:].conj(), dx[:, 1:]) + _rowvec_mat(w * c[:, 1:], ddx[:, 1:])
-    )
+    w = (c.real**2 + c.imag**2)[1:]
+    pot = float(np.sum(w**2))
+    grad = 4.0 * ((w * c[1:].conj()) @ dx[1:] + (w * c[1:]) @ ddx[1:])
     return pot, grad
 
 
-def _rowvec_mat(v, m):
-    """v_b @ m_b for (B, n) rows and (B, n, k) matrices."""
-    return np.matmul(v[:, None, :], m)[:, 0]
-
-
-def _dot(u, v):
-    """u_b . v_b without conjugation, one BLAS dot per row."""
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
-
-
-def _re_vdot(u, v):
-    """Re <u_b|v_b> per row."""
-    return _dot(u.conj(), v).real
-
-
-def _norm(xs):
-    """Euclidean norm per row, formed as np.linalg.norm forms it."""
-    return np.sqrt(_dot(xs.real, xs.real) + _dot(xs.imag, xs.imag))
-
-
-def _tangent(xs, g):
-    """Project ambient gradients onto the unit sphere's tangent space.
+def _tangent(x, g):
+    """Project the ambient gradient onto the unit sphere's tangent space.
 
     The ambient gradient cannot vanish at a constrained minimum, so
     convergence is measured on this projected gradient.
     """
-    return g - _re_vdot(xs, g)[:, None] * xs
+    return g - np.real(np.vdot(x, g)) * x
 
 
-def _descend(ev, x, r, step):
-    """Evaluate the descent points x - step * r, normalized.
-
-    Per row: the point, its potential, its projected gradient r' and
-    <r'|r'>, and for the Barzilai-Borwein step |<s|y>| and <s|s> with
-    s = x' - x and y = r' - r.
-    """
-    xn = x - step[:, None] * r
-    xn /= _norm(xn)[:, None]
-    pot, g = _potential_and_gradient(*ev.terms(xn))
-    rn = _tangent(xn, g)
-    s = xn - x
-    sy = np.abs(_re_vdot(s, rn - r))
-    return zip(xn, pot.tolist(), rn, _re_vdot(rn, rn).tolist(), sy.tolist(),
-               _re_vdot(s, s).tolist())
-
-
-def _least_squares(ev, x):
-    """Evaluate the Levenberg-Marquardt system at x.
-
-    On the unit sphere sum_a |c_a|^2 is constant, so minimizing the frame
-    potential is the same problem as driving the SIC residuals f to zero;
-    the least-squares form converges quadratically where line searches on
-    the potential stall at float precision. Per row: the potential, the
-    projected gradient norm, f.f, max |f|, and J^T J and J^T f for the real
-    Jacobian J of f.
-    """
-    dx, ddx, c = ev.terms(x)
-    pot, g = _potential_and_gradient(dx, ddx, c)
-    f = ev.residuals(c)
-    ga = c[:, 1:, None].conj() * dx[:, 1:] + c[:, 1:, None] * ddx[:, 1:]
-    jac = np.concatenate([2.0 * ga.real, 2.0 * ga.imag], axis=2)
-    jac_t = jac.transpose(0, 2, 1)
-    return zip(pot.tolist(), _norm(_tangent(x, g)).tolist(), _dot(f, f).tolist(),
-               np.max(np.abs(f), axis=1).tolist(), jac_t @ jac, (jac_t @ f[:, :, None])[..., 0])
-
-
-def _lm_step(ev, x, jtj, jtf, mu):
-    """Take the damped Gauss-Newton step from x, renormalized.
-
-    Per row: the new point and f.f there.
-    """
-    d = ev.dim
-    step = np.linalg.solve(jtj + mu[:, None, None] * ev.eye, -jtf[:, :, None])[..., 0]
-    xn = x + step[:, :d] + 1j * step[:, d:]
-    xn /= _norm(xn)[:, None]
-    f = ev.residuals(ev.overlaps(xn)[1])
-    return zip(xn, _dot(f, f).tolist())
+def _residuals(c, target):
+    """SIC residuals f_a = |c_a|^2 - 1/(d+1) over the nonzero a."""
+    return (c.real**2 + c.imag**2)[1:] - target
 
 
 def _restart(dim, seed, gtol):
-    """One local minimization: projected gradient descent, then polish.
+    """One local minimization from the start default_rng(seed) draws.
 
-    A generator: it yields every point it needs evaluated as (evaluation,
-    arguments) and is sent back that evaluation's row, so that sic_search
-    can evaluate the points of many restarts together. Returns (potential,
-    unit vector, projected gradient norm).
+    Projected gradient descent with Barzilai-Borwein steps, then a
+    Levenberg-Marquardt polish of the SIC residuals: on the unit sphere
+    sum_a |c_a|^2 is constant, so minimizing the frame potential is the same
+    problem as driving the residuals to zero, and the least-squares form
+    converges quadratically where line searches on the potential stall at
+    float precision. Returns (potential, unit vector, projected gradient norm).
     """
+    stack = displacement_stack(dim)
+    adjoint = stack.conj().transpose(0, 2, 1)
+    target = 1.0 / (dim + 1)
+
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    # the start is the descent point x - 0 * 0, which is x exactly
-    x, pot, r, rnorm2, _, _ = yield _descend, (x, np.zeros(dim, dtype=complex), 0.0)
+    x /= np.linalg.norm(x)
+    pot, g = _potential_and_gradient(*_terms(x, stack, adjoint))
+    r = _tangent(x, g)
     alpha = 1e-2
-    last = None  # (|<s|y>|, <s|s>) of the last accepted step
+    prev = None  # (x, r) before the last accepted step
     for _ in range(MAX_ITERATIONS):
+        rnorm2 = float(np.real(np.vdot(r, r)))
         if np.sqrt(rnorm2) < _GD_SWITCH:
             break
-        if last is not None:
+        if prev is not None:
             # Barzilai-Borwein initial step for the backtracking search
-            sy, ss = last
+            s = x - prev[0]
+            sy = abs(float(np.real(np.vdot(s, r - prev[1]))))
             if sy > 1e-300:
-                alpha = min(max(ss / sy, 1e-10), 1e2)
+                alpha = min(max(float(np.real(np.vdot(s, s))) / sy, 1e-10), 1e2)
         step = alpha
         for _ in range(50):
-            xn, pot_n, r_n, rnorm2_n, sy, ss = yield _descend, (x, r, step)
+            xn = x - step * r
+            xn /= np.linalg.norm(xn)
+            pot_n, g_n = _potential_and_gradient(*_terms(xn, stack, adjoint))
             if pot_n < pot and pot_n - pot <= -1e-4 * step * rnorm2:
                 break
             step *= 0.5
         else:
             break  # decrease below float resolution: hand over to the polish
-        x, pot, r, rnorm2, last = xn, pot_n, r_n, rnorm2_n, (sy, ss)
+        prev = (x, r)
+        x, pot, r = xn, pot_n, _tangent(xn, g_n)
 
     # Levenberg-Marquardt steps on the SIC residuals, renormalizing each move
     mu = 1e-12
+    eye = np.eye(2 * dim)
     for _ in range(80):
-        pot, rnorm, fnorm2, fmax, jtj, jtf = yield _least_squares, (x,)
-        if rnorm < gtol and fmax < _RESIDUAL_TARGET:
+        dx, ddx, c = _terms(x, stack, adjoint)
+        pot, g = _potential_and_gradient(dx, ddx, c)
+        rnorm = float(np.linalg.norm(_tangent(x, g)))
+        f = _residuals(c, target)
+        if rnorm < gtol and float(np.max(np.abs(f))) < _RESIDUAL_TARGET:
             return pot, x, rnorm
+        ga = c[1:, None].conj() * dx[1:] + c[1:, None] * ddx[1:]
+        jac = np.concatenate([2.0 * ga.real, 2.0 * ga.imag], axis=1)
+        jtj, jtf, fnorm2 = jac.T @ jac, jac.T @ f, float(f @ f)
         for _ in range(40):
-            xn, fn2 = yield _lm_step, (x, jtj, jtf, mu)
-            if fn2 < fnorm2:
+            step = np.linalg.solve(jtj + mu * eye, -jtf)
+            xn = x + step[:dim] + 1j * step[dim:]
+            xn /= np.linalg.norm(xn)
+            fn = _residuals(_terms(xn, stack, adjoint)[2], target)
+            if float(fn @ fn) < fnorm2:
                 break
             mu *= 10.0
         else:
             return pot, x, rnorm  # no damping lowers the residuals
         x = xn
         mu = max(mu * 0.25, 1e-14)
-    pot, rnorm, *_ = yield _least_squares, (x,)
-    return pot, x, rnorm
+    pot, g = _potential_and_gradient(*_terms(x, stack, adjoint))
+    return pot, x, float(np.linalg.norm(_tangent(x, g)))
 
 
-def _lockstep(dim, seed, restarts, gtol):
-    """Run restarts seed, seed + 1, ... in lockstep; yield (i, result) as each ends.
-
-    At most SEARCH_WINDOW restarts are live; one that ends hands its place
-    to the next. Each round evaluates the pending points of one kind for
-    all live restarts in one stacked call.
-    """
-    ev = _Evaluator(dim)
-    live = []  # (restart index, generator, pending request)
-    started = 0
-    while live or started < restarts:
-        while len(live) < SEARCH_WINDOW and started < restarts:
-            run = _restart(dim, seed + started, gtol)
-            live.append((started, run, next(run)))
-            started += 1
-        by_kind = {}
-        for entry in live:
-            by_kind.setdefault(entry[2][0], []).append(entry)
-        live = []
-        for evaluate, entries in by_kind.items():
-            columns = zip(*(request[1] for _, _, request in entries))
-            replies = evaluate(ev, *(np.array(column) for column in columns))
-            for (i, run, _), reply in zip(entries, replies):
-                try:
-                    live.append((i, run, run.send(reply)))
-                except StopIteration as end:
-                    yield i, end.value
-
-
-def sic_search(
-    dim: int,
-    seed: int,
-    restarts: int,
-    gtol: float = GRAD_TOL,
-) -> FiducialCandidate:
+def sic_search(dim: int, seed: int, restarts: int, gtol: float = GRAD_TOL,
+               tol: float = CERT_TOL) -> FiducialCandidate:
     """Multi-start minimization of the frame potential over unit vectors.
 
-    Restart i draws its start from a generator seeded with seed + i, so the
-    result is a deterministic function of (dim, seed, restarts) regardless
-    of evaluation order. The best (lowest-potential) converged restart wins;
-    exact ties go to the lowest restart index. Raises ValueError unless
-    restarts >= 1 and seed >= 0 are integers and gtol is finite and > 0, and
-    NoConvergence when no restart reaches projected gradient norm < gtol
+    Restart i draws its start from a generator seeded with seed + i, and the
+    restarts run in index order. The first one that converges (projected
+    gradient norm < gtol) and certifies (max SIC deviation < tol) wins, and
+    no later restart runs, so the result is a deterministic function of
+    (dim, seed, gtol, tol) and of restarts only through the budget. When no
+    restart certifies, the converged restart with the lowest potential is
+    returned uncertified (exact ties go to the lowest index). Raises
+    ValueError unless restarts >= 1 and seed >= 0 are integers and gtol and
+    tol are finite and > 0, and NoConvergence when no restart converges
     within the iteration cap.
     """
     d = check_dim(dim)
     _check_draw_args(restarts, "restarts", seed)
     _require_positive(gtol, "gtol")
-    best = None  # (potential, restart index, vector) of the best converged restart
+    _require_positive(tol, "tol")
+    best = None  # (potential, restart index, ket) of the best converged restart
     closest = None  # (projected gradient norm, restart index) over all restarts
-    for i, (pot, x, rnorm) in _lockstep(d, seed, restarts, gtol):
-        if rnorm < gtol and (best is None or (pot, i) < best[:2]):
-            best = (pot, i, x)
-        if closest is None or (rnorm, i) < closest:
+    for i in range(restarts):
+        pot, x, rnorm = _restart(d, seed + i, gtol)
+        if rnorm < gtol:
+            ket = make_ket(x)
+            if max_sic_deviation(ket) < tol:
+                best = (pot, i, ket)
+                break
+            if best is None or pot < best[0]:
+                best = (pot, i, ket)
+        if closest is None or rnorm < closest[0]:
             closest = (rnorm, i)
     if best is None:
         raise NoConvergence(
             f"no restart of {restarts} reached gradient norm < {gtol} in dimension {d}; "
             f"the closest reached {closest[0]:.3e} (restart seed {seed + closest[1]})"
         )
-    ket = make_ket(best[2])
+    _, winner, ket = best
     return FiducialCandidate(
         dim=d,
         vector=ket,
@@ -389,7 +290,9 @@ def sic_search(
         max_sic_deviation=max_sic_deviation(ket),
         seed=seed,
         restarts_used=restarts,
+        restart_index=winner,
     )
+
 
 
 # ---------------------------------------------------------------------------
@@ -397,52 +300,52 @@ def sic_search(
 # ---------------------------------------------------------------------------
 
 #: How the d = 4..8 registry vectors were produced:
-#: sic_search(d, seed=SEARCH_PROVENANCE["seed"],
-#: restarts=SEARCH_PROVENANCE["restarts"][d]) returns exactly these amplitudes.
-SEARCH_PROVENANCE = {"seed": 1, "restarts": {4: 50, 5: 60, 6: 80, 7: 100, 8: 100}}
+#: sic_search(d, **SEARCH_PROVENANCE) returns exactly these amplitudes. Its
+#: restart 0 certifies in each of these dimensions, so the budget is 1.
+SEARCH_PROVENANCE = {"seed": 1, "restarts": 1}
 
 # Amplitudes (re, im) of the search results above, written so that each
 # float literal reads back to the identical double.
 _SEARCHED = {
     4: (
-        (-0.1964888402604903, 0.043231735862316614),
-        (0.48973314794564177, -0.5684090153453965),
-        (0.10437064304373365, 0.4743660230118332),
-        (0.3976149507288864, -0.050811256471248345),
+        (0.10406906735472064, 0.17218152209948998),
+        (0.37906233880220963, 0.13035020571176795),
+        (0.41568296584262343, -0.2512449538314045),
+        (-0.690676237290037, 0.2930762702190887),
     ),
     5: (
-        (-0.28069542198036607, -0.27226125177854604),
-        (0.13040036078934808, 0.11122508191290305),
-        (-0.7064502628679715, -0.02920273942033176),
-        (-0.47329054387124836, 0.026925776941950336),
-        (-0.20153885525534207, -0.2289912606702225),
+        (0.03589756919385381, 0.2389981606422251),
+        (0.3678578205578667, -0.19447624758497875),
+        (0.19964026495779874, 0.01087720165718831),
+        (-0.6905214801875976, 0.12603501148406435),
+        (0.485048210927283, 0.022356255566614268),
     ),
     6: (
-        (-0.3075719807711451, 0.3237595355314689),
-        (-0.5977977902670545, 0.30006013758488803),
-        (-0.14143300695202188, 0.14828683886655128),
-        (0.37898188248569453, -0.21873049039086445),
-        (-0.13993635572786267, -0.2236571876810558),
-        (-0.08766833762454386, -0.20598038787255316),
+        (0.01966958737741734, -0.26309281363844833),
+        (0.4372406022239162, 0.01705726958931907),
+        (0.19421949578879777, 0.06535341989598288),
+        (-0.668754336327389, 0.012881065908166655),
+        (0.4229632347055241, 0.1432580269670181),
+        (0.01835117157614779, 0.22310735557528819),
     ),
     7: (
-        (0.6145215852222098, -0.07184971669952211),
-        (0.2642229474956375, -0.1451850055510631),
-        (-0.2546979897344802, -0.38159857632709693),
-        (-0.013834552381633806, -0.4662485258107099),
-        (0.11721610561989583, 0.16809247078865516),
-        (-0.04043577189508421, -0.12725701702672504),
-        (0.16735470362813867, -0.10202487238825608),
+        (0.0563432344759395, 0.12105717640901949),
+        (0.39849415836233687, 0.2273564276212019),
+        (0.19225673855576328, -0.038131586541707715),
+        (-0.4280927168602996, -0.18524499569898278),
+        (0.596173249774758, 0.16545880679744815),
+        (0.14166180540078271, -0.14807642298187954),
+        (-0.23259034328461942, 0.19181810141600525),
     ),
     8: (
-        (-0.2188272660288187, 0.3536330341413978),
-        (0.06845016773074099, -0.02362229516379759),
-        (0.2818105281851711, 0.5302084000558636),
-        (0.27619368781452186, -0.3671671433604264),
-        (-0.15902645761788237, -0.10216157828681667),
-        (0.16266010128503158, -0.15603478075961658),
-        (-0.25912706784366535, -0.17410804288534293),
-        (0.18458664779079575, 0.17921450496741875),
+        (0.3089833395296419, -0.04460654413569462),
+        (0.15374684620104312, 0.16482435693791883),
+        (0.18759130501125806, -0.023149613057625484),
+        (-0.3819340249118448, 0.25538415175317225),
+        (0.48375381002079365, -0.3556970235694237),
+        (0.06703319280289571, 0.02738593350288468),
+        (-0.043950644757781085, -0.41353359720715827),
+        (0.16869063894079775, 0.19425122307747245),
     ),
 }
 
@@ -466,7 +369,8 @@ def known_fiducial(dim: int) -> Ket:
     """Registry fiducial for d = 2..8, certified to 1e-10 on first access.
 
     d = 2 and 3 are closed forms; d = 4..8 are the vectors this package's
-    own sic_search returns for SEARCH_PROVENANCE, stored bit-exact. Raises
+    own sic_search returns for SEARCH_PROVENANCE (the first certified
+    restart at seed 1), stored bit-exact. Raises
     KeyError for a dimension outside the registry.
     """
     if dim not in _KNOWN:

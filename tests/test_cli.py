@@ -57,6 +57,7 @@ class TestSicSearch:
         assert data["max_sic_deviation"] < 1e-8
         assert data["certified"] is True
         assert data["seed"] == 1 and data["restarts_used"] == 10
+        assert data["restart_index"] == 0  # the first restart certifies; no other runs
 
     def test_dimension_out_of_range(self, workdir):
         assert main(["sic-search", "--dim", "1", "--out", "f.json"]) == 1
@@ -70,12 +71,16 @@ class TestSicSearch:
         assert code == 0
 
     def test_unattainable_tolerance_exits_two(self, workdir):
+        # Each of the five d = 3 restarts ends ~1e-13 from a SIC. (A tolerance
+        # is never unattainable at d = 2, where restart seed 3 ends exactly on one.)
         code = main(
-            ["sic-search", "--dim", "2", "--restarts", "5", "--seed", "1",
+            ["sic-search", "--dim", "3", "--restarts", "5", "--seed", "1",
              "--tol", "1e-16", "--out", "fid.json"]
         )
         assert code == 2
-        assert load(workdir / "fid.json")["certified"] is False
+        data = load(workdir / "fid.json")
+        assert data["certified"] is False
+        assert data["restarts_used"] == 5 and data["restart_index"] in range(5)
 
     def test_bad_flag_exits_one(self, workdir):
         assert main(["sic-search", "--dim", "two", "--out", "f.json"]) == 1
@@ -464,6 +469,18 @@ def test_input_field_of_the_wrong_type_exits_one(workdir, capsys, argv, payload)
     (workdir / "bad.json").write_text(json.dumps(payload))
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: malformed input file bad.json: ")
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["simulate", "--probs", "bad.json", "--n", "5"], "[" * 100_000 + "]" * 100_000),
+    (["steer", "--state", "bad.json"], '{"dim": 1e400, "vector": [[1, 0], [0, 0]]}'),
+    (["interval", "99999999999999999999999", "0.5", "0", "5"], None),
+], ids=["probs-nested-100000-deep", "state-dim-1e400", "interval-n-beyond-int64"])
+def test_overflowing_or_deeply_nested_input_exits_one(workdir, capsys, argv, text):
+    if text is not None:
+        (workdir / "bad.json").write_text(text)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_json_results_record_their_environment(workdir):

@@ -22,7 +22,7 @@ INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 LAYERS = ("errors", "operators", "sic", "born", "correlations", "sampling", "serialize")
 
-# The package's public names as of artifact_version 0.5.0.
+# The package's public names as of artifact_version 0.6.0.
 PUBLIC = [
     "__version__", "CondProbMatrix", "CorrelationTable", "DataTable", "DensityOperator",
     "FiducialCandidate", "Ket", "MeasurementFamily", "OutcomeCounts", "Povm", "ProbVector",

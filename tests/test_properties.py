@@ -3,8 +3,7 @@
 Fuchs & Schack, Quantum-Bayesian coherence, Rev. Mod. Phys. 85, 1693 (2013):
 a reference's probabilities determine the state, and the general and SIC
 forms of the urgleichung both reproduce tr(rho F). The stacked evaluations
-that check_trials and sic_search rely on are checked against single calls
-bit for bit. Outcome counts, one multinomial draw, sum to the trial count,
+that check_trials relies on are checked against single calls bit for bit. Outcome counts, one multinomial draw, sum to the trial count,
 leave zero-probability outcomes empty, and pass a two-sample chi-square
 test against per-draw inverse-CDF sampling. Correlation tables (Fuchs,
 Mermin & Schack, Am. J. Phys. 82, 749 (2014)) are checked against a
@@ -58,7 +57,6 @@ from probrep.sampling import (
     _stirlerr,
     binomial_interval_prob,
 )
-from probrep.sic import SEARCH_WINDOW, _descend, _Evaluator, _least_squares, _lm_step
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -267,40 +265,6 @@ def test_stacked_traces_equal_single_rows(d, lead, x, y, broadcast, seed):
         assert got[k].tobytes() == _traces(a[k], b_k).tobytes()
         einsum = np.real(np.einsum("xij,yji->xy", a[k], b_k))
         assert np.max(np.abs(got[k] - einsum)) <= 1e-15 * scale
-
-
-def _rows_bytes(rows):
-    return [tuple(np.asarray(v).tobytes() for v in row) for row in rows]
-
-
-@PROPERTY
-@given(d=dims, seed=seeds, rows=st.integers(1, SEARCH_WINDOW + 1))
-def test_batched_search_evaluations_equal_single_rows(d, seed, rows):
-    rng = np.random.default_rng(seed)
-    ev = _Evaluator(d)
-    x = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
-    x /= np.linalg.norm(x, axis=1)[:, None]
-    r = 0.1 * (rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d)))
-    step = rng.uniform(0.0, 1.0, rows)
-    mu = 10.0 ** rng.uniform(-14.0, 0.0, rows)
-
-    systems = list(_least_squares(ev, x))
-    jtj = np.array([row[4] for row in systems])
-    jtf = np.array([row[5] for row in systems])
-    batched = {
-        "least squares": systems,
-        "descend": list(_descend(ev, x, r, step)),
-        "lm step": list(_lm_step(ev, x, jtj, jtf, mu)),
-    }
-    for b in range(rows):
-        one = slice(b, b + 1)
-        single = {
-            "least squares": _least_squares(ev, x[one]),
-            "descend": _descend(ev, x[one], r[one], step[one]),
-            "lm step": _lm_step(ev, x[one], jtj[one], jtf[one], mu[one]),
-        }
-        for kind, rows_b in single.items():
-            assert _rows_bytes(rows_b) == _rows_bytes(batched[kind][b:b + 1]), (kind, b)
 
 
 def _inverse_cdf_counts(probs, n, rng):

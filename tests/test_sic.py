@@ -1,7 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from probrep import (
@@ -19,13 +19,13 @@ from probrep import (
 )
 from probrep import sic
 from probrep.errors import NoConvergence
+from probrep.operators import CERT_TOL
 from probrep.sic import (
     GRAD_TOL,
     MAX_ITERATIONS,
     SEARCH_PROVENANCE,
-    SEARCH_WINDOW,
-    _Evaluator,
     _potential_and_gradient,
+    _terms,
     displacement_stack,
     registry_dims,
     sic_target,
@@ -120,11 +120,11 @@ class TestFramePotential:
     def test_gradient_matches_finite_differences(self):
         # central differences, step 1e-6, 1e-5 relative agreement
         for d in (2, 3, 5):
-            ev = _Evaluator(d)
+            stack = displacement_stack(d)
+            adjoint = stack.conj().transpose(0, 2, 1)
 
             def potential_and_gradient(v):
-                pot, grad = _potential_and_gradient(*ev.terms(v[None]))
-                return pot[0], grad[0]
+                return _potential_and_gradient(*_terms(v, stack, adjoint))
 
             x = random_pure_state(d, seed=d).amplitudes
             _, grad = potential_and_gradient(x)
@@ -173,7 +173,8 @@ class TestSicSearch:
 # ---------------------------------------------------------------------------
 # oracle: the search as one loop per restart (projected gradient descent,
 # then a Levenberg-Marquardt polish), evaluating one point per call.
-# sic_search runs its restarts in lockstep and must return exactly its bits.
+# sic_search must return exactly the bits of the first restart here that
+# converges and certifies.
 # ---------------------------------------------------------------------------
 
 
@@ -276,68 +277,98 @@ def loop_minimize_restart(dim, rng, gtol):
 
 
 def loop_restarts(dim, seed, restarts, gtol):
-    """Results of restarts seed, seed + 1, ..., one after another."""
-    return [
-        loop_minimize_restart(dim, np.random.default_rng(seed + i), gtol)
-        for i in range(restarts)
-    ]
+    """Results of restarts seed, seed + 1, ..., one after another, each run when asked for."""
+    return (loop_minimize_restart(dim, np.random.default_rng(seed + i), gtol)
+            for i in range(restarts))
 
 
-def loop_outcome(results, dim, seed, gtol):
-    """What the search over these restart results returns or raises."""
+def loop_search(dim, seed, restarts, gtol=GRAD_TOL, tol=CERT_TOL):
+    """What sic_search(dim, seed, restarts, gtol, tol) should return or raise.
+
+    The first restart that converges and certifies wins; failing that, the
+    converged one with the lowest potential.
+    """
     best = closest = None
-    for i, (pot, x, rnorm) in enumerate(results):
-        if rnorm < gtol and (best is None or pot < best[0]):
-            best = (pot, x)
+    for i, (pot, x, rnorm) in enumerate(loop_restarts(dim, seed, restarts, gtol)):
+        if rnorm < gtol:
+            ket = make_ket(x)
+            if max_sic_deviation(ket) < tol:
+                best = (pot, ket, i)
+                break
+            if best is None or pot < best[0]:
+                best = (pot, ket, i)
         if closest is None or rnorm < closest[0]:
             closest = (rnorm, seed + i)
     if best is None:
         return (
-            f"no restart of {len(results)} reached gradient norm < {gtol} in dimension {dim}; "
+            f"no restart of {restarts} reached gradient norm < {gtol} in dimension {dim}; "
             f"the closest reached {closest[0]:.3e} (restart seed {closest[1]})"
         )
-    ket = make_ket(best[1])
+    _, ket, i = best
     return (dim, ket.amplitudes.tobytes(), repr(frame_potential(ket)),
-            repr(max_sic_deviation(ket)), seed, len(results))
+            repr(max_sic_deviation(ket)), seed, restarts, i)
 
 
-def search_outcome(dim, seed, restarts, gtol=GRAD_TOL):
+def search_outcome(dim, seed, restarts, gtol=GRAD_TOL, tol=CERT_TOL):
     """sic_search's candidate fields as bytes and reprs, or its NoConvergence message."""
     try:
-        cand = sic_search(dim, seed, restarts, gtol)
+        cand = sic_search(dim, seed, restarts, gtol, tol)
     except NoConvergence as err:
         return str(err)
     return (cand.dim, cand.vector.amplitudes.tobytes(), repr(cand.frame_potential),
-            repr(cand.max_sic_deviation), cand.seed, cand.restarts_used)
+            repr(cand.max_sic_deviation), cand.seed, cand.restarts_used, cand.restart_index)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(d=st.integers(2, 8), seed=st.integers(0, 2**31))
+def test_search_returns_the_first_certified_restart_run_alone(d, seed):
+    want = loop_search(d, seed, 100)
+    assert isinstance(want, tuple) and float(want[3]) < CERT_TOL
+    assert search_outcome(d, seed, 100) == want
 
 
 class TestLockstepSearch:
-    """sic_search against the per-restart loop above."""
+    """sic_search against the per-restart loop above.
 
-    RESTARTS = (1, 3, SEARCH_WINDOW - 1, SEARCH_WINDOW, SEARCH_WINDOW + 1, 100)
+    The class name is kept so that its test ids stay stable; the restarts
+    run one at a time.
+    """
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_matches_per_restart_loop_bit_for_bit(self, d):
         for seed in (0, 7, 1000):
-            results = loop_restarts(d, seed, max(self.RESTARTS), GRAD_TOL)
-            for restarts in self.RESTARTS:
-                want = loop_outcome(results[:restarts], d, seed, GRAD_TOL)
+            for restarts in (1, 2, 5, 100):
+                want = loop_search(d, seed, restarts)
                 assert isinstance(want, tuple), (d, seed, restarts)
                 assert search_outcome(d, seed, restarts) == want, (d, seed, restarts)
+
+    @pytest.mark.parametrize("seed, winner", [(451016, 4), (602634, 2)])
+    def test_a_later_restart_wins_when_restart_zero_does_not_certify(self, seed, winner):
+        want = loop_search(6, seed, 100)
+        assert want[-1] == winner
+        assert search_outcome(6, seed, 100) == want
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_no_certification_returns_the_lowest_converged_potential(self, d):
+        # an unattainable tolerance: every restart runs
+        for seed in (0, 7):
+            want = loop_search(d, seed, 5, tol=1e-300)
+            assert isinstance(want, tuple), (d, seed)
+            assert search_outcome(d, seed, 5, tol=1e-300) == want, (d, seed)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_no_convergence_matches_loop_and_names_closest_restart(self, d):
         # an unreachable target: every restart polishes until it stalls
         for seed in (0, 7):
-            results = loop_restarts(d, seed, 3, 1e-30)
             for restarts in (1, 3):
-                want = loop_outcome(results[:restarts], d, seed, 1e-30)
+                want = loop_search(d, seed, restarts, 1e-30)
                 assert isinstance(want, str)
                 assert search_outcome(d, seed, restarts, 1e-30) == want, (d, seed, restarts)
 
     def test_exact_ties_go_to_the_lowest_restart(self, monkeypatch):
         # Starts x0 and -x0 run through exactly negated arithmetic, so their
-        # restarts tie exactly on the potential with opposite vectors.
+        # restarts tie exactly on the potential with opposite vectors. With
+        # no restart certified, the lowest-potential one wins.
         d = 3
         draws = np.random.default_rng(3).standard_normal((2, d))
 
@@ -350,42 +381,16 @@ class TestLockstepSearch:
                 return self.sign * next(self.draws)
 
         monkeypatch.setattr(np.random, "default_rng", SignedStart)
-        restarts = SEARCH_WINDOW + 2  # the last restart starts opposite to the first
+        restarts = 4
         for seed in (4, 5):
-            results = loop_restarts(d, seed, restarts, GRAD_TOL)
+            results = list(loop_restarts(d, seed, restarts, GRAD_TOL))
             assert len({pot for pot, _, _ in results}) == 1
             assert all(rnorm < GRAD_TOL for _, _, rnorm in results)
             assert not np.array_equal(results[0][1], results[1][1])
-            found = sic_search(d, seed, restarts)
+            found = sic_search(d, seed, restarts, tol=1e-300)
+            assert found.max_sic_deviation >= 1e-300
+            assert found.restart_index == 0
             assert found.vector.amplitudes.tobytes() == results[0][1].tobytes()
-
-    def test_ties_go_to_the_lowest_restart_whatever_the_finishing_order(self, monkeypatch):
-        x = known_fiducial(2).amplitudes
-        finished = [(1, (0.25, -x, 0.0)), (3, (0.5, x, 0.0)), (0, (0.25, x, 0.0)),
-                    (2, (0.25, 1j * x, 0.0))]
-        monkeypatch.setattr(sic, "_lockstep", lambda *args: iter(finished))
-        found = sic_search(2, 0, 4)
-        assert np.array_equal(found.vector.amplitudes, x)
-        # none converged: the closest restart named is the lowest of the tied
-        finished = [(1, (0.25, x, 0.5)), (3, (0.25, x, 0.7)), (0, (0.25, x, 0.5)),
-                    (2, (0.25, x, 0.5))]
-        with pytest.raises(NoConvergence, match=r"5.000e-01 \(restart seed 10\)"):
-            sic_search(2, 10, 4)
-
-    def test_window_bounds_memory(self):
-        # With the window, 400 restarts peaked at 1.0-1.3x the peak of 100
-        # over seeds 0..7 (a longer search spends more rounds with the window
-        # full); with all restarts live the ratio was 3.7.
-        sic_search(8, 2, 1)  # fill the caches first
-        peaks = {}
-        for restarts in (100, 400):
-            tracemalloc.start()
-            try:
-                sic_search(8, 3, restarts)
-                peaks[restarts] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[400] <= 1.5 * peaks[100], peaks
 
     @pytest.mark.parametrize(
         "bad",
@@ -402,6 +407,11 @@ class TestLockstepSearch:
             {"gtol": float("nan")},
             {"gtol": float("inf")},
             {"gtol": "1e-10"},
+            {"tol": 0.0},
+            {"tol": -1.0},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"tol": "1e-8"},
         ],
     )
     def test_bad_inputs_rejected_before_any_restart(self, bad, monkeypatch):
@@ -463,7 +473,7 @@ class TestRegistry:
 
     def test_stored_vectors_are_the_search_results(self):
         # the search stays the oracle for every stored (non-closed-form) vector
-        seed = SEARCH_PROVENANCE["seed"]
-        for d, restarts in SEARCH_PROVENANCE["restarts"].items():
-            found = sic_search(d, seed=seed, restarts=restarts)
-            assert np.array_equal(known_fiducial(d).amplitudes, found.vector.amplitudes)
+        for d in range(4, 9):
+            found = sic_search(d, **SEARCH_PROVENANCE)
+            assert found.restart_index == 0
+            assert known_fiducial(d).amplitudes.tobytes() == found.vector.amplitudes.tobytes()
