@@ -350,23 +350,24 @@ def check_trials(ref: ReferenceMeasurement, seeds) -> tuple[float, float | None]
     and, when ref is a SIC, the largest max_j |q_sic(j) - q_general(j)|
     (None otherwise). Trials with one outcome count n are evaluated in stacks
     of up to STACK_ENTRIES // (n d^2); every value is bit-identical to
-    evaluating the trials one at a time with the public functions. A failing
-    trial raises TrialFailed for the first failing trial in seed order, with
-    the error evaluating that trial alone raises as its cause.
+    evaluating the trials one at a time with the public functions. When a
+    stack fails, the trials are checked again one at a time in seed order,
+    and the first that fails raises TrialFailed, with its error as the cause.
     """
     worst_general = worst_sic = 0.0
-    first_failure = None
-    for stack in _stacks(ref.dim, seeds):
+    for _, rhos, parts in _stacks(ref.dim, seeds):
         try:
-            general, sic_dev = _evaluate(ref, *stack)
-        except TrialFailed as err:
-            if first_failure is None or err.trial < first_failure.trial:
-                first_failure = err
-            continue
+            general, sic_dev = _stack_deviations(ref, rhos, parts)
+        except (ProbrepError, ValueError):
+            for t, seed in enumerate(seeds):
+                ((_, rhos, parts),) = _stacks(ref.dim, [seed])
+                try:
+                    _stack_deviations(ref, rhos, parts)
+                except (ProbrepError, ValueError) as err:
+                    raise TrialFailed(t, seed, err) from err
+            raise
         worst_general = max(worst_general, general)
         worst_sic = max(worst_sic, sic_dev)
-    if first_failure is not None:
-        raise first_failure
     return worst_general, (worst_sic if ref.sic_certified else None)
 
 
@@ -406,24 +407,6 @@ def _stack_inputs(drawer: np.random.Generator, dim: int, n: int, trials: list):
         rows = ranks == rank
         rhos[rows] = _grams(draws[rows, width - 2 * dim * rank : width].reshape(-1, 2, dim, rank))
     return trials, _unit_trace(rhos), _grams(draws[:, width:].reshape(k, n, 2, dim, dim))
-
-
-def _evaluate(ref: ReferenceMeasurement, trials: list, rhos, parts) -> tuple[float, float]:
-    """_stack_deviations, raising TrialFailed for the stack's first failing trial.
-
-    The stack runs each check for all its trials before the next check, so
-    its own error may come from a later trial than the first one to fail;
-    the trials are then evaluated alone, in order, to find that one.
-    """
-    try:
-        return _stack_deviations(ref, rhos, parts)
-    except (ProbrepError, ValueError) as err:
-        if len(trials) == 1:
-            t, seed = trials[0][:2]
-            raise TrialFailed(t, seed, err) from err
-        for i in range(len(trials)):
-            _evaluate(ref, trials[i : i + 1], rhos[i : i + 1], parts[i : i + 1])
-        raise
 
 
 def _stack_deviations(ref: ReferenceMeasurement, rhos, parts) -> tuple[float, float]:

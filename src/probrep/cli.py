@@ -65,8 +65,8 @@ def _write_result(path: str, payload: dict) -> None:
 def _read(path: str, parse):
     """parse(JSON object in path).
 
-    A top level or field of the wrong type, or JSON nested too deeply to
-    decode, is a malformed input.
+    A top level or field of the wrong type, JSON nested too deeply to
+    decode, or an integer too large for a float is a malformed input.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -74,7 +74,7 @@ def _read(path: str, parse):
         if not isinstance(data, dict):
             raise TypeError(f"expected an object at the top level, got {type(data).__name__}")
         return parse(data)
-    except (TypeError, AttributeError, RecursionError) as err:
+    except (TypeError, AttributeError, RecursionError, OverflowError) as err:
         raise ValueError(f"malformed input file {path}: {err}") from err
 
 
@@ -209,9 +209,7 @@ def run_bell(params: dict) -> int:
     if params["chsh"]:
         payload["chsh"] = correlations.chsh_value(table)
     if params["simulate"]:
-        dt = sampling.data_table_sim(
-            table, params["simulate"], params["seed"], mode="blocked"
-        )
+        dt = sampling.data_table_sim(table, params["simulate"], params["seed"])
         empirical = dt.empirical_table()
         payload["simulate"] = {
             "n_per_setting": params["simulate"],

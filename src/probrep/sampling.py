@@ -31,8 +31,6 @@ import numpy as np
 from . import correlations
 from .operators import _check_draw_args, _freeze, _is_int, prob_values
 
-SAMPLING_MODES = ("blocked", "per-trial-random")
-
 #: Most terms binomial_interval_prob evaluates at once; a block of float64s
 #: this size (512 KiB) bounds the peak memory of any interval.
 DRAW_BLOCK = 1 << 16
@@ -54,30 +52,19 @@ class OutcomeCounts:
 class DataTable:
     """Per-setting joint outcome counts d(x, y | a, b).
 
-    counts maps a setting pair to an (n_x, n_y) integer block; n_trials
-    maps it to that setting's realized trial count (constant in blocked
-    mode, multinomial in per-trial-random mode).
+    counts maps a setting pair to an (n_x, n_y) integer block of n_trials
+    draws; every setting pair gets the same n_trials.
     """
 
     settings_a: Tuple
     settings_b: Tuple
     counts: Dict[Tuple, np.ndarray]
-    n_trials: Dict[Tuple, int]
-    sampling_mode: str
+    n_trials: int
     seed: int
 
     def empirical_table(self) -> correlations.CorrelationTable:
-        """Relative frequencies as a correlation table.
-
-        Raises ValueError when a setting has no realized trials (possible
-        in per-trial-random mode with small trial counts).
-        """
-        probs = {}
-        for key, block in self.counts.items():
-            n = self.n_trials[key]
-            if n == 0:
-                raise ValueError(f"setting {key!r} received no trials")
-            probs[key] = block / n
+        """Relative frequencies as a correlation table."""
+        probs = {key: block / self.n_trials for key, block in self.counts.items()}
         return correlations.make_table(self.settings_a, self.settings_b, probs)
 
 
@@ -247,46 +234,26 @@ def binomial_interval_prob(n: int, p: float, lo: int, hi: int) -> float:
 
 
 def data_table_sim(
-    table: correlations.CorrelationTable,
-    n_per_setting: int,
-    seed: int,
-    mode: str = "blocked",
+    table: correlations.CorrelationTable, n_per_setting: int, seed: int
 ) -> DataTable:
     """Sample a data table from a correlation table.
 
-    blocked: every setting pair gets exactly n_per_setting trials, sampled
-    in row-major setting order from a single seeded stream. per-trial-random:
-    the total n_per_setting * n_settings trials each draw their setting
-    uniformly first, so the realized setting counts are one multinomial draw
-    of the total; counts are per realized setting. Raises ValueError unless
-    n_per_setting >= 1 and seed >= 0 are integers, the counts (and in
-    per-trial-random mode the total) are below 2**63, and mode is one of
-    SAMPLING_MODES.
+    Every setting pair gets exactly n_per_setting trials, its counts one
+    multinomial draw, the pairs taken in row-major setting order from a
+    single default_rng(seed) stream. Raises ValueError unless
+    1 <= n_per_setting < 2**63 and seed >= 0 are integers.
     """
     _check_draw_args(n_per_setting, "n_per_setting", seed)
-    if mode not in SAMPLING_MODES:
-        raise ValueError(f"mode must be one of {SAMPLING_MODES}, got {mode!r}")
-    keys = [(a, b) for a in table.settings_a for b in table.settings_b]
     rng = np.random.default_rng(seed)
-
-    if mode == "blocked":
-        trials = {key: n_per_setting for key in keys}
-    else:
-        total = n_per_setting * len(keys)
-        _check_draw_args(total, "the total trial count n_per_setting * settings", seed)
-        realized = rng.multinomial(total, [1 / len(keys)] * len(keys))
-        trials = {key: int(realized[i]) for i, key in enumerate(keys)}
-
     counts = {}
-    for key in keys:
+    for key in ((a, b) for a in table.settings_a for b in table.settings_b):
         block = table.block(*key)
-        flat = _draw_counts(block.reshape(-1), trials[key], rng)
+        flat = _draw_counts(block.reshape(-1), n_per_setting, rng)
         counts[key] = _freeze(flat.reshape(block.shape))
     return DataTable(
         settings_a=table.settings_a,
         settings_b=table.settings_b,
         counts=counts,
-        n_trials=trials,
-        sampling_mode=mode,
+        n_trials=int(n_per_setting),
         seed=seed,
     )

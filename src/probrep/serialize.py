@@ -25,13 +25,26 @@ def dumps(payload) -> str:
 def complex_pairs(array: np.ndarray):
     """Nested [re, im] lists for a complex vector or matrix."""
     a = np.asarray(array, dtype=complex)
-    if a.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in a]
-    return [complex_pairs(row) for row in a]
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def _numbers(data) -> np.ndarray:
+    """A nested list of JSON numbers as a float array. A bool or a numeric
+    string is not a number, though numpy would convert it: TypeError."""
+    _check_numbers(data)
+    return np.asarray(data, dtype=float)
+
+
+def _check_numbers(data) -> None:
+    if isinstance(data, list):
+        for item in data:
+            _check_numbers(item)
+    elif isinstance(data, bool) or not isinstance(data, (int, float)):
+        raise TypeError(f"expected a JSON number, got {json.dumps(data)}")
 
 
 def from_pairs(data) -> np.ndarray:
-    a = np.asarray(data, dtype=float)
+    a = _numbers(data)
     if a.ndim < 2 or a.shape[-1] != 2:
         raise ValueError("expected nested [re, im] pairs")
     return a[..., 0] + 1j * a[..., 1]
@@ -114,7 +127,7 @@ def fiducial_from_payload(data: dict) -> sic.FiducialCandidate:
 
 
 def prob_values_from_payload(data: dict) -> np.ndarray:
-    return np.asarray(data["values"], dtype=float)
+    return _numbers(data["values"])
 
 
 def table_payload(table: correlations.CorrelationTable) -> dict:
@@ -125,7 +138,7 @@ def table_payload(table: correlations.CorrelationTable) -> dict:
             {
                 "a": str(a),
                 "b": str(b),
-                "p": [[float(v) for v in row] for row in table.block(a, b)],
+                "p": table.block(a, b).tolist(),
             }
             for a in table.settings_a
             for b in table.settings_b
@@ -153,7 +166,7 @@ def table_csv(table: correlations.CorrelationTable, manifest_line: Optional[str]
 
 def table_from_payload(data: dict) -> correlations.CorrelationTable:
     probs = {
-        (blk["a"], blk["b"]): np.asarray(blk["p"], dtype=float)
+        (blk["a"], blk["b"]): _numbers(blk["p"])
         for blk in data["blocks"]
     }
     return correlations.make_table(tuple(data["settings_a"]), tuple(data["settings_b"]), probs)
@@ -163,14 +176,13 @@ def data_table_payload(dt: sampling.DataTable) -> dict:
     return {
         "settings_a": [str(a) for a in dt.settings_a],
         "settings_b": [str(b) for b in dt.settings_b],
-        "sampling_mode": dt.sampling_mode,
         "seed": dt.seed,
         "blocks": [
             {
                 "a": str(a),
                 "b": str(b),
-                "n_trials": int(dt.n_trials[(a, b)]),
-                "counts": [[int(v) for v in row] for row in dt.counts[(a, b)]],
+                "n_trials": dt.n_trials,
+                "counts": dt.counts[(a, b)].tolist(),
             }
             for a in dt.settings_a
             for b in dt.settings_b

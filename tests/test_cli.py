@@ -464,18 +464,26 @@ def test_input_file_of_the_wrong_json_shape_exits_one(workdir, capsys, flag, sha
     (["simulate", "--probs", "bad.json", "--n", "10"], {"values": {"p": 1.0}}),
     (["rerun", "bad.json"], {"manifest": {"command": "simulate", "params": [1]}}),
     (["rerun", "bad.json"], {"manifest": {"command": ["simulate"], "params": {}}}),
+    # a bool or a numeric string is not a number, though numpy would read one as such
+    (["simulate", "--probs", "bad.json", "--n", "5"], {"values": [True, False]}),
+    (["simulate", "--probs", "bad.json", "--n", "5"], {"values": ["0.5", "0.5"]}),
+    (["simulate", "--probs", "bad.json", "--n", "5"], {"values": [True, 0.5]}),
+    (["bell", "--state", "bad.json"], {"dim": 4, "vector": [[False, 0], ["1", 0], [0, 0], [0, 0]]}),
 ])
 def test_input_field_of_the_wrong_type_exits_one(workdir, capsys, argv, payload):
     (workdir / "bad.json").write_text(json.dumps(payload))
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: malformed input file bad.json: ")
+    assert list(workdir.iterdir()) == [workdir / "bad.json"]
 
 
 @pytest.mark.parametrize("argv,text", [
     (["simulate", "--probs", "bad.json", "--n", "5"], "[" * 100_000 + "]" * 100_000),
     (["steer", "--state", "bad.json"], '{"dim": 1e400, "vector": [[1, 0], [0, 0]]}'),
     (["interval", "99999999999999999999999", "0.5", "0", "5"], None),
-], ids=["probs-nested-100000-deep", "state-dim-1e400", "interval-n-beyond-int64"])
+    (["simulate", "--probs", "bad.json", "--n", "5"], '{"values": [1%s, 0]}' % ("0" * 400)),
+], ids=["probs-nested-100000-deep", "state-dim-1e400", "interval-n-beyond-int64",
+        "probs-integer-beyond-float"])
 def test_overflowing_or_deeply_nested_input_exits_one(workdir, capsys, argv, text):
     if text is not None:
         (workdir / "bad.json").write_text(text)

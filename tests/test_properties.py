@@ -440,10 +440,9 @@ def test_interval_skipping_dead_blocks_equals_whole_window_sum(query):
     n_b=st.integers(1, 3),
     shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
     n_per_setting=st.sampled_from((1, 2, 7, 1000, DRAW_BLOCK + 1)),
-    mode=st.sampled_from(("blocked", "per-trial-random")),
     seed=seeds,
 )
-def test_data_table_counts_sum_to_trials(n_a, n_b, shape, n_per_setting, mode, seed):
+def test_data_table_counts_sum_to_trials(n_a, n_b, shape, n_per_setting, seed):
     settings_a = tuple(f"a{i}" for i in range(n_a))
     settings_b = tuple(f"b{j}" for j in range(n_b))
     size = shape[0] * shape[1]
@@ -451,14 +450,11 @@ def test_data_table_counts_sum_to_trials(n_a, n_b, shape, n_per_setting, mode, s
         (a, b): _distribution(size, ZERO_PATTERNS[t % 5], 0, seed + t).reshape(shape)
         for t, (a, b) in enumerate((a, b) for a in settings_a for b in settings_b)
     }
-    dt = data_table_sim(make_table(settings_a, settings_b, probs), n_per_setting, seed, mode)
-    for key, block in dt.counts.items():
+    dt = data_table_sim(make_table(settings_a, settings_b, probs), n_per_setting, seed)
+    assert dt.n_trials == n_per_setting
+    for block in dt.counts.values():
         assert block.shape == shape and block.min() >= 0
-        assert block.sum() == dt.n_trials[key]
-    if mode == "blocked":
-        assert set(dt.n_trials.values()) == {n_per_setting}
-    else:
-        assert sum(dt.n_trials.values()) == n_per_setting * n_a * n_b
+        assert block.sum() == n_per_setting
 
 
 def _einsum_table(psi, fam_a, fam_b):

@@ -307,25 +307,18 @@ def test_sample_outcomes_refuses_bad_n_or_seed(n, seed, bad, no_draws):
         sample_outcomes([0.5, 0.5], n, seed)
 
 
-@pytest.mark.parametrize("mode", ["blocked", "per-trial-random"])
 @pytest.mark.parametrize("n,seed,bad", BAD_DRAW_ARGS)
-def test_data_table_sim_refuses_bad_n_or_seed(n, seed, bad, mode, no_draws):
+def test_data_table_sim_refuses_bad_n_or_seed(n, seed, bad, no_draws):
     name = "n_per_setting" if bad == "n" else bad
     with pytest.raises(ValueError, match=f"^{name} must"):
-        data_table_sim(canonical_chsh_table(), n, seed, mode=mode)
-
-
-def test_per_trial_random_total_beyond_int64_refused():
-    # each of the 4 settings' count fits in int64, their total does not
-    with pytest.raises(ValueError, match="^the total trial count"):
-        data_table_sim(canonical_chsh_table(), 2**62, 0, mode="per-trial-random")
+        data_table_sim(canonical_chsh_table(), n, seed)
 
 
 def test_numpy_integer_arguments_accepted():
     counts = sample_outcomes([0.5, 0.5], np.int64(100), np.uint32(11))
     assert tuple(counts.counts) == tuple(sample_outcomes([0.5, 0.5], 100, 11).counts)
     dt = data_table_sim(canonical_chsh_table(), np.int32(50), np.int64(3))
-    assert sum(dt.n_trials.values()) == 200
+    assert dt.n_trials == 50 and sum(block.sum() for block in dt.counts.values()) == 200
 
 
 def point_mass_table():
@@ -341,46 +334,21 @@ class TestDataTableSim:
 
     def test_blocked_trial_counts(self):
         table = canonical_chsh_table()
-        dt = data_table_sim(table, 200, seed=1, mode="blocked")
-        for key, block in dt.counts.items():
-            assert block.sum() == dt.n_trials[key] == 200
-
-    def test_per_trial_random_counts(self):
-        table = canonical_chsh_table()
-        dt = data_table_sim(table, 200, seed=1, mode="per-trial-random")
-        total = sum(block.sum() for block in dt.counts.values())
-        assert total == 200 * 4
-        for key, block in dt.counts.items():
-            assert block.sum() == dt.n_trials[key]
-
-    def test_per_trial_random_peak_memory_does_not_grow_with_trials(self):
-        # drawing each trial's setting on its own would take 8 bytes a trial
-        table = canonical_chsh_table()
-        data_table_sim(table, 10, 0, mode="per-trial-random")  # fill the caches first
-        peaks = {}
-        for n in (1000, 10**6):
-            tracemalloc.start()
-            try:
-                data_table_sim(table, n, 0, mode="per-trial-random")
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[10**6] <= 1.5 * peaks[1000], peaks
+        dt = data_table_sim(table, 200, seed=1)
+        assert dt.n_trials == 200
+        for block in dt.counts.values():
+            assert block.sum() == 200
 
     def test_deterministic(self):
         table = canonical_chsh_table()
-        for mode in ("blocked", "per-trial-random"):
-            a = data_table_sim(table, 100, seed=7, mode=mode)
-            b = data_table_sim(table, 100, seed=7, mode=mode)
-            for key in a.counts:
-                assert np.array_equal(a.counts[key], b.counts[key])
+        a = data_table_sim(table, 100, seed=7)
+        b = data_table_sim(table, 100, seed=7)
+        for key in a.counts:
+            assert np.array_equal(a.counts[key], b.counts[key])
 
-    def test_rejects_bad_mode_and_n(self):
-        table = point_mass_table()
+    def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            data_table_sim(table, 0, seed=0)
-        with pytest.raises(ValueError):
-            data_table_sim(table, 10, seed=0, mode="interleaved")
+            data_table_sim(point_mass_table(), 0, seed=0)
 
     def test_phi_plus_anticorrelation_cells_stay_empty(self):
         # p(0,1) = p(1,0) = 0 exactly, so no draw ever lands there
@@ -398,16 +366,3 @@ class TestDataTableSim:
         dt = data_table_sim(table, 100_000, seed=5)
         emp = dt.empirical_table()
         assert chsh_value(emp) == pytest.approx(2 * np.sqrt(2), abs=0.05)
-
-    def test_empirical_table_requires_trials_everywhere(self):
-        probs = {
-            (a, b): np.array([[1.0, 0.0], [0.0, 0.0]])
-            for a in ("a1", "a2", "a3")
-            for b in ("b1", "b2", "b3")
-        }
-        table = make_table(("a1", "a2", "a3"), ("b1", "b2", "b3"), probs)
-        # 9 settings, 9 total trials: seed 0 leaves some setting empty
-        dt = data_table_sim(table, 1, seed=0, mode="per-trial-random")
-        assert min(dt.n_trials.values()) == 0
-        with pytest.raises(ValueError):
-            dt.empirical_table()

@@ -73,7 +73,7 @@ def test_table_round_trip_and_csv():
 def test_data_table_csv_and_payload():
     dt = data_table_sim(canonical_chsh_table(), 100, seed=0)
     payload = serialize.data_table_payload(dt)
-    assert payload["seed"] == 0 and payload["sampling_mode"] == "blocked"
+    assert payload["seed"] == 0 and "sampling_mode" not in payload
     total = sum(sum(map(sum, blk["counts"])) for blk in payload["blocks"])
     assert total == 400
     csv = serialize.data_table_csv(dt)
@@ -83,6 +83,18 @@ def test_data_table_csv_and_payload():
 def test_from_pairs_rejects_flat_lists():
     with pytest.raises(ValueError):
         serialize.from_pairs([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", None])
+def test_payload_numbers_must_be_json_numbers(bad):
+    table = serialize.table_payload(canonical_chsh_table())
+    table["blocks"][0]["p"][0][0] = bad
+    with pytest.raises(TypeError, match="expected a JSON number"):
+        serialize.table_from_payload(table)
+    with pytest.raises(TypeError, match="expected a JSON number"):
+        serialize.from_pairs([[1, 0], [bad, 0]])
+    with pytest.raises(TypeError, match="expected a JSON number"):
+        serialize.prob_values_from_payload({"values": [0.5, bad]})
 
 
 def test_dumps_is_deterministic():
