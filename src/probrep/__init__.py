@@ -18,7 +18,7 @@ import sys
 import threading
 import types
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 #: Every public name, by the layer module that defines it.
 _PUBLIC = {

@@ -22,10 +22,8 @@ import numpy as np
 
 from . import __version__, born, correlations, sampling, serialize, sic
 from .errors import NoConvergence, ProbrepError
-from .operators import (CERT_TOL, _check_draw_args, _require_positive, check_dim,
-                        make_prob_vector, projector_povm)
-
-BORN_CHECK_TOL = 1e-9
+from .operators import (BORN_CHECK_TOL, CERT_TOL, _check_draw_args, _require_positive,
+                        check_dim, make_prob_vector, projector_povm)
 
 
 class _Parser(argparse.ArgumentParser):

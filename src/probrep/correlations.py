@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DimensionMismatch, NotBipartite, WrongArity, WrongDimension
 from .operators import (
     EIGENVALUE_TOL,
+    NO_STEERING_TOL,
+    SUPPORT_CUT,
     DensityOperator,
     Ket,
     Povm,
@@ -129,33 +131,22 @@ def lhv_chsh_bound() -> float:
     best = 0.0
     for fa in range(4):
         for gb in range(4):
-            xa = ((fa >> 0) & 1, (fa >> 1) & 1)
-            yb = ((gb >> 0) & 1, (gb >> 1) & 1)
             probs = {}
             for ia, a in enumerate(("a1", "a2")):
                 for ib, b in enumerate(("b1", "b2")):
                     blk = np.zeros((2, 2))
-                    blk[xa[ia], yb[ib]] = 1.0
+                    blk[(fa >> ia) & 1, (gb >> ib) & 1] = 1.0
                     probs[(a, b)] = blk
-            table = make_table(("a1", "a2"), ("b1", "b2"), probs)
-            best = max(best, chsh_value(table))
+            best = max(best, chsh_value(make_table(("a1", "a2"), ("b1", "b2"), probs)))
     return best
 
 
 def no_signalling_check(table: CorrelationTable) -> float:
     """Largest spread of one side's marginals across the other side's settings."""
-    worst = 0.0
-    for b in table.settings_b:
-        margs = np.stack(
-            [table.block(a, b).sum(axis=0) for a in table.settings_a]
-        )
-        worst = max(worst, float(np.max(margs.max(axis=0) - margs.min(axis=0))))
-    for a in table.settings_a:
-        margs = np.stack(
-            [table.block(a, b).sum(axis=1) for b in table.settings_b]
-        )
-        worst = max(worst, float(np.max(margs.max(axis=0) - margs.min(axis=0))))
-    return worst
+    sa, sb = table.settings_a, table.settings_b
+    margs = [np.stack([table.block(a, b).sum(axis=0) for a in sa]) for b in sb]
+    margs += [np.stack([table.block(a, b).sum(axis=1) for b in sb]) for a in sa]
+    return max(float(np.max(m.max(axis=0) - m.min(axis=0))) for m in margs)
 
 
 @dataclass(frozen=True)
@@ -177,7 +168,7 @@ class SteeringReport:
     @property
     def no_steering(self) -> bool:
         """True when the two ensembles share a state (maximum fidelity ~ 1)."""
-        return self.overlap > 1.0 - 1e-9
+        return self.overlap > 1.0 - NO_STEERING_TOL
 
 
 def _projective_rank1_vectors(povm: Povm) -> np.ndarray:
@@ -220,7 +211,7 @@ def steering_ensembles(psi: Ket, basis_1: Povm, basis_2: Povm) -> SteeringReport
             sub = vecs[k].conj() @ amp  # unnormalized conditional ket of B
             prob = float(np.real(sub.conj() @ sub))
             marginal += np.outer(sub, sub.conj())
-            if prob > 1e-12:
+            if prob > SUPPORT_CUT:
                 cond = np.outer(sub, sub.conj()) / prob
                 cond = 0.5 * (cond + cond.conj().T)
                 members.append((prob, DensityOperator(db, _freeze(cond))))
@@ -275,12 +266,8 @@ def embedded_correlation_table(
     rho = psi.density()
     probs = {}
     for (a, b), povm in zip(joint.settings, joint.povms):
-        ia = fam_a.settings.index(a)
-        ib = fam_b.settings.index(b)
-        nx = len(fam_a.povms[ia])
-        ny = len(fam_b.povms[ib])
-        q = born_probabilities(rho, povm)
-        probs[(a, b)] = q.values.reshape(nx, ny)
+        nx = len(fam_a.povms[fam_a.settings.index(a)])
+        probs[(a, b)] = born_probabilities(rho, povm).values.reshape(nx, -1)
     return make_table(fam_a.settings, fam_b.settings, probs)
 
 

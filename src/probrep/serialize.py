@@ -28,11 +28,14 @@ def complex_pairs(array: np.ndarray):
     return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
-def _numbers(data) -> np.ndarray:
-    """A nested list of JSON numbers as a float array. A bool or a numeric
-    string is not a number, though numpy would convert it: TypeError."""
+def _numbers(data, ndim=None) -> np.ndarray:
+    """A nested list of JSON numbers as a float array, of ndim axes when given. A bool,
+    a numeric string (numpy would convert both) or another nesting depth: TypeError."""
     _check_numbers(data)
-    return np.asarray(data, dtype=float)
+    a = np.asarray(data, dtype=float)
+    if ndim is not None and a.ndim != ndim:
+        raise TypeError(f"expected JSON numbers nested {ndim} deep, got {a.ndim} deep")
+    return a
 
 
 def _check_numbers(data) -> None:
@@ -43,11 +46,20 @@ def _check_numbers(data) -> None:
         raise TypeError(f"expected a JSON number, got {json.dumps(data)}")
 
 
-def from_pairs(data) -> np.ndarray:
-    a = _numbers(data)
+def from_pairs(data, ndim=None) -> np.ndarray:
+    """Nested [re, im] pairs as a complex array, of ndim axes when given."""
+    a = _numbers(data, None if ndim is None else ndim + 1)
     if a.ndim < 2 or a.shape[-1] != 2:
         raise ValueError("expected nested [re, im] pairs")
     return a[..., 0] + 1j * a[..., 1]
+
+
+def _optional_int(data: dict, key: str):
+    """Field key, a JSON integer, or None when it is absent or null."""
+    value = data.get(key)
+    if value is not None and not _is_int(value):
+        raise TypeError(f"field {key!r} must be a JSON integer or null, got {json.dumps(value)}")
+    return value
 
 
 def ket_payload(ket: Ket) -> dict:
@@ -63,7 +75,7 @@ def _check_dim_field(data: dict, found: int) -> None:
 
 
 def ket_from_payload(data: dict) -> Ket:
-    vec = from_pairs(data["vector"])
+    vec = from_pairs(data["vector"], 1)
     _check_dim_field(data, vec.shape[0])
     return make_ket(vec)
 
@@ -112,22 +124,22 @@ def fiducial_payload(candidate: sic.FiducialCandidate) -> dict:
 
 
 def fiducial_from_payload(data: dict) -> sic.FiducialCandidate:
-    """Candidate from its fields; "restart_index" is optional (absent before 0.6.0)."""
-    ket = make_ket(from_pairs(data["vector"]))
+    """Candidate from its fields; seed, restarts_used and restart_index may be null or absent."""
+    ket = make_ket(from_pairs(data["vector"], 1))
     _check_dim_field(data, ket.dim)
     return sic.FiducialCandidate(
         dim=ket.dim,
         vector=ket,
-        frame_potential=float(data["frame_potential"]),
-        max_sic_deviation=float(data["max_sic_deviation"]),
-        seed=data.get("seed"),
-        restarts_used=data.get("restarts_used"),
-        restart_index=data.get("restart_index"),
+        frame_potential=float(_numbers(data["frame_potential"], 0)),
+        max_sic_deviation=float(_numbers(data["max_sic_deviation"], 0)),
+        seed=_optional_int(data, "seed"),
+        restarts_used=_optional_int(data, "restarts_used"),
+        restart_index=_optional_int(data, "restart_index"),
     )
 
 
 def prob_values_from_payload(data: dict) -> np.ndarray:
-    return _numbers(data["values"])
+    return _numbers(data["values"], 1)
 
 
 def table_payload(table: correlations.CorrelationTable) -> dict:

@@ -22,13 +22,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergence
-from .operators import (CERT_TOL, Ket, _check_draw_args, _freeze, _require_positive, check_dim,
-                        make_ket)
+from .operators import (CERT_TOL, GRAD_TOL, REGISTRY_CERT_TOL, SEARCH_HANDOFF_GRAD,
+                        SEARCH_RESIDUAL_TARGET, Ket, _check_draw_args, _freeze, _require_positive,
+                        check_dim, make_ket)
 
-GRAD_TOL = 1e-10
 MAX_ITERATIONS = 10_000
-_GD_SWITCH = 1e-5          # hand over to the least-squares polish below this
-_RESIDUAL_TARGET = 1e-12   # polish until every SIC residual is this small
 
 
 def sic_target(dim: int) -> float:
@@ -42,9 +40,7 @@ def displacement_stack(dim: int) -> np.ndarray:
     d = check_dim(dim)
     omega = np.exp(2j * np.pi / d)
     tau = -np.exp(1j * np.pi / d)
-    shift = np.zeros((d, d), dtype=complex)
-    for m in range(d):
-        shift[(m + 1) % d, m] = 1.0
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)  # X|m> = |m+1 mod d>
     clock = np.diag(omega ** np.arange(d))
     out = np.empty((d * d, d, d), dtype=complex)
     for j in range(d):
@@ -195,7 +191,7 @@ def _restart(dim, seed, gtol):
     prev = None  # (x, r) before the last accepted step
     for _ in range(MAX_ITERATIONS):
         rnorm2 = float(np.real(np.vdot(r, r)))
-        if np.sqrt(rnorm2) < _GD_SWITCH:
+        if np.sqrt(rnorm2) < SEARCH_HANDOFF_GRAD:
             break
         if prev is not None:
             # Barzilai-Borwein initial step for the backtracking search
@@ -224,7 +220,7 @@ def _restart(dim, seed, gtol):
         pot, g = _potential_and_gradient(dx, ddx, c)
         rnorm = float(np.linalg.norm(_tangent(x, g)))
         f = _residuals(c, target)
-        if rnorm < gtol and float(np.max(np.abs(f))) < _RESIDUAL_TARGET:
+        if rnorm < gtol and float(np.max(np.abs(f))) < SEARCH_RESIDUAL_TARGET:
             return pot, x, rnorm
         ga = c[1:, None].conj() * dx[1:] + c[1:, None] * ddx[1:]
         jac = np.concatenate([2.0 * ga.real, 2.0 * ga.imag], axis=1)
@@ -366,7 +362,7 @@ _KNOWN = {
 
 @lru_cache(maxsize=None)
 def known_fiducial(dim: int) -> Ket:
-    """Registry fiducial for d = 2..8, certified to 1e-10 on first access.
+    """Registry fiducial for d = 2..8, certified to REGISTRY_CERT_TOL on first access.
 
     d = 2 and 3 are closed forms; d = 4..8 are the vectors this package's
     own sic_search returns for SEARCH_PROVENANCE (the first certified
@@ -376,7 +372,7 @@ def known_fiducial(dim: int) -> Ket:
     if dim not in _KNOWN:
         raise KeyError(f"no registry fiducial for dimension {dim}")
     ket = make_ket(_KNOWN[dim])
-    cert = sic_certify(ket, tolerance=1e-10)
+    cert = sic_certify(ket, tolerance=REGISTRY_CERT_TOL)
     if not cert.passed:
         raise AssertionError(
             f"registry fiducial for d={dim} failed certification: "

@@ -459,6 +459,9 @@ def test_input_file_of_the_wrong_json_shape_exits_one(workdir, capsys, flag, sha
     assert capsys.readouterr().err.startswith("error: malformed input file bad.json: ")
 
 
+NESTED_KET = [[[0.7071067811865476, 0], [0, 0]], [[0, 0], [0.7071067811865476, 0]]]
+
+
 @pytest.mark.parametrize("argv,payload", [
     (["steer", "--basis-a", "bad.json"], {"dim": 2, "elements": 5}),
     (["simulate", "--probs", "bad.json", "--n", "10"], {"values": {"p": 1.0}}),
@@ -469,6 +472,11 @@ def test_input_file_of_the_wrong_json_shape_exits_one(workdir, capsys, flag, sha
     (["simulate", "--probs", "bad.json", "--n", "5"], {"values": ["0.5", "0.5"]}),
     (["simulate", "--probs", "bad.json", "--n", "5"], {"values": [True, 0.5]}),
     (["bell", "--state", "bad.json"], {"dim": 4, "vector": [[False, 0], ["1", 0], [0, 0], [0, 0]]}),
+    # an array of the wrong shape is malformed, not flattened: a matrix of pairs is no ket
+    # (once read as the dim-4 phi+), and a nested list is no distribution
+    (["steer", "--state", "bad.json"], {"dim": 2, "vector": NESTED_KET}),
+    (["bell", "--state", "bad.json"], {"dim": 2, "vector": NESTED_KET}),
+    (["simulate", "--probs", "bad.json", "--n", "5"], {"values": [[[0.25, 0.25]], [[0.5, 0]]]}),
 ])
 def test_input_field_of_the_wrong_type_exits_one(workdir, capsys, argv, payload):
     (workdir / "bad.json").write_text(json.dumps(payload))

@@ -46,10 +46,12 @@ from probrep import (
     urgleichung_sic,
 )
 from probrep import born
-from probrep.born import _check_cond_stack, _general_rule, _sic_rule, random_ic_inputs
+from probrep.born import (_check_cond_stack, _general_rule, _sic_rule, check_trials,
+                          random_ic_inputs)
+from probrep.cli import BORN_CHECK_TOL, main
 from probrep.correlations import family, make_table
-from probrep.errors import IllConditionedReference
-from probrep.operators import _check_prob_rows, _grams, _traces, _whiten
+from probrep.errors import IllConditionedReference, NotInformationallyComplete
+from probrep.operators import BORN_ERROR_CONSTANT, _check_prob_rows, _grams, _traces, _whiten
 from probrep.sampling import (
     DRAW_BLOCK,
     _bd0,
@@ -105,6 +107,62 @@ def test_general_and_sic_rules_equal_trace_rule(d, ref_seed, seed):
     assert np.max(np.abs(urgleichung_general(ref, p, r).values - q_true)) < 1e-9
     if ref.sic_certified:
         assert np.max(np.abs(urgleichung_sic(d, p, r).values - q_true)) < 1e-9
+
+
+# born-check's trial count per reference, as the born-sweep benchmark runs it.
+SWEEP_TRIALS = 300
+
+
+def sweep_deviation(ref, ref_seed):
+    """born-check's max deviation for a reference built from ref_seed."""
+    return check_trials(ref, range(ref_seed + 1, ref_seed + 1 + SWEEP_TRIALS))[0]
+
+
+@PROPERTY
+@given(d=dims, ref_seed=seeds)
+def test_accepted_reference_passes_born_check(d, ref_seed):
+    """The cap BORN_CHECK_TOL / (c eps) keeps every reference make_reference accepts
+    within born-check's tolerance."""
+    try:
+        ref = random_reference(d, ref_seed)
+    except (IllConditionedReference, NotInformationallyComplete):
+        assume(False)
+    assert sweep_deviation(ref, ref_seed) < BORN_CHECK_TOL
+
+
+def test_condition_cap_keeps_the_well_conditioned_references():
+    assert born.CONDITION_CAP == BORN_CHECK_TOL / (BORN_ERROR_CONSTANT * np.finfo(float).eps)
+    assert born.CONDITION_CAP > COND_LIMIT
+
+
+# From the sweep that fitted the cap's constant (d = 2..8, seeds 0..399): the references
+# 0.7.0 refused, or accepted and then failed (3, 364), and the accepted ones of largest cond.
+@pytest.mark.parametrize("d,ref_seed", [(3, 364), (5, 12), (6, 62), (8, 126), (8, 161)])
+def test_references_past_the_cap_are_refused(d, ref_seed):
+    with pytest.raises(IllConditionedReference):
+        random_reference(d, ref_seed)
+
+
+def test_reference_of_deficient_rank_is_refused():
+    with pytest.raises(NotInformationallyComplete):
+        random_reference(7, 225)
+
+
+@pytest.mark.parametrize("d,ref_seed", [(5, 107), (5, 220), (4, 304)])
+def test_largest_cond_accepted_references_pass_born_check(d, ref_seed):
+    ref = random_reference(d, ref_seed)
+    assert 2e7 < ref.condition_number <= born.CONDITION_CAP
+    assert sweep_deviation(ref, ref_seed) < BORN_CHECK_TOL
+
+
+def test_born_check_refuses_seed_364_before_writing(tmp_path, monkeypatch, capsys):
+    """Its reference (cond 2.5e8) once passed the old cap and then failed its trials (exit 2)."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["born-check", "--dim", "3", "--reference", "random", "--seed", "364",
+            "--report", "r.json"]
+    assert main(argv) == 1
+    assert "ill-conditioned" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @PROPERTY

@@ -95,6 +95,20 @@ def test_payload_numbers_must_be_json_numbers(bad):
         serialize.from_pairs([[1, 0], [bad, 0]])
     with pytest.raises(TypeError, match="expected a JSON number"):
         serialize.prob_values_from_payload({"values": [0.5, bad]})
+    fiducial = serialize.fiducial_payload(sic_search(2, seed=1, restarts=1))
+    for key in ("frame_potential", "max_sic_deviation"):
+        with pytest.raises(TypeError, match="expected a JSON number"):
+            serialize.fiducial_from_payload({**fiducial, key: bad})
+        with pytest.raises(TypeError, match="expected JSON numbers nested 0 deep, got 1 deep"):
+            serialize.fiducial_from_payload({**fiducial, key: [0.5]})
+    for key in ("seed", "restarts_used", "restart_index"):
+        for value in ([bad, 1.0, [1]] if bad is not None else [1.0, [1]]):
+            with pytest.raises(TypeError, match=f"field '{key}' must be a JSON integer or null"):
+                serialize.fiducial_from_payload({**fiducial, key: value})
+        # null and absent are read as None
+        assert getattr(serialize.fiducial_from_payload({**fiducial, key: None}), key) is None
+        absent = {k: v for k, v in fiducial.items() if k != key}
+        assert getattr(serialize.fiducial_from_payload(absent), key) is None
 
 
 def test_dumps_is_deterministic():
