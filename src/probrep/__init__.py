@@ -8,9 +8,10 @@ drives correlation, steering and sampling experiments from a seeded CLI.
 
 Importing the package runs none of its layer modules. Each one is
 registered in sys.modules and as an attribute of the package, and its code
-runs when one of its attributes is first read, under one re-entrant lock,
-so a thread that reads it while another runs it waits for the whole
-module. A command therefore compiles and runs only the layers it calls.
+runs when one of its attributes is first read, set or deleted, under one
+re-entrant lock, so a thread that reads it while another runs it waits for
+the whole module. A command therefore compiles and runs only the layers it
+calls.
 """
 
 import importlib.util
@@ -18,7 +19,7 @@ import sys
 import threading
 import types
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 #: Every public name, by the layer module that defines it.
 _PUBLIC = {
@@ -57,24 +58,39 @@ _running = set()  # ids of the layers whose code the thread holding _LOCK is run
 
 
 class _Pending(types.ModuleType):
-    """A registered layer whose code has not run; reading any attribute runs it.
+    """A registered layer whose code has not run; reading, setting or deleting
+    any attribute runs it first, so the code cannot undo an earlier write.
 
     The class switches to types.ModuleType only once the code has run, so
-    another thread never sees a half-built module. A read from inside the
-    running code (a circular import) sees the module as built so far.
+    another thread never sees a half-built module. A read or write from
+    inside the running code (a circular import) sees the module as built so
+    far.
     """
 
     def __getattribute__(self, name):
-        with _LOCK:
-            if type(self) is _Pending and id(self) not in _running:
-                _running.add(id(self))
-                try:
-                    spec = types.ModuleType.__getattribute__(self, "__spec__")
-                    spec.loader.exec_module(self)
-                finally:
-                    _running.discard(id(self))
-                self.__class__ = types.ModuleType
+        _run(self)
         return types.ModuleType.__getattribute__(self, name)
+
+    def __setattr__(self, name, value):
+        _run(self)
+        types.ModuleType.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        _run(self)
+        types.ModuleType.__delattr__(self, name)
+
+
+def _run(module: types.ModuleType) -> None:
+    """Run a pending layer's code, unless it has run or this thread is running it."""
+    with _LOCK:
+        if type(module) is _Pending and id(module) not in _running:
+            _running.add(id(module))
+            try:
+                spec = types.ModuleType.__getattribute__(module, "__spec__")
+                spec.loader.exec_module(module)
+            finally:
+                _running.discard(id(module))
+            types.ModuleType.__setattr__(module, "__class__", types.ModuleType)
 
 
 def _register(layer: str) -> types.ModuleType:

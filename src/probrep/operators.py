@@ -57,9 +57,7 @@ CERT_TOL = 1e-8
 REGISTRY_CERT_TOL = 1e-10
 #: contract: projected-gradient norm at which a sic_search restart has converged.
 GRAD_TOL = 1e-10
-#: contract: projected-gradient norm at which a restart hands its descent to the polish.
-SEARCH_HANDOFF_GRAD = 1e-5
-#: contract: largest SIC residual at which the polish of a restart stops.
+#: contract: largest SIC residual at which a sic_search restart stops.
 SEARCH_RESIDUAL_TARGET = 1e-12
 #: contract: largest second eigenvalue of a rank-1 reference element (born.make_reference).
 RANK_ONE_TOL = 1e-10

@@ -30,9 +30,13 @@ def complex_pairs(array: np.ndarray):
 
 def _numbers(data, ndim=None) -> np.ndarray:
     """A nested list of JSON numbers as a float array, of ndim axes when given. A bool,
-    a numeric string (numpy would convert both) or another nesting depth: TypeError."""
+    a numeric string (numpy would convert both), a ragged list or another nesting
+    depth: TypeError."""
     _check_numbers(data)
-    a = np.asarray(data, dtype=float)
+    try:
+        a = np.asarray(data, dtype=float)
+    except ValueError:
+        raise TypeError("expected equal-length lists at each depth, got a ragged list") from None
     if ndim is not None and a.ndim != ndim:
         raise TypeError(f"expected JSON numbers nested {ndim} deep, got {a.ndim} deep")
     return a

@@ -10,7 +10,9 @@ A unit vector phi is a SIC fiducial when |<phi|D_{jk}|phi>|^2 = 1/(d+1)
 for every nonzero (j, k); the frame potential
 P(phi) = sum_{(j,k) != 0} |<phi|D_{jk}|phi>|^4 is bounded below by
 (d-1)/(d+1) with equality exactly on SIC fiducials, which makes it the
-search objective.
+search objective. Each restart of the search minimizes it as the
+least-squares problem of the SIC residuals |<phi|D_{jk}|phi>|^2 - 1/(d+1),
+by Levenberg-Marquardt steps from a random unit vector.
 """
 
 from __future__ import annotations
@@ -22,11 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergence
-from .operators import (CERT_TOL, GRAD_TOL, REGISTRY_CERT_TOL, SEARCH_HANDOFF_GRAD,
-                        SEARCH_RESIDUAL_TARGET, Ket, _check_draw_args, _freeze, _require_positive,
-                        check_dim, make_ket)
-
-MAX_ITERATIONS = 10_000
+from .operators import (CERT_TOL, GRAD_TOL, REGISTRY_CERT_TOL, SEARCH_RESIDUAL_TARGET, Ket,
+                        _check_draw_args, _freeze, _require_positive, check_dim, make_ket)
 
 
 def sic_target(dim: int) -> float:
@@ -171,12 +170,15 @@ def _residuals(c, target):
 def _restart(dim, seed, gtol):
     """One local minimization from the start default_rng(seed) draws.
 
-    Projected gradient descent with Barzilai-Borwein steps, then a
-    Levenberg-Marquardt polish of the SIC residuals: on the unit sphere
-    sum_a |c_a|^2 is constant, so minimizing the frame potential is the same
-    problem as driving the residuals to zero, and the least-squares form
-    converges quadratically where line searches on the potential stall at
-    float precision. Returns (potential, unit vector, projected gradient norm).
+    Levenberg-Marquardt steps on the SIC residuals, from the random start:
+    on the unit sphere sum_a |c_a|^2 is constant, so minimizing the frame
+    potential is the same problem as driving the residuals to zero, and the
+    least-squares form converges quadratically where line searches on the
+    potential stall at float precision. Each step is renormalized onto the
+    sphere; the damping starts at 1e-12, grows tenfold per refused step and
+    shrinks fourfold after an accepted one. Returns (potential, unit vector,
+    projected gradient norm) once both the gradient and the residuals are
+    small, when no damping lowers the residuals, or after 80 steps.
     """
     stack = displacement_stack(dim)
     adjoint = stack.conj().transpose(0, 2, 1)
@@ -185,34 +187,6 @@ def _restart(dim, seed, gtol):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     x /= np.linalg.norm(x)
-    pot, g = _potential_and_gradient(*_terms(x, stack, adjoint))
-    r = _tangent(x, g)
-    alpha = 1e-2
-    prev = None  # (x, r) before the last accepted step
-    for _ in range(MAX_ITERATIONS):
-        rnorm2 = float(np.real(np.vdot(r, r)))
-        if np.sqrt(rnorm2) < SEARCH_HANDOFF_GRAD:
-            break
-        if prev is not None:
-            # Barzilai-Borwein initial step for the backtracking search
-            s = x - prev[0]
-            sy = abs(float(np.real(np.vdot(s, r - prev[1]))))
-            if sy > 1e-300:
-                alpha = min(max(float(np.real(np.vdot(s, s))) / sy, 1e-10), 1e2)
-        step = alpha
-        for _ in range(50):
-            xn = x - step * r
-            xn /= np.linalg.norm(xn)
-            pot_n, g_n = _potential_and_gradient(*_terms(xn, stack, adjoint))
-            if pot_n < pot and pot_n - pot <= -1e-4 * step * rnorm2:
-                break
-            step *= 0.5
-        else:
-            break  # decrease below float resolution: hand over to the polish
-        prev = (x, r)
-        x, pot, r = xn, pot_n, _tangent(xn, g_n)
-
-    # Levenberg-Marquardt steps on the SIC residuals, renormalizing each move
     mu = 1e-12
     eye = np.eye(2 * dim)
     for _ in range(80):
@@ -254,7 +228,7 @@ def sic_search(dim: int, seed: int, restarts: int, gtol: float = GRAD_TOL,
     returned uncertified (exact ties go to the lowest index). Raises
     ValueError unless restarts >= 1 and seed >= 0 are integers and gtol and
     tol are finite and > 0, and NoConvergence when no restart converges
-    within the iteration cap.
+    within its 80 Levenberg-Marquardt steps.
     """
     d = check_dim(dim)
     _check_draw_args(restarts, "restarts", seed)
@@ -304,44 +278,44 @@ SEARCH_PROVENANCE = {"seed": 1, "restarts": 1}
 # float literal reads back to the identical double.
 _SEARCHED = {
     4: (
-        (0.10406906735472064, 0.17218152209948998),
-        (0.37906233880220963, 0.13035020571176795),
-        (0.41568296584262343, -0.2512449538314045),
-        (-0.690676237290037, 0.2930762702190887),
+        (0.3525271160339077, 0.6623080834351114),
+        (0.2867368928442012, 0.39204375929159524),
+        (0.09659961895261784, -0.3890346339922956),
+        (-0.16238984214231153, 0.11877030984878904),
     ),
     5: (
-        (0.03589756919385381, 0.2389981606422251),
-        (0.3678578205578667, -0.19447624758497875),
-        (0.19964026495779874, 0.01087720165718831),
-        (-0.6905214801875976, 0.12603501148406435),
-        (0.485048210927283, 0.022356255566614268),
+        (-0.058419757987933384, 0.19121108959700683),
+        (0.39016643280266256, -0.2890358521022491),
+        (0.1694293823171834, 0.3800448281818866),
+        (-0.6434750997002346, 0.28043632929147855),
+        (0.21208939871093202, 0.11587425606611979),
     ),
     6: (
-        (0.01966958737741734, -0.26309281363844833),
-        (0.4372406022239162, 0.01705726958931907),
-        (0.19421949578879777, 0.06535341989598288),
-        (-0.668754336327389, 0.012881065908166655),
-        (0.4229632347055241, 0.1432580269670181),
-        (0.01835117157614779, 0.22310735557528819),
+        (0.014935691763376457, -0.2634039604245644),
+        (0.4374766212799396, 0.00919241602923377),
+        (0.19536322619066818, 0.06185056094272914),
+        (-0.6684145993982115, 0.024903966088918598),
+        (0.42547079880844574, 0.1356294937111412),
+        (0.022359935055127872, 0.22274130940251088),
     ),
     7: (
-        (0.0563432344759395, 0.12105717640901949),
-        (0.39849415836233687, 0.2273564276212019),
-        (0.19225673855576328, -0.038131586541707715),
-        (-0.4280927168602996, -0.18524499569898278),
-        (0.596173249774758, 0.16545880679744815),
-        (0.14166180540078271, -0.14807642298187954),
-        (-0.23259034328461942, 0.19181810141600525),
+        (0.11253399027843136, 0.131210953316157),
+        (0.1727486494482781, -0.006173925162647441),
+        (0.18799449640834962, 0.13694949104456353),
+        (-0.4926364273655191, -0.2067126167783258),
+        (0.5335393273415753, -0.027505302810959146),
+        (0.17274864944827914, -0.0061739251626373596),
+        (-0.46876822010718433, 0.2562754598481149),
     ),
     8: (
-        (0.3089833395296419, -0.04460654413569462),
-        (0.15374684620104312, 0.16482435693791883),
-        (0.18759130501125806, -0.023149613057625484),
-        (-0.3819340249118448, 0.25538415175317225),
-        (0.48375381002079365, -0.3556970235694237),
-        (0.06703319280289571, 0.02738593350288468),
-        (-0.043950644757781085, -0.41353359720715827),
-        (0.16869063894079775, 0.19425122307747245),
+        (0.30804125440041297, -0.050705359421282056),
+        (0.15697481421981246, 0.16175311143039434),
+        (0.18709706630724898, -0.0268531204847326),
+        (-0.3768113436704234, 0.2628837682956682),
+        (0.4766283975116836, -0.36518966575089046),
+        (0.06756142110180802, 0.02605556888413808),
+        (-0.052116184649312426, -0.4125840502143712),
+        (0.1724973545015418, 0.1908788412143478),
     ),
 }
 

@@ -90,6 +90,14 @@ class TestPublicNames:
             " mods.items() if type(m) is types.ModuleType)}))")
         assert result == {"registered": sorted(f"probrep.{x}" for x in LAYERS), "ran": []}
 
+    def test_an_attribute_set_or_deleted_before_first_use_stays_so(self):
+        # The write runs the layer's code first, so the code cannot rebind the name.
+        result = python(
+            "import json\nfrom probrep import born, sic\n"
+            "born.CONDITION_CAP = 5.0\ndel sic.SEARCH_PROVENANCE\n"
+            "print(json.dumps([born.CONDITION_CAP, hasattr(sic, 'SEARCH_PROVENANCE')]))")
+        assert result == [5.0, False]
+
 
 @pytest.fixture
 def inputs(tmp_path):

@@ -111,6 +111,14 @@ def test_payload_numbers_must_be_json_numbers(bad):
         assert getattr(serialize.fiducial_from_payload(absent), key) is None
 
 
+def test_ragged_lists_are_a_type_error():
+    # numpy's own ValueError would escape cli._read's malformed-input report
+    with pytest.raises(TypeError, match="ragged list"):
+        serialize.prob_values_from_payload({"values": [[0.5], 0.5]})
+    with pytest.raises(TypeError, match="ragged list"):
+        serialize.from_pairs([[0.7071067811865476, 0], 0.7071067811865476])
+
+
 def test_dumps_is_deterministic():
     payload = serialize.ket_payload(make_ket(np.array([1.0, 1.0]) / np.sqrt(2)))
     assert serialize.dumps(payload) == serialize.dumps(dict(reversed(list(payload.items()))))

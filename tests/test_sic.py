@@ -22,7 +22,6 @@ from probrep.errors import NoConvergence
 from probrep.operators import CERT_TOL
 from probrep.sic import (
     GRAD_TOL,
-    MAX_ITERATIONS,
     SEARCH_PROVENANCE,
     _potential_and_gradient,
     _terms,
@@ -171,8 +170,8 @@ class TestSicSearch:
 
 
 # ---------------------------------------------------------------------------
-# oracle: the search as one loop per restart (projected gradient descent,
-# then a Levenberg-Marquardt polish), evaluating one point per call.
+# oracle: the search as one Levenberg-Marquardt loop per restart, evaluating
+# one point per call.
 # sic_search must return exactly the bits of the first restart here that
 # converges and certifies.
 # ---------------------------------------------------------------------------
@@ -238,41 +237,9 @@ def loop_minimize_restart(dim, rng, gtol):
     """(potential, unit vector, projected gradient norm) of one restart."""
     stack = displacement_stack(dim)
     stack_dag = stack.conj().transpose(0, 2, 1)
-    target = 1.0 / (dim + 1)
-
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     x /= np.linalg.norm(x)
-    pot, g = loop_potential_and_gradient(x, stack, stack_dag)
-    r = loop_tangent(x, g)
-    alpha = 1e-2
-    prev = None
-    for _ in range(MAX_ITERATIONS):
-        rnorm2 = float(np.real(np.vdot(r, r)))
-        if np.sqrt(rnorm2) < 1e-5:
-            break
-        if prev is not None:
-            s = x - prev[0]
-            y = r - prev[1]
-            sy = abs(float(np.real(np.vdot(s, y))))
-            if sy > 1e-300:
-                alpha = min(max(float(np.real(np.vdot(s, s))) / sy, 1e-10), 1e2)
-        step = alpha
-        accepted = False
-        for _ in range(50):
-            xn = x - step * r
-            xn /= np.linalg.norm(xn)
-            pot_n, g_n = loop_potential_and_gradient(xn, stack, stack_dag)
-            if pot_n < pot and pot_n - pot <= -1e-4 * step * rnorm2:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        prev = (x, r)
-        x, pot = xn, pot_n
-        r = loop_tangent(x, g_n)
-
-    x, pot, rnorm = loop_polish(x, stack, stack_dag, target, gtol)
+    x, pot, rnorm = loop_polish(x, stack, stack_dag, 1.0 / (dim + 1), gtol)
     return pot, x, rnorm
 
 
@@ -342,7 +309,7 @@ class TestLockstepSearch:
                 assert isinstance(want, tuple), (d, seed, restarts)
                 assert search_outcome(d, seed, restarts) == want, (d, seed, restarts)
 
-    @pytest.mark.parametrize("seed, winner", [(451016, 4), (602634, 2)])
+    @pytest.mark.parametrize("seed, winner", [(602634, 1), (185, 2)])
     def test_a_later_restart_wins_when_restart_zero_does_not_certify(self, seed, winner):
         want = loop_search(6, seed, 100)
         assert want[-1] == winner
