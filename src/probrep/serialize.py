@@ -28,16 +28,16 @@ def complex_pairs(array: np.ndarray):
     return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
-def _numbers(data, ndim=None) -> np.ndarray:
-    """A nested list of JSON numbers as a float array, of ndim axes when given. A bool,
-    a numeric string (numpy would convert both), a ragged list or another nesting
-    depth: TypeError."""
+def _numbers(data, ndim: int) -> np.ndarray:
+    """A nested list of JSON numbers as a float array of ndim axes. A bool, a numeric
+    string (numpy would convert both), a ragged list or another nesting depth:
+    TypeError."""
     _check_numbers(data)
     try:
         a = np.asarray(data, dtype=float)
     except ValueError:
         raise TypeError("expected equal-length lists at each depth, got a ragged list") from None
-    if ndim is not None and a.ndim != ndim:
+    if a.ndim != ndim:
         raise TypeError(f"expected JSON numbers nested {ndim} deep, got {a.ndim} deep")
     return a
 
@@ -50,11 +50,11 @@ def _check_numbers(data) -> None:
         raise TypeError(f"expected a JSON number, got {json.dumps(data)}")
 
 
-def from_pairs(data, ndim=None) -> np.ndarray:
-    """Nested [re, im] pairs as a complex array, of ndim axes when given."""
-    a = _numbers(data, None if ndim is None else ndim + 1)
-    if a.ndim < 2 or a.shape[-1] != 2:
-        raise ValueError("expected nested [re, im] pairs")
+def from_pairs(data, ndim: int) -> np.ndarray:
+    """Nested [re, im] pairs as a complex array of ndim axes; another last axis: TypeError."""
+    a = _numbers(data, ndim + 1)
+    if a.shape[-1] != 2:
+        raise TypeError(f"expected [re, im] pairs, got lists of {a.shape[-1]} numbers")
     return a[..., 0] + 1j * a[..., 1]
 
 
@@ -89,7 +89,7 @@ def operator_payload(rho: DensityOperator) -> dict:
 
 
 def density_from_payload(data: dict) -> DensityOperator:
-    m = from_pairs(data["matrix"])
+    m = from_pairs(data["matrix"], 2)
     _check_dim_field(data, m.shape[0])
     return validate_density(m)
 
@@ -99,7 +99,7 @@ def povm_payload(povm: Povm) -> dict:
 
 
 def povm_from_payload(data: dict) -> Povm:
-    els = np.array([from_pairs(el) for el in data["elements"]])
+    els = from_pairs(data["elements"], 3)
     _check_dim_field(data, els.shape[-1])
     return make_povm(els)
 
@@ -182,7 +182,7 @@ def table_csv(table: correlations.CorrelationTable, manifest_line: Optional[str]
 
 def table_from_payload(data: dict) -> correlations.CorrelationTable:
     probs = {
-        (blk["a"], blk["b"]): _numbers(blk["p"])
+        (blk["a"], blk["b"]): _numbers(blk["p"], 2)
         for blk in data["blocks"]
     }
     return correlations.make_table(tuple(data["settings_a"]), tuple(data["settings_b"]), probs)

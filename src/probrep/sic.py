@@ -11,8 +11,13 @@ for every nonzero (j, k); the frame potential
 P(phi) = sum_{(j,k) != 0} |<phi|D_{jk}|phi>|^4 is bounded below by
 (d-1)/(d+1) with equality exactly on SIC fiducials, which makes it the
 search objective. Each restart of the search minimizes it as the
-least-squares problem of the SIC residuals |<phi|D_{jk}|phi>|^2 - 1/(d+1),
-by Levenberg-Marquardt steps from a random unit vector.
+least-squares problem of the SIC residuals f = |<phi|D_{jk}|phi>|^2 - 1/(d+1),
+by Levenberg-Marquardt steps from a random unit vector. Convergence is the
+potential's gradient projected onto the sphere's tangent space, formed from
+the residuals' Jacobian J: on the unit sphere
+sum_{(j,k) != 0} |<phi|D_{jk}|phi>|^2 = (d-1)|phi|^4, so
+grad P = 2 J^T (f + 1/(d+1)), the constant's part is radial, and the
+projected gradient is P_T(2 J^T f) with P_T(g) = g - Re<phi, g> phi.
 """
 
 from __future__ import annotations
@@ -134,51 +139,31 @@ def sic_certify(fiducial: Ket, tolerance: float = CERT_TOL) -> SicCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _terms(x, stack, adjoint):
-    """D_a x, D_a^dag x and c_a = <x|D_a|x> for every displacement a."""
+def _residuals_and_jacobian(x, stack, adjoint, target):
+    """SIC residuals f_a = |c_a|^2 - 1/(d+1), c_a = <x|D_a|x>, over the nonzero a,
+    and their Jacobian J in the real parametrization (Re x, Im x)."""
     dx = stack @ x
-    return dx, adjoint @ x, dx @ x.conj()
+    c = dx @ x.conj()
+    f = (c.real**2 + c.imag**2)[1:] - target
+    ga = c[1:, None].conj() * dx[1:] + c[1:, None] * (adjoint @ x)[1:]
+    return f, np.concatenate([2.0 * ga.real, 2.0 * ga.imag], axis=1)
 
 
-def _potential_and_gradient(dx, ddx, c):
-    """P(x) and its gradient in the ambient real parametrization, from _terms.
-
-    The gradient is packed as a complex vector g = dP/dx + i dP/dy for
-    x + i y; it matches central finite differences to ~1e-9 relative
-    (checked in the test suite).
-    """
-    w = (c.real**2 + c.imag**2)[1:]
-    pot = float(np.sum(w**2))
-    grad = 4.0 * ((w * c[1:].conj()) @ dx[1:] + (w * c[1:]) @ ddx[1:])
-    return pot, grad
-
-
-def _tangent(x, g):
-    """Project the ambient gradient onto the unit sphere's tangent space.
-
-    The ambient gradient cannot vanish at a constrained minimum, so
-    convergence is measured on this projected gradient.
-    """
-    return g - np.real(np.vdot(x, g)) * x
-
-
-def _residuals(c, target):
-    """SIC residuals f_a = |c_a|^2 - 1/(d+1) over the nonzero a."""
-    return (c.real**2 + c.imag**2)[1:] - target
-
-
-def _restart(dim, seed, gtol):
+def _restart(dim, seed):
     """One local minimization from the start default_rng(seed) draws.
 
-    Levenberg-Marquardt steps on the SIC residuals, from the random start:
+    Levenberg-Marquardt steps on the SIC residuals f, from the random start:
     on the unit sphere sum_a |c_a|^2 is constant, so minimizing the frame
     potential is the same problem as driving the residuals to zero, and the
     least-squares form converges quadratically where line searches on the
     potential stall at float precision. Each step is renormalized onto the
     sphere; the damping starts at 1e-12, grows tenfold per refused step and
-    shrinks fourfold after an accepted one. Returns (potential, unit vector,
-    projected gradient norm) once both the gradient and the residuals are
-    small, when no damping lowers the residuals, or after 80 steps.
+    shrinks fourfold after an accepted one. The projected gradient is read
+    off the step's own J^T f: P_T(grad P) = P_T(2 J^T f), because on the
+    sphere grad P = 2 J^T (f + 1/(d+1)) and the constant's part is radial.
+    Returns (unit vector, projected gradient norm) once that norm is below
+    GRAD_TOL and every residual below SEARCH_RESIDUAL_TARGET, when no
+    damping lowers the residuals, or after 80 steps.
     """
     stack = displacement_stack(dim)
     adjoint = stack.conj().transpose(0, 2, 1)
@@ -189,70 +174,66 @@ def _restart(dim, seed, gtol):
     x /= np.linalg.norm(x)
     mu = 1e-12
     eye = np.eye(2 * dim)
-    for _ in range(80):
-        dx, ddx, c = _terms(x, stack, adjoint)
-        pot, g = _potential_and_gradient(dx, ddx, c)
-        rnorm = float(np.linalg.norm(_tangent(x, g)))
-        f = _residuals(c, target)
-        if rnorm < gtol and float(np.max(np.abs(f))) < SEARCH_RESIDUAL_TARGET:
-            return pot, x, rnorm
-        ga = c[1:, None].conj() * dx[1:] + c[1:, None] * ddx[1:]
-        jac = np.concatenate([2.0 * ga.real, 2.0 * ga.imag], axis=1)
-        jtj, jtf, fnorm2 = jac.T @ jac, jac.T @ f, float(f @ f)
+    for steps in range(81):
+        f, jac = _residuals_and_jacobian(x, stack, adjoint, target)
+        jtf = jac.T @ f
+        g = 2.0 * (jtf[:dim] + 1j * jtf[dim:])
+        rnorm = float(np.linalg.norm(g - np.real(np.vdot(x, g)) * x))
+        if steps == 80 or (rnorm < GRAD_TOL
+                           and float(np.max(np.abs(f))) < SEARCH_RESIDUAL_TARGET):
+            return x, rnorm
+        jtj, fnorm2 = jac.T @ jac, float(f @ f)
         for _ in range(40):
             step = np.linalg.solve(jtj + mu * eye, -jtf)
             xn = x + step[:dim] + 1j * step[dim:]
             xn /= np.linalg.norm(xn)
-            fn = _residuals(_terms(xn, stack, adjoint)[2], target)
+            fn = _overlaps(xn, stack)[1:] - target
             if float(fn @ fn) < fnorm2:
                 break
             mu *= 10.0
         else:
-            return pot, x, rnorm  # no damping lowers the residuals
+            return x, rnorm  # no damping lowers the residuals
         x = xn
         mu = max(mu * 0.25, 1e-14)
-    pot, g = _potential_and_gradient(*_terms(x, stack, adjoint))
-    return pot, x, float(np.linalg.norm(_tangent(x, g)))
 
 
-def sic_search(dim: int, seed: int, restarts: int, gtol: float = GRAD_TOL,
-               tol: float = CERT_TOL) -> FiducialCandidate:
+def sic_search(dim: int, seed: int, restarts: int, tol: float = CERT_TOL) -> FiducialCandidate:
     """Multi-start minimization of the frame potential over unit vectors.
 
     Restart i draws its start from a generator seeded with seed + i, and the
     restarts run in index order. The first one that converges (projected
-    gradient norm < gtol) and certifies (max SIC deviation < tol) wins, and
-    no later restart runs, so the result is a deterministic function of
-    (dim, seed, gtol, tol) and of restarts only through the budget. When no
+    gradient norm < GRAD_TOL) and certifies (max SIC deviation < tol) wins,
+    and no later restart runs, so the result is a deterministic function of
+    (dim, seed, tol) and of restarts only through the budget. When no
     restart certifies, the converged restart with the lowest potential is
     returned uncertified (exact ties go to the lowest index). Raises
-    ValueError unless restarts >= 1 and seed >= 0 are integers and gtol and
-    tol are finite and > 0, and NoConvergence when no restart converges
-    within its 80 Levenberg-Marquardt steps.
+    ValueError unless restarts >= 1 and seed >= 0 are integers and tol is
+    finite and > 0, and NoConvergence when no restart converges within its
+    80 Levenberg-Marquardt steps.
     """
     d = check_dim(dim)
     _check_draw_args(restarts, "restarts", seed)
-    _require_positive(gtol, "gtol")
     _require_positive(tol, "tol")
-    best = None  # (potential, restart index, ket) of the best converged restart
+    best = lowest = None  # (restart index, ket) of the winner so far, and its potential
     closest = None  # (projected gradient norm, restart index) over all restarts
     for i in range(restarts):
-        pot, x, rnorm = _restart(d, seed + i, gtol)
-        if rnorm < gtol:
+        x, rnorm = _restart(d, seed + i)
+        if rnorm < GRAD_TOL:
             ket = make_ket(x)
             if max_sic_deviation(ket) < tol:
-                best = (pot, i, ket)
+                best = (i, ket)
                 break
-            if best is None or pot < best[0]:
-                best = (pot, i, ket)
+            pot = frame_potential(ket)
+            if lowest is None or pot < lowest:
+                best, lowest = (i, ket), pot
         if closest is None or rnorm < closest[0]:
             closest = (rnorm, i)
     if best is None:
         raise NoConvergence(
-            f"no restart of {restarts} reached gradient norm < {gtol} in dimension {d}; "
+            f"no restart of {restarts} reached gradient norm < {GRAD_TOL} in dimension {d}; "
             f"the closest reached {closest[0]:.3e} (restart seed {seed + closest[1]})"
         )
-    _, winner, ket = best
+    winner, ket = best
     return FiducialCandidate(
         dim=d,
         vector=ket,
@@ -262,7 +243,6 @@ def sic_search(dim: int, seed: int, restarts: int, gtol: float = GRAD_TOL,
         restarts_used=restarts,
         restart_index=winner,
     )
-
 
 
 # ---------------------------------------------------------------------------

@@ -461,6 +461,9 @@ def test_input_file_of_the_wrong_json_shape_exits_one(workdir, capsys, flag, sha
 
 
 NESTED_KET = [[[0.7071067811865476, 0], [0, 0]], [[0, 0], [0.7071067811865476, 0]]]
+# POVM elements of different shapes: a 2x2 and a 3x2 matrix of pairs
+MIXED_SHAPE_POVM = {"dim": 2, "elements": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+                                           [[[0, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]]}
 
 
 @pytest.mark.parametrize("argv,payload", [
@@ -482,12 +485,18 @@ NESTED_KET = [[[0.7071067811865476, 0], [0, 0]], [[0, 0], [0.7071067811865476, 0
     (["simulate", "--probs", "bad.json", "--n", "5"], {"values": [[0.5], 0.5]}),
     (["steer", "--state", "bad.json"],
      {"dim": 2, "vector": [[0.7071067811865476, 0], 0.7071067811865476]}),
+    # elements of different shapes do not stack, and a triple is no [re, im] pair
+    (["classical-gap", "--state", "plus.json", "--povm", "bad.json"], MIXED_SHAPE_POVM),
+    (["born-check", "--dim", "2", "--reference", "bad.json"], MIXED_SHAPE_POVM),
+    (["steer", "--state", "bad.json"],
+     {"dim": 2, "vector": [[0.7071067811865476, 0, 0], [0.7071067811865476, 0, 0]]}),
 ])
 def test_input_field_of_the_wrong_type_exits_one(workdir, capsys, argv, payload):
+    write_plus_state(workdir / "plus.json")
     (workdir / "bad.json").write_text(json.dumps(payload))
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: malformed input file bad.json: ")
-    assert list(workdir.iterdir()) == [workdir / "bad.json"]
+    assert sorted(workdir.iterdir()) == [workdir / "bad.json", workdir / "plus.json"]
 
 
 @pytest.mark.parametrize("argv,text", [

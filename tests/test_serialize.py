@@ -81,8 +81,11 @@ def test_data_table_csv_and_payload():
 
 
 def test_from_pairs_rejects_flat_lists():
-    with pytest.raises(ValueError):
-        serialize.from_pairs([1.0, 2.0, 3.0])
+    # a TypeError, so that cli._read reports a malformed input file
+    with pytest.raises(TypeError, match="nested 2 deep, got 1 deep"):
+        serialize.from_pairs([1.0, 2.0, 3.0], 1)
+    with pytest.raises(TypeError, match=r"expected \[re, im\] pairs, got lists of 3 numbers"):
+        serialize.from_pairs([[1.0, 0.0, 0.0]], 1)
 
 
 @pytest.mark.parametrize("bad", [True, "0.5", None])
@@ -92,7 +95,7 @@ def test_payload_numbers_must_be_json_numbers(bad):
     with pytest.raises(TypeError, match="expected a JSON number"):
         serialize.table_from_payload(table)
     with pytest.raises(TypeError, match="expected a JSON number"):
-        serialize.from_pairs([[1, 0], [bad, 0]])
+        serialize.from_pairs([[1, 0], [bad, 0]], 1)
     with pytest.raises(TypeError, match="expected a JSON number"):
         serialize.prob_values_from_payload({"values": [0.5, bad]})
     fiducial = serialize.fiducial_payload(sic_search(2, seed=1, restarts=1))
@@ -116,7 +119,7 @@ def test_ragged_lists_are_a_type_error():
     with pytest.raises(TypeError, match="ragged list"):
         serialize.prob_values_from_payload({"values": [[0.5], 0.5]})
     with pytest.raises(TypeError, match="ragged list"):
-        serialize.from_pairs([[0.7071067811865476, 0], 0.7071067811865476])
+        serialize.from_pairs([[0.7071067811865476, 0], 0.7071067811865476], 1)
 
 
 def test_dumps_is_deterministic():
