@@ -389,6 +389,11 @@ class TestLockstepSearch:
             {"seed": -1},
             {"seed": 1.0},
             {"seed": None},
+            {"restarts": 0},
+            {"restarts": 2**63},
+            {"restarts": np.float64(3.0)},
+            {"seed": True},
+            {"seed": "0"},
             {"tol": 0.0},
             {"tol": -1.0},
             {"tol": float("nan")},
