@@ -365,39 +365,31 @@ def check_trials(ref: ReferenceMeasurement, seeds) -> tuple[float, float | None]
 def _stacks(dim: int, seeds):
     """(trials, rhos, parts) stacks of up to STACK_ENTRIES // (n d^2) trials with one n.
 
-    default_rng(seeds[t]) draws trial t's rank and n; a pending (t, seed, rank, state) trial
-    holds its PCG64 state (all standard_normal reads), not its draws, until its stack is full.
+    default_rng(seeds[t]) draws trial t's rank and n; a pending (t, seed, rank, rng) trial
+    keeps its Generator, and draws its state's normals and then its POVM's when its stack
+    is full, the stream order of random_density and random_povm.
     """
     pending: dict[int, list] = {}
-    drawer = np.random.default_rng(0)  # set to each trial's state before its draw
     for t, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         rank = int(rng.integers(1, dim + 1))
         n = int(rng.integers(2, dim + 3))
         trials = pending.setdefault(n, [])
-        trials.append((t, seed, rank, rng.bit_generator.state["state"]))
+        trials.append((t, seed, rank, rng))
         if len(trials) == STACK_ENTRIES // (n * dim * dim):
-            yield _stack_inputs(drawer, dim, n, pending.pop(n))
+            yield _stack_inputs(dim, n, pending.pop(n))
     for n, trials in pending.items():
-        yield _stack_inputs(drawer, dim, n, trials)
+        yield _stack_inputs(dim, n, trials)
 
 
-def _stack_inputs(drawer: np.random.Generator, dim: int, n: int, trials: list):
-    """(trials, rhos, parts) of a stack: each trial draws the normals of random_density and
-    random_povm in one call, right-aligned in its row so every POVM draw starts at one column."""
-    width = 2 * dim * dim
-    k = len(trials)
-    draws = np.empty((k, width * (n + 1)))
-    full = drawer.bit_generator.state
-    for row, (_, _, rank, state) in zip(draws, trials):
-        drawer.bit_generator.state = {**full, "state": state}
-        drawer.standard_normal(out=row[2 * dim * (dim - rank) :])
-    ranks = np.array([rank for _, _, rank, _ in trials])
-    rhos = np.empty((k, dim, dim), dtype=complex)
-    for rank in set(ranks.tolist()):
-        rows = ranks == rank
-        rhos[rows] = _grams(draws[rows, width - 2 * dim * rank : width].reshape(-1, 2, dim, rank))
-    return trials, _unit_trace(rhos), _grams(draws[:, width:].reshape(k, n, 2, dim, dim))
+def _stack_inputs(dim: int, n: int, trials: list):
+    """(trials, rhos, parts) of a stack: each trial draws its state's normals, then its POVM's."""
+    rhos = np.empty((len(trials), dim, dim), dtype=complex)
+    draws = np.empty((len(trials), n, 2, dim, dim))
+    for rho, row, (_, _, rank, rng) in zip(rhos, draws, trials):
+        rho[...] = _grams(rng.standard_normal((2, dim, rank)))
+        rng.standard_normal(out=row)
+    return trials, _unit_trace(rhos), _grams(draws)
 
 
 def _stack_deviations(ref: ReferenceMeasurement, rhos, parts) -> tuple[float, float]:

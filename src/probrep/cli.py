@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, born, correlations, sampling, serialize, sic
-from .errors import NoConvergence, ProbrepError
+from .errors import DimensionMismatch, NoConvergence, ProbrepError
 from .operators import (BORN_CHECK_TOL, CERT_TOL, _check_draw_args, _require_positive,
                         check_dim, make_prob_vector, projector_povm)
 
@@ -139,6 +139,8 @@ def run_born_check(params: dict) -> int:
     _check_draw_args(trials, "trials", seed)
     manifest = _manifest("born-check", params)
     ref = _reference_for(params["reference"], dim, seed)
+    if ref.dim != dim:
+        raise DimensionMismatch(f"--dim {dim} != reference dim {ref.dim}")
     worst_general, worst_sic = born.check_trials(ref, range(seed + 1, seed + 1 + trials))
     passed = worst_general < BORN_CHECK_TOL
     payload = {

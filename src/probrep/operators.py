@@ -158,9 +158,6 @@ class DensityOperator:
     dim: int
     matrix: np.ndarray
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
 
 @dataclass(frozen=True)
 class Povm:
@@ -402,14 +399,6 @@ def _whiten(parts: np.ndarray) -> np.ndarray:
     els = 0.5 * (els + els.conj().swapaxes(-1, -2))
     _check_povm_stack(els)
     return els
-
-
-def basis_ket(dim: int, index: int) -> Ket:
-    """Computational basis vector |index> in dimension dim."""
-    d = check_dim(dim)
-    v = np.zeros(d, dtype=complex)
-    v[index] = 1.0
-    return Ket(d, _freeze(v))
 
 
 def projector_povm(vectors) -> Povm:

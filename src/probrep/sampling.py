@@ -44,9 +44,6 @@ class OutcomeCounts:
     n_trials: int
     seed: int
 
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.n_trials
-
 
 @dataclass(frozen=True)
 class DataTable:

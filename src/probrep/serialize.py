@@ -180,14 +180,6 @@ def table_csv(table: correlations.CorrelationTable, manifest_line: Optional[str]
                        lambda v: repr(float(v)), manifest_line)
 
 
-def table_from_payload(data: dict) -> correlations.CorrelationTable:
-    probs = {
-        (blk["a"], blk["b"]): _numbers(blk["p"], 2)
-        for blk in data["blocks"]
-    }
-    return correlations.make_table(tuple(data["settings_a"]), tuple(data["settings_b"]), probs)
-
-
 def data_table_payload(dt: sampling.DataTable) -> dict:
     return {
         "settings_a": [str(a) for a in dt.settings_a],

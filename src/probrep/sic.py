@@ -333,7 +333,3 @@ def known_fiducial(dim: int) -> Ket:
             f"deviation {cert.candidate.max_sic_deviation:.3e}"
         )
     return ket
-
-
-def registry_dims() -> tuple:
-    return tuple(sorted(_KNOWN))

@@ -151,6 +151,14 @@ class TestBornCheck:
         assert sic_vs_general(random_reference(3, 1), True) is None
         assert sic_vs_general(sic_reference(3), False) < 1e-10
 
+    def test_reference_file_of_another_dim_exits_one(self, workdir, capsys):
+        code = main(["born-check", "--dim", "5", "--trials", "10",
+                     "--reference", str(GOLDEN / "inputs" / "reference_random_d2.json"),
+                     "--report", "bc.json"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --dim 5 != reference dim 2\n"
+        assert not (workdir / "bc.json").exists()
+
     def test_thousand_trial_sweep(self, workdir):
         code = main(
             ["born-check", "--dim", "3", "--trials", "1000",

@@ -29,7 +29,6 @@ from probrep.operators import (
     DIM_CAP,
     EIGENVALUE_TOL,
     HERMITIAN_TOL,
-    basis_ket,
     check_dim,
     hermitian_deviation,
     projector_povm,
@@ -136,7 +135,7 @@ class TestValidateDensity:
     def test_pure_projector(self):
         rho = validate_density(np.diag([1.0, 0.0]))
         assert_allclose(rho.matrix, np.diag([1.0, 0.0]))
-        assert rho.purity() == pytest.approx(1.0)
+        assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0)
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NotPositive) as exc:
@@ -223,7 +222,7 @@ class TestBornProbabilities:
         assert_allclose(q.values, expected, atol=1e-12)
 
     def test_eigenstate_certainty(self):
-        rho = basis_ket(2, 0).density()
+        rho = make_ket([1.0, 0.0]).density()
         q = born_probabilities(rho, projector_povm(np.eye(2)))
         assert_allclose(q.values, [1.0, 0.0], atol=1e-15)
 
@@ -272,7 +271,7 @@ class TestRandomDensity:
     def test_rank1_is_pure(self):
         for seed in range(20):
             rho = random_density(3, 1, seed)
-            assert abs(rho.purity() - 1.0) < 1e-10
+            assert abs(np.trace(rho.matrix @ rho.matrix).real - 1.0) < 1e-10
 
     def test_full_rank_valid(self):
         rho = random_density(2, 2, seed=5)

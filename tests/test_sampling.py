@@ -106,12 +106,12 @@ class TestSampleOutcomes:
         counts = sample_outcomes([0.1, 0.2, 0.3, 0.4], 10**12, seed=0)
         assert time.perf_counter() - start < 1.0
         assert counts.counts.sum() == 10**12
-        assert np.all(np.abs(counts.frequencies() - [0.1, 0.2, 0.3, 0.4]) < 1e-5)
+        assert np.all(np.abs(counts.counts / counts.n_trials - [0.1, 0.2, 0.3, 0.4]) < 1e-5)
 
     def test_frequencies_within_binomial_error(self):
         n = 100_000
         q = np.array([0.1, 0.2, 0.3, 0.4])
-        freqs = sample_outcomes(q, n, seed=123).frequencies()
+        freqs = sample_outcomes(q, n, seed=123).counts / n
         bounds = 5 * np.sqrt(q * (1 - q) / n)
         assert np.all(np.abs(freqs - q) <= bounds)
 
@@ -127,7 +127,7 @@ class TestSampleOutcomes:
         # 5 sigma on the mean of the head frequency over 1000 seeds
         n, seeds = 100, 1000
         freqs = np.array(
-            [sample_outcomes([0.5, 0.5], n, s).frequencies()[0] for s in range(seeds)]
+            [sample_outcomes([0.5, 0.5], n, s).counts[0] / n for s in range(seeds)]
         )
         sigma = np.sqrt(0.25 / n / seeds)
         assert abs(freqs.mean() - 0.5) <= 5 * sigma

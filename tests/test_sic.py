@@ -19,13 +19,12 @@ from probrep import (
 )
 from probrep import sic
 from probrep.errors import NoConvergence
-from probrep.operators import CERT_TOL
+from probrep.operators import CERT_TOL, DIM_CAP
 from probrep.sic import (
     GRAD_TOL,
     SEARCH_PROVENANCE,
     _residuals_and_jacobian,
     displacement_stack,
-    registry_dims,
     sic_target,
 )
 
@@ -431,7 +430,7 @@ class TestSicCertify:
             sic_certify(make_ket([1.0, 0.0]), tolerance=0.0)
 
     def test_certified_orbit_overlaps_and_povm(self):
-        for d in registry_dims():
+        for d in range(2, DIM_CAP + 1):
             fid = known_fiducial(d)
             orbit = wh_orbit(fid)
             vecs = displacement_stack(d) @ fid.amplitudes
@@ -446,11 +445,8 @@ class TestSicCertify:
 
 
 class TestRegistry:
-    def test_shipped_dimensions(self):
-        assert registry_dims() == (2, 3, 4, 5, 6, 7, 8)
-
     def test_recertified_on_access(self):
-        for d in registry_dims():
+        for d in range(2, DIM_CAP + 1):
             fid = known_fiducial(d)
             assert max_sic_deviation(fid) < 1e-10
 
