@@ -35,7 +35,8 @@ _PUBLIC = {
     "born": (
         "CondProbMatrix", "ReferenceMeasurement", "classical_law", "classicality_gap",
         "make_reference", "povm_to_cond", "prob_to_state", "random_reference",
-        "sic_reference", "state_to_prob", "urgleichung_general", "urgleichung_sic",
+        "reference_from_fiducial", "sic_reference", "state_to_prob", "urgleichung_general",
+        "urgleichung_sic",
     ),
     "correlations": (
         "CorrelationTable", "MeasurementFamily", "SteeringReport", "chsh_value",

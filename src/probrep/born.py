@@ -39,6 +39,7 @@ from .operators import (
     PROB_SUM_TOL,
     RANK_ONE_TOL,
     DensityOperator,
+    Ket,
     Povm,
     ProbVector,
     _check_prob_rows,
@@ -173,14 +174,16 @@ def make_reference(povm: Povm) -> ReferenceMeasurement:
 
 @lru_cache(maxsize=None)
 def sic_reference(dim: int) -> ReferenceMeasurement:
-    """Certified SIC reference for any supported dimension (2..8).
+    """Certified SIC reference for any supported dimension (2..8): reference_from_fiducial
+    of the registry fiducial (sic.known_fiducial), certified on first access, so no search
+    runs. Raises InvalidDimension outside the supported range."""
+    return reference_from_fiducial(sic.known_fiducial(check_dim(dim)))
 
-    The reference {Pi_i / d} is the displacement orbit of the registry
-    fiducial (sic.known_fiducial), which is certified on first access; no
-    search runs. Raises InvalidDimension outside the supported range.
-    """
-    d = check_dim(dim)
-    return make_reference(make_povm(sic.wh_orbit(sic.known_fiducial(d)) / d))
+
+def reference_from_fiducial(fiducial: Ket) -> ReferenceMeasurement:
+    """The reference {Pi_i / d} on a ket's displacement orbit (sic.wh_orbit); any ket
+    whose orbit make_reference accepts, certified as a SIC or not."""
+    return make_reference(make_povm(sic.wh_orbit(fiducial) / fiducial.dim))
 
 
 def random_reference(dim: int, seed: int) -> ReferenceMeasurement:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -43,8 +44,23 @@ def _manifest_line(manifest: dict) -> str:
     return json.dumps(manifest, sort_keys=True, separators=(",", ":"))
 
 
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _write(*files) -> None:
+    """Write every (path, text) or none: each text goes to a temporary file beside
+    its path, and the temporaries replace the paths only once all are written."""
+    temps = [f"{path}.{i}.{os.getpid()}.tmp" for i, (path, _) in enumerate(files)]
+    try:
+        for tmp, (path, text) in zip(temps, files):
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"{path} is a directory")
+            try:
+                Path(tmp).write_text(text, encoding="utf-8")
+            except OSError as err:  # name the output, not its temporary
+                raise OSError(err.errno, err.strerror, path) from None
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            Path(tmp).unlink(missing_ok=True)
 
 
 def _environment() -> dict:
@@ -55,9 +71,9 @@ def _environment() -> dict:
             "system": platform.system(), "machine": platform.machine()}
 
 
-def _write_result(path: str, payload: dict) -> None:
-    """A JSON result, with the environment that produced it next to its manifest."""
-    _write(path, serialize.dumps({**payload, "environment": _environment()}))
+def _write_result(path: str, payload: dict, *others) -> None:
+    """A JSON result beside its manifest's environment, written by _write after the others."""
+    _write(*others, (path, serialize.dumps({**payload, "environment": _environment()})))
 
 
 def _read(path: str, parse):
@@ -76,16 +92,12 @@ def _read(path: str, parse):
         raise ValueError(f"malformed input file {path}: {err}") from err
 
 
-def _builtin_state(name: str, expect_dim=None):
+def _builtin_state(name: str):
     if name == "phi+":
-        ket = correlations.phi_plus()
-    elif name == "singlet":
-        ket = correlations.singlet()
-    else:
-        ket = _read(name, serialize.ket_from_payload)
-    if expect_dim is not None and ket.dim != expect_dim:
-        raise ValueError(f"state has dimension {ket.dim}, expected {expect_dim}")
-    return ket
+        return correlations.phi_plus()
+    if name == "singlet":
+        return correlations.singlet()
+    return _read(name, serialize.ket_from_payload)
 
 
 _BUILTIN_BASES = {
@@ -194,7 +206,7 @@ def _parse_angles(text: str):
 def run_bell(params: dict) -> int:
     manifest = _manifest("bell", params)
     line = _manifest_line(manifest)
-    psi = _builtin_state(params["state"], expect_dim=4)
+    psi = _builtin_state(params["state"])
     angles_a, angles_b = _parse_angles(params["angles"])
     fam_a = correlations.angle_family(angles_a, plane=params["plane"])
     fam_b = correlations.angle_family(angles_b, plane=params["plane"])
@@ -219,11 +231,10 @@ def run_bell(params: dict) -> int:
                 correlations.chsh_value(empirical) if params["chsh"] else None
             ),
         }
-    # written only once sampling has accepted its arguments
-    _write(params["table_csv"], serialize.table_csv(table, manifest_line=line))
+    csvs = [(params["table_csv"], serialize.table_csv(table, manifest_line=line))]
     if params["simulate"] and params.get("counts_csv"):
-        _write(params["counts_csv"], serialize.data_table_csv(dt, manifest_line=line))
-    _write_result(params["report"], payload)
+        csvs.append((params["counts_csv"], serialize.data_table_csv(dt, manifest_line=line)))
+    _write_result(params["report"], payload, *csvs)
     msg = f"bell table -> {params['table_csv']}, summary -> {params['report']}"
     if params["chsh"]:
         msg += f", CHSH = {payload['chsh']:.9f}"
@@ -354,13 +365,15 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reference", default="sic", help="'sic', 'random', or a JSON file")
+    p.add_argument("--reference", default="sic",
+                   help="'sic', 'random', a reference JSON file or a sic-search result")
     p.add_argument("--report", default="born_check.json")
 
     p = sub.add_parser("classical-gap", help="quantum rule vs law of total probability")
     p.add_argument("--state", required=True, help="density-operator JSON file")
     p.add_argument("--povm", required=True, help="POVM JSON file")
-    p.add_argument("--reference", default="sic", help="'sic' or a reference JSON file")
+    p.add_argument("--reference", default="sic", help="'sic', 'random' (seed 0, always), a "
+                   "reference JSON file or a sic-search result")
     p.add_argument("--report", default="classical_gap.json")
 
     p = sub.add_parser("bell", help="two-qubit correlation table and CHSH")
@@ -421,16 +434,13 @@ def main(argv=None) -> int:
     except NoConvergence as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ProbrepError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except json.JSONDecodeError as err:
         print(f"error: malformed JSON: {err}", file=sys.stderr)
         return 1
     except KeyError as err:
         print(f"error: missing field {err} in input file", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as err:
+    except (ProbrepError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -40,6 +40,8 @@ class MeasurementFamily:
     def __post_init__(self):
         if len(self.settings) != len(self.povms):
             raise ValueError("one POVM per setting label required")
+        if len(set(self.settings)) != len(self.settings):
+            raise ValueError(f"setting labels must be distinct, got {list(self.settings)}")
         dims = {p.dim for p in self.povms}
         if len(dims) != 1:
             raise DimensionMismatch(f"family mixes dimensions {sorted(dims)}")

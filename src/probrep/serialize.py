@@ -58,14 +58,6 @@ def from_pairs(data, ndim: int) -> np.ndarray:
     return a[..., 0] + 1j * a[..., 1]
 
 
-def _optional_int(data: dict, key: str):
-    """Field key, a JSON integer, or None when it is absent or null."""
-    value = data.get(key)
-    if value is not None and not _is_int(value):
-        raise TypeError(f"field {key!r} must be a JSON integer or null, got {json.dumps(value)}")
-    return value
-
-
 def ket_payload(ket: Ket) -> dict:
     return {"dim": ket.dim, "vector": complex_pairs(ket.amplitudes)}
 
@@ -111,7 +103,10 @@ def reference_payload(ref: born.ReferenceMeasurement) -> dict:
 
 
 def reference_from_payload(data: dict) -> born.ReferenceMeasurement:
-    """Reference from its POVM fields; make_reference recomputes "sic_certified"."""
+    """Reference on a ket's orbit (a sic-search result has "vector"), or else from its POVM
+    fields; make_reference recomputes "sic_certified", so no certification field is read."""
+    if "vector" in data:
+        return born.reference_from_fiducial(ket_from_payload(data))
     return born.make_reference(povm_from_payload(data))
 
 
@@ -125,21 +120,6 @@ def fiducial_payload(candidate: sic.FiducialCandidate) -> dict:
         "restarts_used": candidate.restarts_used,
         "restart_index": candidate.restart_index,
     }
-
-
-def fiducial_from_payload(data: dict) -> sic.FiducialCandidate:
-    """Candidate from its fields; seed, restarts_used and restart_index may be null or absent."""
-    ket = make_ket(from_pairs(data["vector"], 1))
-    _check_dim_field(data, ket.dim)
-    return sic.FiducialCandidate(
-        dim=ket.dim,
-        vector=ket,
-        frame_potential=float(_numbers(data["frame_potential"], 0)),
-        max_sic_deviation=float(_numbers(data["max_sic_deviation"], 0)),
-        seed=_optional_int(data, "seed"),
-        restarts_used=_optional_int(data, "restarts_used"),
-        restart_index=_optional_int(data, "restart_index"),
-    )
 
 
 def prob_values_from_payload(data: dict) -> np.ndarray:

@@ -22,7 +22,9 @@ from probrep import (
     prob_to_state,
     random_density,
     random_povm,
+    random_pure_state,
     random_reference,
+    reference_from_fiducial,
     sic_reference,
     state_to_prob,
     urgleichung_general,
@@ -559,3 +561,25 @@ class TestSicReference:
         ref = sic_reference(2)
         orbit = wh_orbit(known_fiducial(2))
         assert np.max(np.abs(ref.elements.elements - orbit / 2)) < 1e-12
+
+    def test_is_the_registry_fiducials_orbit_bit_for_bit(self):
+        for d in range(2, 9):
+            ref = sic_reference(d)
+            fresh = reference_from_fiducial(known_fiducial(d))  # not sic_reference's cached one
+            assert fresh is not ref and fresh.sic_certified
+            assert fresh.condition_number == ref.condition_number
+            np.testing.assert_array_equal(fresh.elements.elements, ref.elements.elements)
+            for field in ("projectors", "transfer", "transfer_inverse"):
+                np.testing.assert_array_equal(getattr(fresh, field), getattr(ref, field))
+
+
+class TestReferenceFromFiducial:
+    def test_any_unit_vector_whose_orbit_is_ic(self):
+        for d, seed in ((2, 0), (3, 1), (5, 2)):
+            ref = reference_from_fiducial(random_pure_state(d, seed))
+            assert not ref.sic_certified and ref.n_outcomes == d * d
+
+    def test_basis_vector_orbit_spans_too_little(self):
+        # the orbit of |0> is the d^2 projectors onto the d basis vectors: rank d, not d^2
+        with pytest.raises(NotInformationallyComplete, match="rank-3 operator subspace, need 9"):
+            reference_from_fiducial(make_ket([1.0, 0.0, 0.0]))

@@ -159,6 +159,37 @@ class TestBornCheck:
         assert capsys.readouterr().err == "error: --dim 5 != reference dim 2\n"
         assert not (workdir / "bc.json").exists()
 
+    def test_sic_search_result_is_a_reference(self, workdir):
+        assert main(["sic-search", "--dim", "3", "--restarts", "20", "--seed", "1",
+                     "--out", "f.json"]) == 0
+        code = main(["born-check", "--dim", "3", "--trials", "20", "--reference", "f.json",
+                     "--report", "bc.json"])
+        assert code == 0
+        data = load(workdir / "bc.json")
+        assert data["passed"] is True
+        assert data["max_sic_vs_general"] < 1e-10  # the orbit certifies as a SIC
+
+    def test_ket_that_is_no_sic_fiducial_is_a_general_reference(self, workdir):
+        from probrep import random_pure_state
+
+        (workdir / "k.json").write_text(
+            serialize.dumps(serialize.ket_payload(random_pure_state(3, 1))))
+        code = main(["born-check", "--dim", "3", "--trials", "20", "--reference", "k.json",
+                     "--report", "bc.json"])
+        assert code == 0
+        data = load(workdir / "bc.json")
+        assert data["passed"] is True and data["max_sic_vs_general"] is None
+
+    def test_basis_vector_file_exits_one(self, workdir, capsys):
+        from probrep import make_ket
+
+        (workdir / "k.json").write_text(
+            serialize.dumps(serialize.ket_payload(make_ket([1.0, 0.0, 0.0]))))
+        code = main(["born-check", "--dim", "3", "--reference", "k.json", "--report", "bc.json"])
+        assert code == 1
+        assert "rank-3 operator subspace, need 9" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["k.json"]
+
     def test_thousand_trial_sweep(self, workdir):
         code = main(
             ["born-check", "--dim", "3", "--trials", "1000",
@@ -224,6 +255,35 @@ class TestClassicalGap:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_registry_fiducial_file_is_the_sic_reference(self, workdir, d):
+        from probrep import known_fiducial, random_density, random_povm
+
+        (workdir / "state.json").write_text(
+            serialize.dumps(serialize.operator_payload(random_density(d, 2, seed=d))))
+        (workdir / "povm.json").write_text(
+            serialize.dumps(serialize.povm_payload(random_povm(d, 3, seed=d))))
+        (workdir / "k.json").write_text(serialize.dumps(serialize.ket_payload(known_fiducial(d))))
+        reports = []
+        for reference in ("sic", "k.json"):
+            assert main(["classical-gap", "--state", "state.json", "--povm", "povm.json",
+                         "--reference", reference, "--report", "gap.json"]) == 0
+            data = load(workdir / "gap.json")
+            reports.append({key: data[key] for key in ("gap", "q_quantum", "q_classical")})
+        assert reports[0] == reports[1]
+
+    def test_random_reference_is_seed_zero(self, workdir):
+        from probrep import classicality_gap, random_reference
+
+        write_plus_state(workdir / "state.json")
+        write_x_povm(workdir / "povm.json")
+        code = main(["classical-gap", "--state", "state.json", "--povm", "povm.json",
+                     "--reference", "random", "--report", "gap.json"])
+        assert code == 0
+        rho = serialize.density_from_payload(load(workdir / "state.json"))
+        gap = classicality_gap(random_reference(2, 0), rho, direction_povm(0.0))
+        assert load(workdir / "gap.json")["gap"] == gap
+
     def test_malformed_json_diagnostic(self, workdir, capsys):
         (workdir / "bad.json").write_text('{"dim": 2,, "matrix": []}')
         write_x_povm(workdir / "povm.json")
@@ -281,6 +341,27 @@ class TestBell:
         argv = ["bell", "--simulate", "10", "--seed", "-1", "--counts-csv", "counts.csv"]
         assert main(argv) == 1
         assert "seed" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--report", "missing/b.json"],
+        ["--simulate", "10", "--counts-csv", "missing/n.csv"],
+        ["--table-csv", "out"],  # a directory
+    ], ids=["report-dir-missing", "counts-dir-missing", "table-is-a-directory"])
+    def test_unwritable_output_writes_no_file(self, workdir, capsys, argv):
+        (workdir / "out").mkdir()
+        assert main(["bell", "--chsh", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ".tmp" not in err  # names the output path
+        assert [p.name for p in workdir.iterdir()] == ["out"]
+        assert list((workdir / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("angles", ["0,0.0:45,135", "0.1234567,0.1234568:45,135"])
+    def test_repeated_setting_label_exits_one(self, workdir, capsys, angles):
+        # labels are the angles in %g: 0 and 0.0, and these two, would merge their blocks
+        argv = ["bell", "--angles", angles, "--chsh", "--simulate", "100", "--seed", "1"]
+        assert main(argv) == 1
+        assert "setting labels must be distinct" in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
 
     def test_rerun_reproduces_csv_and_json(self, workdir):
@@ -498,13 +579,22 @@ MIXED_SHAPE_POVM = {"dim": 2, "elements": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
     (["born-check", "--dim", "2", "--reference", "bad.json"], MIXED_SHAPE_POVM),
     (["steer", "--state", "bad.json"],
      {"dim": 2, "vector": [[0.7071067811865476, 0, 0], [0.7071067811865476, 0, 0]]}),
+    # a reference file with "vector" is read as a ket, as strictly as a state
+    (["born-check", "--dim", "2", "--reference", "bad.json"],
+     {"dim": 2, "vector": [[1, 0], [False, 0]]}),
+    (["born-check", "--dim", "2", "--reference", "bad.json"], {"dim": 2, "vector": NESTED_KET}),
+    (["classical-gap", "--state", "plus.json", "--povm", "x.json", "--reference", "bad.json"],
+     {"dim": 2, "vector": [[1, 0], [False, 0]]}),
+    (["classical-gap", "--state", "plus.json", "--povm", "x.json", "--reference", "bad.json"],
+     {"dim": 2, "vector": NESTED_KET}),
 ])
 def test_input_field_of_the_wrong_type_exits_one(workdir, capsys, argv, payload):
     write_plus_state(workdir / "plus.json")
+    write_x_povm(workdir / "x.json")
     (workdir / "bad.json").write_text(json.dumps(payload))
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: malformed input file bad.json: ")
-    assert sorted(workdir.iterdir()) == [workdir / "bad.json", workdir / "plus.json"]
+    assert sorted(p.name for p in workdir.iterdir()) == ["bad.json", "plus.json", "x.json"]
 
 
 @pytest.mark.parametrize("argv,text", [

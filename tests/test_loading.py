@@ -22,7 +22,7 @@ INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 LAYERS = ("errors", "operators", "sic", "born", "correlations", "sampling", "serialize")
 
-# The package's public names as of artifact_version 0.6.0.
+# The package's public names: those of artifact_version 0.6.0, and reference_from_fiducial.
 PUBLIC = [
     "__version__", "CondProbMatrix", "CorrelationTable", "DataTable", "DensityOperator",
     "FiducialCandidate", "Ket", "MeasurementFamily", "OutcomeCounts", "Povm", "ProbVector",
@@ -32,9 +32,9 @@ PUBLIC = [
     "frame_potential", "known_fiducial", "make_ket", "make_povm", "make_prob_vector",
     "make_reference", "max_sic_deviation", "no_signalling_check", "povm_to_cond",
     "prob_to_state", "random_density", "random_povm", "random_pure_state",
-    "random_reference", "sample_outcomes", "sic_certify", "sic_reference", "sic_search",
-    "spin32_embedding", "state_to_prob", "steering_ensembles", "tensor",
-    "urgleichung_general", "urgleichung_sic", "validate_density", "wh_orbit",
+    "random_reference", "reference_from_fiducial", "sample_outcomes", "sic_certify",
+    "sic_reference", "sic_search", "spin32_embedding", "state_to_prob", "steering_ensembles",
+    "tensor", "urgleichung_general", "urgleichung_sic", "validate_density", "wh_orbit",
 ]
 
 # Prints the sorted names of the layers that have run, after running the
