@@ -29,8 +29,8 @@ _PUBLIC = {
         "random_pure_state", "tensor", "validate_density",
     ),
     "sic": (
-        "FiducialCandidate", "SicCertificate", "displacement", "frame_potential",
-        "known_fiducial", "max_sic_deviation", "sic_certify", "sic_search", "wh_orbit",
+        "FiducialCandidate", "displacement", "frame_potential", "known_fiducial",
+        "max_sic_deviation", "sic_search", "wh_orbit",
     ),
     "born": (
         "CondProbMatrix", "ReferenceMeasurement", "classical_law", "classicality_gap",

@@ -46,7 +46,12 @@ def _manifest_line(manifest: dict) -> str:
 
 def _write(*files) -> None:
     """Write every (path, text) or none: each text goes to a temporary file beside
-    its path, and the temporaries replace the paths only once all are written."""
+    its path, and the temporaries replace the paths only once all are written.
+    Two paths that resolve to one file are refused before anything is written."""
+    reals = [os.path.realpath(path) for path, _ in files]
+    clash = [path for (path, _), real in zip(files, reals) if reals.count(real) > 1]
+    if clash:
+        raise ValueError(f"outputs {' and '.join(clash)} are one file; give each its own path")
     temps = [f"{path}.{i}.{os.getpid()}.tmp" for i, (path, _) in enumerate(files)]
     try:
         for tmp, (path, text) in zip(temps, files):
@@ -304,8 +309,8 @@ _HANDLERS = {
 
 
 def _embedded_manifest(data: dict):
-    """The manifest a result file embeds (or is), or None when it has none."""
-    manifest = data if "command" in data else data.get("manifest")
+    """The manifest a result file embeds, or None when it has none."""
+    manifest = data.get("manifest")
     if not isinstance(manifest, dict) or "command" not in manifest:
         return None
     if not (isinstance(manifest["command"], str) and isinstance(manifest.get("params"), dict)):
@@ -325,6 +330,10 @@ def run_rerun(params: dict) -> int:
     if command not in _HANDLERS:
         raise ValueError(f"unknown command {command!r} in manifest")
     _check_params(params["file"], command, manifest["params"])
+    written = manifest["params"].get("report", manifest["params"].get("out"))
+    if written is None or os.path.realpath(params["file"]) != os.path.realpath(written):
+        raise ValueError(f"{params['file']} is not {written}, the output its manifest names, "
+                         f"as seen from here; rerun from the directory the file was written in")
     return _HANDLERS[command](manifest["params"])
 
 

@@ -50,7 +50,7 @@ PROB_FLOOR = -1e-12
 PROB_SUM_TOL = 1e-10
 #: contract: largest condition number of the normalizer S that _whiten inverts.
 NORMALIZER_COND_CAP = 1e12
-#: contract: largest distance of a certified SIC's overlaps from 1/(d+1) (sic.sic_certify,
+#: contract: largest distance of a certified SIC's overlaps from 1/(d+1) (sic.sic_search,
 #: born.make_reference), and sic-search's default --tol.
 CERT_TOL = 1e-8
 #: contract: the tighter CERT_TOL every registry fiducial meets (sic.known_fiducial).

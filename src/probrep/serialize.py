@@ -112,8 +112,7 @@ def reference_from_payload(data: dict) -> born.ReferenceMeasurement:
 
 def fiducial_payload(candidate: sic.FiducialCandidate) -> dict:
     return {
-        "dim": candidate.dim,
-        "vector": complex_pairs(candidate.vector.amplitudes),
+        **ket_payload(candidate.vector),
         "frame_potential": float(candidate.frame_potential),
         "max_sic_deviation": float(candidate.max_sic_deviation),
         "seed": candidate.seed,

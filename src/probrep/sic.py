@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -94,44 +93,19 @@ def max_sic_deviation(fiducial: Ket) -> float:
 
 @dataclass(frozen=True)
 class FiducialCandidate:
-    """Best unit vector found by a search, with its certification numbers.
+    """Best unit vector found by sic_search, with its certification numbers.
 
     ``restarts_used`` is the search's restart budget and ``restart_index``
     the index i of the restart that won (its start seed is seed + i); a
-    certified winner means restarts 0..i ran. All three are None for
-    hand-supplied vectors that never went through the search.
+    certified winner means restarts 0..i ran.
     """
 
-    dim: int
     vector: Ket
     frame_potential: float
     max_sic_deviation: float
-    seed: Optional[int]
-    restarts_used: Optional[int]
-    restart_index: Optional[int]
-
-
-@dataclass(frozen=True)
-class SicCertificate:
-    candidate: FiducialCandidate
-    passed: bool
-    tolerance: float
-
-
-def sic_certify(fiducial: Ket, tolerance: float = CERT_TOL) -> SicCertificate:
-    """Check every nonzero displacement overlap against 1/(d+1)."""
-    _require_positive(tolerance, "tolerance")
-    dev = max_sic_deviation(fiducial)
-    cand = FiducialCandidate(
-        dim=fiducial.dim,
-        vector=fiducial,
-        frame_potential=frame_potential(fiducial),
-        max_sic_deviation=dev,
-        seed=None,
-        restarts_used=None,
-        restart_index=None,
-    )
-    return SicCertificate(candidate=cand, passed=dev < tolerance, tolerance=tolerance)
+    seed: int
+    restarts_used: int
+    restart_index: int
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +209,6 @@ def sic_search(dim: int, seed: int, restarts: int, tol: float = CERT_TOL) -> Fid
         )
     winner, ket = best
     return FiducialCandidate(
-        dim=d,
         vector=ket,
         frame_potential=frame_potential(ket),
         max_sic_deviation=max_sic_deviation(ket),
@@ -326,10 +299,9 @@ def known_fiducial(dim: int) -> Ket:
     if dim not in _KNOWN:
         raise KeyError(f"no registry fiducial for dimension {dim}")
     ket = make_ket(_KNOWN[dim])
-    cert = sic_certify(ket, tolerance=REGISTRY_CERT_TOL)
-    if not cert.passed:
+    dev = max_sic_deviation(ket)
+    if not dev < REGISTRY_CERT_TOL:
         raise AssertionError(
-            f"registry fiducial for d={dim} failed certification: "
-            f"deviation {cert.candidate.max_sic_deviation:.3e}"
+            f"registry fiducial for d={dim} failed certification: deviation {dev:.3e}"
         )
     return ket

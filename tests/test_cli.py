@@ -356,6 +356,23 @@ class TestBell:
         assert [p.name for p in workdir.iterdir()] == ["out"]
         assert list((workdir / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("argv,named", [
+        (["--table-csv", "same.out", "--report", "same.out"], "same.out and same.out"),
+        (["--table-csv", "same.out", "--report", "./same.out"], "same.out and ./same.out"),
+        (["--simulate", "10", "--table-csv", "same.out", "--counts-csv", "same.out"],
+         "same.out and same.out"),
+        (["--simulate", "10", "--counts-csv", "./bell_table.csv"],
+         "bell_table.csv and ./bell_table.csv"),
+    ], ids=["table-is-report", "table-is-dot-report", "counts-is-table", "counts-is-default-table"])
+    def test_two_outputs_at_one_path_exit_one(self, workdir, capsys, argv, named):
+        # renamed in turn, the later output would replace the earlier one
+        (workdir / "same.out").write_text("earlier bytes\n")
+        assert main(["bell", "--chsh", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: outputs {named} are one file; give each its own path\n"
+        assert [p.name for p in workdir.iterdir()] == ["same.out"]
+        assert (workdir / "same.out").read_text() == "earlier bytes\n"
+
     @pytest.mark.parametrize("angles", ["0,0.0:45,135", "0.1234567,0.1234568:45,135"])
     def test_repeated_setting_label_exits_one(self, workdir, capsys, angles):
         # labels are the angles in %g: 0 and 0.0, and these two, would merge their blocks
@@ -504,6 +521,39 @@ class TestRerun:
         err = capsys.readouterr().err
         assert __version__ in err
         assert f"artifact_version {version or 'none'}" in err
+
+
+    def test_refuses_a_file_away_from_where_it_was_written(self, workdir, monkeypatch, capsys):
+        # its manifest names i.json, which from here is ./i.json and not sub/i.json
+        (workdir / "sub").mkdir()
+        monkeypatch.chdir(workdir / "sub")
+        assert main(["interval", "10", "0.5", "2", "5", "--out", "i.json"]) == 0
+        monkeypatch.chdir(workdir)
+        before = sha(workdir / "sub" / "i.json")
+        capsys.readouterr()
+        assert main(["rerun", "sub/i.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sub/i.json is not i.json, the output its manifest names")
+        assert "rerun from the directory the file was written in" in err
+        assert sorted(p.name for p in workdir.iterdir()) == ["sub"]
+        assert sha(workdir / "sub" / "i.json") == before
+        # an unrelated file of that name here keeps its bytes
+        (workdir / "i.json").write_text('{"unrelated": true}\n')
+        assert main(["rerun", "sub/i.json"]) == 1
+        assert (workdir / "i.json").read_text() == '{"unrelated": true}\n'
+        assert sha(workdir / "sub" / "i.json") == before
+        monkeypatch.chdir(workdir / "sub")
+        assert main(["rerun", "i.json"]) == 0
+        assert sha(workdir / "sub" / "i.json") == before
+
+    def test_refuses_a_file_that_is_a_bare_manifest(self, workdir, capsys):
+        manifest = {"command": "interval", "artifact_version": __version__,
+                    "params": {"n": 10, "p": 0.5, "lo": 2, "hi": 5, "out": "m.json"}}
+        (workdir / "m.json").write_text(serialize.dumps(manifest))
+        before = sha(workdir / "m.json")
+        assert main(["rerun", "m.json"]) == 1
+        assert capsys.readouterr().err == "error: m.json does not embed a manifest\n"
+        assert sha(workdir / "m.json") == before
 
 
 @pytest.mark.parametrize("field,value", [("out", 5), ("probs", 7), ("n", "10"), ("bins", 3)])

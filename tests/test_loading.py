@@ -22,17 +22,18 @@ INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 LAYERS = ("errors", "operators", "sic", "born", "correlations", "sampling", "serialize")
 
-# The package's public names: those of artifact_version 0.6.0, and reference_from_fiducial.
+# The package's public names: those of artifact_version 0.6.0 and reference_from_fiducial,
+# less sic_certify and SicCertificate (max_sic_deviation is the one SIC check).
 PUBLIC = [
     "__version__", "CondProbMatrix", "CorrelationTable", "DataTable", "DensityOperator",
     "FiducialCandidate", "Ket", "MeasurementFamily", "OutcomeCounts", "Povm", "ProbVector",
-    "ReferenceMeasurement", "SicCertificate", "SteeringReport", "binomial_interval_prob",
+    "ReferenceMeasurement", "SteeringReport", "binomial_interval_prob",
     "born_probabilities", "chsh_value", "classical_law", "classicality_gap",
     "correlation_table", "data_table_sim", "displacement", "embedded_correlation_table",
     "frame_potential", "known_fiducial", "make_ket", "make_povm", "make_prob_vector",
     "make_reference", "max_sic_deviation", "no_signalling_check", "povm_to_cond",
     "prob_to_state", "random_density", "random_povm", "random_pure_state",
-    "random_reference", "reference_from_fiducial", "sample_outcomes", "sic_certify",
+    "random_reference", "reference_from_fiducial", "sample_outcomes",
     "sic_reference", "sic_search", "spin32_embedding", "state_to_prob", "steering_ensembles",
     "tensor", "urgleichung_general", "urgleichung_sic", "validate_density", "wh_orbit",
 ]

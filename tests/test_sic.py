@@ -13,7 +13,6 @@ from probrep import (
     max_sic_deviation,
     random_density,
     random_pure_state,
-    sic_certify,
     sic_search,
     wh_orbit,
 )
@@ -300,7 +299,7 @@ def search_outcome(dim, seed, restarts, tol=CERT_TOL):
         cand = sic_search(dim, seed, restarts, tol)
     except NoConvergence as err:
         return str(err)
-    return (cand.dim, cand.vector.amplitudes.tobytes(), repr(cand.frame_potential),
+    return (cand.vector.dim, cand.vector.amplitudes.tobytes(), repr(cand.frame_potential),
             repr(cand.max_sic_deviation), cand.seed, cand.restarts_used, cand.restart_index)
 
 
@@ -411,23 +410,11 @@ class TestLockstepSearch:
 
 class TestSicCertify:
     def test_tetrahedron_passes(self):
-        cert = sic_certify(tetrahedron_fiducial(), tolerance=1e-8)
-        assert cert.passed
-        assert cert.candidate.max_sic_deviation < 1e-10
+        assert max_sic_deviation(tetrahedron_fiducial()) < 1e-10
 
     def test_basis_state_fails_with_two_thirds(self):
         # hand oracle: the Z overlap is 1, target 1/3
-        cert = sic_certify(make_ket([1.0, 0.0]), tolerance=1e-8)
-        assert not cert.passed
-        assert cert.candidate.max_sic_deviation == pytest.approx(2.0 / 3.0, abs=1e-12)
-
-    def test_vacuous_tolerance(self):
-        cert = sic_certify(random_pure_state(3, seed=0), tolerance=10.0)
-        assert cert.passed
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sic_certify(make_ket([1.0, 0.0]), tolerance=0.0)
+        assert max_sic_deviation(make_ket([1.0, 0.0])) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_certified_orbit_overlaps_and_povm(self):
         for d in range(2, DIM_CAP + 1):
@@ -453,6 +440,17 @@ class TestRegistry:
     def test_missing_dimension(self):
         with pytest.raises(KeyError):
             known_fiducial(9)
+
+    def test_vector_off_the_sic_fails_certification(self, monkeypatch):
+        # hand oracle: the basis vector's Z overlap is 1, target 1/3
+        monkeypatch.setitem(sic._KNOWN, 2, np.array([1.0, 0.0]))
+        known_fiducial.cache_clear()
+        try:
+            with pytest.raises(AssertionError,
+                               match=r"d=2 failed certification: deviation 6\.667e-01$"):
+                known_fiducial(2)
+        finally:
+            known_fiducial.cache_clear()
 
     def test_stored_vectors_are_the_search_results(self):
         # the search stays the oracle for every stored (non-closed-form) vector
