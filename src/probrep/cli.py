@@ -40,10 +40,6 @@ def _manifest(command: str, params: dict) -> dict:
     return {"command": command, "params": params, "artifact_version": __version__}
 
 
-def _manifest_line(manifest: dict) -> str:
-    return json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-
-
 def _write(*files) -> None:
     """Write every (path, text) or none: each text goes to a temporary file beside
     its path, and the temporaries replace the paths only once all are written.
@@ -81,15 +77,27 @@ def _write_result(path: str, payload: dict, *others) -> None:
     _write(*others, (path, serialize.dumps({**payload, "environment": _environment()})))
 
 
-def _read(path: str, parse):
-    """parse(JSON object in path).
+def _not_a_number(literal: str):
+    raise TypeError(f"{literal} is not a JSON number")
 
-    A top level or field of the wrong type, JSON nested too deeply to
+
+def _read(params: dict, flag: str, parse):
+    """parse(JSON object in the file params[flag] names).
+
+    A file that is also one of the command's outputs is refused, so that no
+    run writes over its own input. A top level or field of the wrong type, a
+    NaN or Infinity literal (not RFC 8259 JSON), JSON nested too deeply to
     decode, or an integer too large for a float is a malformed input.
     """
+    path = params[flag]
+    outputs = [params[key] for key in ("out", "report", "table_csv", "counts_csv")
+               if params.get(key)]
+    if os.path.realpath(path) in map(os.path.realpath, outputs):
+        raise ValueError(f"--{flag.replace('_', '-')} {path} is also an output of this "
+                         f"command; give the output another path")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_not_a_number)
         if not isinstance(data, dict):
             raise TypeError(f"expected an object at the top level, got {type(data).__name__}")
         return parse(data)
@@ -97,12 +105,12 @@ def _read(path: str, parse):
         raise ValueError(f"malformed input file {path}: {err}") from err
 
 
-def _builtin_state(name: str):
-    if name == "phi+":
+def _builtin_state(params: dict):
+    if params["state"] == "phi+":
         return correlations.phi_plus()
-    if name == "singlet":
+    if params["state"] == "singlet":
         return correlations.singlet()
-    return _read(name, serialize.ket_from_payload)
+    return _read(params, "state", serialize.ket_from_payload)
 
 
 _BUILTIN_BASES = {
@@ -112,10 +120,10 @@ _BUILTIN_BASES = {
 }
 
 
-def _builtin_basis(name: str):
-    if name in _BUILTIN_BASES:
-        return projector_povm(_BUILTIN_BASES[name])
-    return _read(name, serialize.povm_from_payload)
+def _builtin_basis(params: dict, flag: str):
+    if params[flag] in _BUILTIN_BASES:
+        return projector_povm(_BUILTIN_BASES[params[flag]])
+    return _read(params, flag, serialize.povm_from_payload)
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +149,12 @@ def run_sic_search(params: dict) -> int:
     return 0 if certified else 2
 
 
-def _reference_for(kind: str, dim: int, seed: int):
-    if kind == "sic":
+def _reference_for(params: dict, dim: int, seed: int):
+    if params["reference"] == "sic":
         return born.sic_reference(dim)
-    if kind == "random":
+    if params["reference"] == "random":
         return born.random_reference(dim, seed)
-    return _read(kind, serialize.reference_from_payload)
+    return _read(params, "reference", serialize.reference_from_payload)
 
 
 def run_born_check(params: dict) -> int:
@@ -155,7 +163,7 @@ def run_born_check(params: dict) -> int:
     seed = params["seed"]
     _check_draw_args(trials, "trials", seed)
     manifest = _manifest("born-check", params)
-    ref = _reference_for(params["reference"], dim, seed)
+    ref = _reference_for(params, dim, seed)
     if ref.dim != dim:
         raise DimensionMismatch(f"--dim {dim} != reference dim {ref.dim}")
     worst_general, worst_sic = born.check_trials(ref, range(seed + 1, seed + 1 + trials))
@@ -181,9 +189,9 @@ def run_born_check(params: dict) -> int:
 
 def run_classical_gap(params: dict) -> int:
     manifest = _manifest("classical-gap", params)
-    rho = _read(params["state"], serialize.density_from_payload)
-    povm = _read(params["povm"], serialize.povm_from_payload)
-    ref = _reference_for(params["reference"], rho.dim, seed=0)
+    rho = _read(params, "state", serialize.density_from_payload)
+    povm = _read(params, "povm", serialize.povm_from_payload)
+    ref = _reference_for(params, rho.dim, seed=0)
     gap, q_quantum, q_classical = born._gap_rules(ref, rho, povm)
     payload = {
         "manifest": manifest,
@@ -209,9 +217,10 @@ def _parse_angles(text: str):
 
 
 def run_bell(params: dict) -> int:
+    if params.get("counts_csv") and not params["simulate"]:
+        raise ValueError("--counts-csv needs --simulate")
     manifest = _manifest("bell", params)
-    line = _manifest_line(manifest)
-    psi = _builtin_state(params["state"])
+    psi = _builtin_state(params)
     angles_a, angles_b = _parse_angles(params["angles"])
     fam_a = correlations.angle_family(angles_a, plane=params["plane"])
     fam_b = correlations.angle_family(angles_b, plane=params["plane"])
@@ -236,9 +245,9 @@ def run_bell(params: dict) -> int:
                 correlations.chsh_value(empirical) if params["chsh"] else None
             ),
         }
-    csvs = [(params["table_csv"], serialize.table_csv(table, manifest_line=line))]
-    if params["simulate"] and params.get("counts_csv"):
-        csvs.append((params["counts_csv"], serialize.data_table_csv(dt, manifest_line=line)))
+    csvs = [(params["table_csv"], serialize.table_csv(table, manifest))]
+    if params.get("counts_csv"):
+        csvs.append((params["counts_csv"], serialize.data_table_csv(dt, manifest)))
     _write_result(params["report"], payload, *csvs)
     msg = f"bell table -> {params['table_csv']}, summary -> {params['report']}"
     if params["chsh"]:
@@ -249,9 +258,9 @@ def run_bell(params: dict) -> int:
 
 def run_steer(params: dict) -> int:
     manifest = _manifest("steer", params)
-    psi = _builtin_state(params["state"])
-    basis_1 = _builtin_basis(params["basis_a"])
-    basis_2 = _builtin_basis(params["basis_b"])
+    psi = _builtin_state(params)
+    basis_1 = _builtin_basis(params, "basis_a")
+    basis_2 = _builtin_basis(params, "basis_b")
     report = correlations.steering_ensembles(psi, basis_1, basis_2)
     payload = {"manifest": manifest}
     payload.update(serialize.steering_payload(report))
@@ -269,7 +278,7 @@ def run_steer(params: dict) -> int:
 
 def run_simulate(params: dict) -> int:
     manifest = _manifest("simulate", params)
-    values = _read(params["probs"], serialize.prob_values_from_payload)
+    values = _read(params, "probs", serialize.prob_values_from_payload)
     q = make_prob_vector(values)
     counts = sampling.sample_outcomes(q, params["n"], params["seed"])
     payload = {
@@ -319,7 +328,7 @@ def _embedded_manifest(data: dict):
 
 
 def run_rerun(params: dict) -> int:
-    manifest = _read(params["file"], _embedded_manifest)
+    manifest = _read(params, "file", _embedded_manifest)
     if manifest is None:
         raise ValueError(f"{params['file']} does not embed a manifest")
     version = manifest.get("artifact_version", "none")

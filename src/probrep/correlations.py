@@ -78,7 +78,7 @@ class CorrelationTable:
 
 
 def make_table(settings_a, settings_b, probs: Dict[Tuple, np.ndarray]) -> CorrelationTable:
-    """Table whose blocks are validated (and clipped) as make_prob_vector does."""
+    """Blocks validated (clipped) as make_prob_vector does, keyed in row-major setting order."""
     out = {}
     for a in settings_a:
         for b in settings_b:

@@ -145,7 +145,8 @@ def make_ket(amplitudes) -> Ket:
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     d = check_dim(v.shape[0])
     _require_finite(v, "ket")
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # a norm past the float range is inf, refused below
+        norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"ket norm {norm!r} differs from 1 by more than {NORM_TOL}")
     return Ket(d, _freeze(v.copy()))
@@ -226,7 +227,8 @@ def prob_values(p) -> np.ndarray:
 
 
 def hermitian_deviation(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
+    """Largest |A - A^dag| entry, taken as twice that of A/2 so that no entry overflows."""
+    return 2 * float(np.max(np.abs(0.5 * matrix - 0.5 * matrix.conj().T)))
 
 
 def validate_density(matrix) -> DensityOperator:
@@ -247,7 +249,7 @@ def validate_density(matrix) -> DensityOperator:
     dev = hermitian_deviation(m)
     if dev > HERMITIAN_TOL:
         raise NotHermitian(dev, what="density matrix")
-    m = 0.5 * (m + m.conj().T)
+    m = 0.5 * m + 0.5 * m.conj().T  # halves first, so that no entry overflows
     trace = float(np.real(np.trace(m)))
     if abs(trace - 1.0) > TRACE_TOL:
         raise TraceNotOne(trace, TRACE_TOL)
@@ -283,18 +285,19 @@ def _check_povm_stack(els: np.ndarray) -> None:
     Hermiticity before positivity, and then its sum to identity.
     """
     _require_finite(els, "POVM")
-    adjoint = els.conj().swapaxes(-1, -2)
-    devs = np.max(np.abs(els - adjoint), axis=(-2, -1))
-    lowest = np.linalg.eigvalsh(0.5 * (els + adjoint))[..., 0]
+    half = 0.5 * els  # as in hermitian_deviation, so that no entry overflows
+    half_adjoint = half.conj().swapaxes(-1, -2)
+    half_devs = np.max(np.abs(half - half_adjoint), axis=(-2, -1))
+    lowest = np.linalg.eigvalsh(half + half_adjoint)[..., 0]
     sum_devs = np.max(np.abs(els.sum(axis=1) - np.eye(els.shape[-1])), axis=(-2, -1))
-    bad = (devs > HERMITIAN_TOL) | (lowest < -EIGENVALUE_TOL)
+    bad = (half_devs > HERMITIAN_TOL / 2) | (lowest < -EIGENVALUE_TOL)
     failed = bad.any(axis=1) | (sum_devs > HERMITIAN_TOL)
     if failed.any():
         b = int(np.argmax(failed))
         if bad[b].any():
             j = int(np.argmax(bad[b]))
-            if devs[b, j] > HERMITIAN_TOL:
-                raise NotHermitian(float(devs[b, j]), what=f"POVM element {j}")
+            if half_devs[b, j] > HERMITIAN_TOL / 2:
+                raise NotHermitian(2 * float(half_devs[b, j]), what=f"POVM element {j}")
             raise NotPositive(float(lowest[b, j]), what=f"POVM element {j}")
         raise SumNotIdentity(float(sum_devs[b]))
 

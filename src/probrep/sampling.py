@@ -236,15 +236,14 @@ def data_table_sim(
     """Sample a data table from a correlation table.
 
     Every setting pair gets exactly n_per_setting trials, its counts one
-    multinomial draw, the pairs taken in row-major setting order from a
-    single default_rng(seed) stream. Raises ValueError unless
-    1 <= n_per_setting < 2**63 and seed >= 0 are integers.
+    multinomial draw, the pairs taken in the table's row-major setting order
+    from one default_rng(seed) stream, and counts kept in it. Raises
+    ValueError unless 1 <= n_per_setting < 2**63 and seed >= 0 are integers.
     """
     _check_draw_args(n_per_setting, "n_per_setting", seed)
     rng = np.random.default_rng(seed)
     counts = {}
-    for key in ((a, b) for a in table.settings_a for b in table.settings_b):
-        block = table.block(*key)
+    for key, block in table.probs.items():
         flat = _draw_counts(block.reshape(-1), n_per_setting, rng)
         counts[key] = _freeze(flat.reshape(block.shape))
     return DataTable(

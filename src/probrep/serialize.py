@@ -8,7 +8,6 @@ keys and two-space indentation so identical data produces identical bytes.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 import numpy as np
 
@@ -125,62 +124,45 @@ def prob_values_from_payload(data: dict) -> np.ndarray:
     return _numbers(data["values"], 1)
 
 
-def table_payload(table: correlations.CorrelationTable) -> dict:
+def _blocks_payload(table, blocks: dict, field: str, **extras) -> dict:
+    """A table's settings and one JSON block per setting pair, in the map's (row-major
+    setting) order: the block's cells under field, beside any per-block extras."""
     return {
         "settings_a": [str(a) for a in table.settings_a],
         "settings_b": [str(b) for b in table.settings_b],
-        "blocks": [
-            {
-                "a": str(a),
-                "b": str(b),
-                "p": table.block(a, b).tolist(),
-            }
-            for a in table.settings_a
-            for b in table.settings_b
-        ],
+        "blocks": [{"a": str(a), "b": str(b), field: block.tolist(), **extras}
+                   for (a, b), block in blocks.items()],
     }
 
 
-def _blocks_csv(settings_a, settings_b, block, column: str, cell, manifest_line) -> str:
-    """CSV with header a,b,x,y,<column>: one row per cell of block(a, b), in
-    row-major setting and outcome order, the value rendered by cell."""
-    lines = [] if manifest_line is None else [f"# manifest={manifest_line}"]
-    lines.append(f"a,b,x,y,{column}")
-    for a in settings_a:
-        for b in settings_b:
-            for (x, y), value in np.ndenumerate(block(a, b)):
-                lines.append(f"{a},{b},{x},{y},{cell(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def table_csv(table: correlations.CorrelationTable, manifest_line: Optional[str] = None) -> str:
-    """CSV rendering with header a,b,x,y,p (one row per joint outcome)."""
-    return _blocks_csv(table.settings_a, table.settings_b, table.block, "p",
-                       lambda v: repr(float(v)), manifest_line)
+def table_payload(table: correlations.CorrelationTable) -> dict:
+    return _blocks_payload(table, table.probs, "p")
 
 
 def data_table_payload(dt: sampling.DataTable) -> dict:
-    return {
-        "settings_a": [str(a) for a in dt.settings_a],
-        "settings_b": [str(b) for b in dt.settings_b],
-        "seed": dt.seed,
-        "blocks": [
-            {
-                "a": str(a),
-                "b": str(b),
-                "n_trials": dt.n_trials,
-                "counts": dt.counts[(a, b)].tolist(),
-            }
-            for a in dt.settings_a
-            for b in dt.settings_b
-        ],
-    }
+    return {**_blocks_payload(dt, dt.counts, "counts", n_trials=dt.n_trials), "seed": dt.seed}
 
 
-def data_table_csv(dt: sampling.DataTable, manifest_line: Optional[str] = None) -> str:
+def _blocks_csv(blocks: dict, column: str, cell, manifest: dict) -> str:
+    """CSV under a `# manifest=` line, the manifest as compact sorted-key JSON, and the
+    header a,b,x,y,<column>: one row per cell of each block, in the map's (row-major
+    setting) order and then outcome order, the value rendered by cell."""
+    lines = [f"# manifest={json.dumps(manifest, sort_keys=True, separators=(',', ':'))}",
+             f"a,b,x,y,{column}"]
+    for (a, b), block in blocks.items():
+        for (x, y), value in np.ndenumerate(block):
+            lines.append(f"{a},{b},{x},{y},{cell(value)}")
+    return "\n".join(lines) + "\n"
+
+
+def table_csv(table: correlations.CorrelationTable, manifest: dict) -> str:
+    """CSV rendering with header a,b,x,y,p (one row per joint outcome)."""
+    return _blocks_csv(table.probs, "p", lambda v: repr(float(v)), manifest)
+
+
+def data_table_csv(dt: sampling.DataTable, manifest: dict) -> str:
     """CSV rendering with header a,b,x,y,count (one row per joint outcome)."""
-    return _blocks_csv(dt.settings_a, dt.settings_b, lambda a, b: dt.counts[(a, b)], "count",
-                       int, manifest_line)
+    return _blocks_csv(dt.counts, "count", int, manifest)
 
 
 def steering_payload(report: correlations.SteeringReport) -> dict:

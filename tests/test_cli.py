@@ -9,7 +9,7 @@ import pytest
 
 from probrep import __version__, serialize, validate_density
 from probrep.cli import main
-from probrep.correlations import direction_povm
+from probrep.correlations import direction_povm, singlet
 from probrep.operators import projector_povm
 
 
@@ -390,6 +390,21 @@ class TestBell:
         for f, before in hashes.items():
             assert sha(workdir / f) == before
 
+    def test_counts_csv_without_simulate_exits_one(self, workdir, capsys):
+        # with no counts to write, the flag was once ignored in silence
+        assert main(["bell", "--chsh", "--counts-csv", "counts.csv"]) == 1
+        assert capsys.readouterr().err == "error: --counts-csv needs --simulate\n"
+        assert list(workdir.iterdir()) == []
+        assert main(["bell", "--chsh"]) == 0
+        summary = load(workdir / "bell_summary.json")
+        summary["manifest"]["params"]["counts_csv"] = "counts.csv"
+        (workdir / "bell_summary.json").write_text(serialize.dumps(summary))
+        before = {p.name: sha(p) for p in workdir.iterdir()}
+        capsys.readouterr()
+        assert main(["rerun", "bell_summary.json"]) == 1
+        assert capsys.readouterr().err == "error: --counts-csv needs --simulate\n"
+        assert {p.name: sha(p) for p in workdir.iterdir()} == before
+
     def test_counts_csv_shape(self, workdir):
         main(["bell", "--state", "singlet", "--simulate", "100",
               "--counts-csv", "counts.csv"])
@@ -599,6 +614,29 @@ def test_input_file_of_the_wrong_json_shape_exits_one(workdir, capsys, flag, sha
     assert capsys.readouterr().err.startswith("error: malformed input file bad.json: ")
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", "--probs", "in.json", "--n", "10", "--out", "in.json"], "--probs"),
+    (["classical-gap", "--state", "in.json", "--povm", "x.json", "--report", "in.json"],
+     "--state"),
+    (["steer", "--basis-b", "in.json", "--report", "./in.json"], "--basis-b"),
+    (["bell", "--state", "in.json", "--table-csv", "in.json"], "--state"),
+], ids=["simulate-out-is-probs", "gap-report-is-state", "steer-report-is-basis",
+        "bell-table-is-state"])
+def test_an_output_over_an_input_exits_one(workdir, capsys, argv, flag):
+    # the run would replace its input with its result, which then could not be rerun
+    inputs = {"simulate": {"values": [0.5, 0.5]},
+              "classical-gap": serialize.operator_payload(validate_density(np.eye(2) / 2)),
+              "steer": serialize.povm_payload(direction_povm(0.0)),
+              "bell": serialize.ket_payload(singlet())}
+    (workdir / "in.json").write_text(serialize.dumps(inputs[argv[0]]))
+    write_x_povm(workdir / "x.json")
+    before = {p.name: sha(p) for p in workdir.iterdir()}
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {flag} in.json is also an output of this "
+                                       f"command; give the output another path\n")
+    assert {p.name: sha(p) for p in workdir.iterdir()} == before
+
+
 NESTED_KET = [[[0.7071067811865476, 0], [0, 0]], [[0, 0], [0.7071067811865476, 0]]]
 # POVM elements of different shapes: a 2x2 and a 3x2 matrix of pairs
 MIXED_SHAPE_POVM = {"dim": 2, "elements": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
@@ -637,6 +675,10 @@ MIXED_SHAPE_POVM = {"dim": 2, "elements": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
      {"dim": 2, "vector": [[1, 0], [False, 0]]}),
     (["classical-gap", "--state", "plus.json", "--povm", "x.json", "--reference", "bad.json"],
      {"dim": 2, "vector": NESTED_KET}),
+    # json.dumps writes NaN and Infinity literals, which are not RFC 8259 JSON
+    (["simulate", "--probs", "bad.json", "--n", "5"], {"values": [float("nan"), 1.0]}),
+    (["born-check", "--dim", "2", "--reference", "bad.json"],
+     {"dim": 2, "vector": [[float("inf"), float("-inf")], [0, 0]]}),
 ])
 def test_input_field_of_the_wrong_type_exits_one(workdir, capsys, argv, payload):
     write_plus_state(workdir / "plus.json")

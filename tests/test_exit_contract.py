@@ -6,8 +6,8 @@ huge or non-finite number, a bool, a string, deep nesting, a ragged or
 mixed-shape list, or another depth. Whole files are broken too: bytes that are not
 UTF-8, a top level that is not an object, an empty file. Whatever the input,
 cli.main returns 0, 1 (input error) or 2 (numerical failure), never raises,
-prints an `error:` line with any non-zero exit, and writes no file when it
-exits 1.
+prints an `error:` line with any non-zero exit, writes no file when it
+exits 1, and lets no numpy RuntimeWarning reach stderr.
 
 The examples are derandomized and not stored, so every run checks the same
 inputs.
@@ -20,6 +20,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,6 +118,7 @@ def mutated_inputs(draw):
     return flag, text.encode()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would reach stderr
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(case=mutated_inputs())
 def test_every_run_keeps_the_exit_code_contract(case):

@@ -79,6 +79,12 @@ CASES = (
       "--table-csv", "bell_table_70000.csv", "--counts-csv", "bell_counts_70000.csv",
       "--report", "bell_summary_70000.json"],
      ["bell_counts_70000.csv", "bell_summary_70000.json"]),
+    # 3 x 2 settings: the blocks' row-major setting order, cell by cell
+    ("bell-zx-3x2",
+     ["bell", "--angles", "0,30,60:15,45", "--plane", "zx", "--simulate", "1000",
+      "--seed", "9", "--table-csv", "bell_zx_table.csv", "--counts-csv", "bell_zx_counts.csv",
+      "--report", "bell_zx_summary.json"],
+     ["bell_zx_table.csv", "bell_zx_counts.csv", "bell_zx_summary.json"]),
     ("interval",
      ["interval", "10000", "0.5", "4900", "5100", "--out", "interval.json"],
      ["interval.json"]),

@@ -125,6 +125,21 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match="non-finite"):
             make_ket([1.0, complex(0.0, np.nan)])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entries_near_the_float_limit(self):
+        # A + A^dag overflowed to inf, and the NaN eigenvalues of that passed every check
+        with pytest.raises(NotPositive, match=r"-1\.000e\+308"):
+            validate_density([[0.5, 1e308], [1e308, 0.5]])
+        with pytest.raises(NotPositive, match=r"element 0 .* -1\.000e\+308"):
+            make_povm([[[0.5, 1e308], [1e308, 0.5]], [[0.5, -1e308], [-1e308, 0.5]]])
+        # and A - A^dag, or the norm, overflows with a warning of its own
+        with pytest.raises(NotHermitian, match="= inf"):
+            validate_density([[0.5 + 1e308j, 0], [0, 0.5]])
+        with pytest.raises(NotHermitian, match="element 0 .* = inf"):
+            make_povm([[[0.5, 1e308], [-1e308, 0.5]], [[0.5, 0], [0, 0.5]]])
+        with pytest.raises(ValueError, match="ket norm inf"):
+            make_ket([1e308, 0])
+
 
 class TestValidateDensity:
     def test_maximally_mixed(self):

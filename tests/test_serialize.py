@@ -61,7 +61,7 @@ def test_fiducial_round_trip():
 
 def test_table_csv():
     table = canonical_chsh_table()
-    csv = serialize.table_csv(table, manifest_line='{"command":"bell"}')
+    csv = serialize.table_csv(table, {"command": "bell"})
     lines = csv.strip().split("\n")
     assert lines[0].startswith("# manifest=")
     assert lines[1] == "a,b,x,y,p"
@@ -77,8 +77,10 @@ def test_data_table_csv_and_payload():
     assert payload["seed"] == 0 and "sampling_mode" not in payload
     total = sum(sum(map(sum, blk["counts"])) for blk in payload["blocks"])
     assert total == 400
-    csv = serialize.data_table_csv(dt)
-    assert csv.startswith("a,b,x,y,count\n")
+    csv = serialize.data_table_csv(dt, {"params": {"seed": 0}, "command": "bell"})
+    manifest_line, rest = csv.split("\n", 1)
+    assert manifest_line == '# manifest={"command":"bell","params":{"seed":0}}'
+    assert rest.startswith("a,b,x,y,count\n")
 
 
 def test_from_pairs_rejects_flat_lists():
