@@ -18,6 +18,7 @@ import os
 import platform
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,8 +91,9 @@ def _read(params: dict, flag: str, parse):
     decode, or an integer too large for a float is a malformed input.
     """
     path = params[flag]
-    outputs = [params[key] for key in ("out", "report", "table_csv", "counts_csv")
-               if params.get(key)]
+    # params hold only their own command's flags, so every command's outputs may be looked up
+    outputs = [params[out.dest] for spec in COMMANDS.values() for out in spec.flags
+               if out.role in ("output", "result") and params.get(out.dest)]
     if os.path.realpath(path) in map(os.path.realpath, outputs):
         raise ValueError(f"--{flag.replace('_', '-')} {path} is also an output of this "
                          f"command; give the output another path")
@@ -217,7 +219,7 @@ def _parse_angles(text: str):
 
 
 def run_bell(params: dict) -> int:
-    if params.get("counts_csv") and not params["simulate"]:
+    if params["counts_csv"] and not params["simulate"]:
         raise ValueError("--counts-csv needs --simulate")
     manifest = _manifest("bell", params)
     psi = _builtin_state(params)
@@ -246,7 +248,7 @@ def run_bell(params: dict) -> int:
             ),
         }
     csvs = [(params["table_csv"], serialize.table_csv(table, manifest))]
-    if params.get("counts_csv"):
+    if params["counts_csv"]:
         csvs.append((params["counts_csv"], serialize.data_table_csv(dt, manifest)))
     _write_result(params["report"], payload, *csvs)
     msg = f"bell table -> {params['table_csv']}, summary -> {params['report']}"
@@ -300,21 +302,10 @@ def run_interval(params: dict) -> int:
         "manifest": _manifest("interval", params),
         "probability": value,
     }
-    if params.get("out"):
+    if params["out"]:
         _write_result(params["out"], payload)
     print(f"P({params['lo']} <= K <= {params['hi']}) = {value!r}")
     return 0
-
-
-_HANDLERS = {
-    "sic-search": run_sic_search,
-    "born-check": run_born_check,
-    "classical-gap": run_classical_gap,
-    "bell": run_bell,
-    "steer": run_steer,
-    "simulate": run_simulate,
-    "interval": run_interval,
-}
 
 
 def _embedded_manifest(data: dict):
@@ -336,105 +327,142 @@ def run_rerun(params: dict) -> int:
         raise ValueError(f"{params['file']} has artifact_version {version} and this is probrep "
                          f"{__version__}; rerun writes only over files of its own version")
     command = manifest["command"]
-    if command not in _HANDLERS:
+    spec = COMMANDS.get(command)
+    result = [flag.dest for flag in spec.flags if flag.role == "result"] if spec else []
+    if not result:  # rerun writes no result, so no result file names it
         raise ValueError(f"unknown command {command!r} in manifest")
     _check_params(params["file"], command, manifest["params"])
-    written = manifest["params"].get("report", manifest["params"].get("out"))
+    written = manifest["params"][result[0]]
     if written is None or os.path.realpath(params["file"]) != os.path.realpath(written):
         raise ValueError(f"{params['file']} is not {written}, the output its manifest names, "
                          f"as seen from here; rerun from the directory the file was written in")
-    return _HANDLERS[command](manifest["params"])
+    return spec.handler(manifest["params"])
 
 
 def _check_params(path: str, command: str, params: dict) -> None:
-    """Refuse a param the command has no flag for, or of a type its flag never gives.
-
-    A flag gives its type= (str when it has none), bool for store_true, and
-    None only where its default is None.
-    """
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in sub.choices[command]._actions
-             if not isinstance(a, argparse._HelpAction)}
-    for key, value in params.items():
+    """Refuse params other than the command's flags, or a value its flag never gives:
+    one of its type (bool for a switch) within its choices, or None where an optional
+    flag's default is None."""
+    flags = {flag.dest: flag for flag in COMMANDS[command].flags}
+    for key in {**params, **flags}:  # each param, then each flag that has none
         flag = flags.get(key)
         if flag is None:
             raise ValueError(f"malformed input file {path}: {command} has no param {key!r}")
-        kind = bool if isinstance(flag, argparse._StoreTrueAction) else flag.type or str
-        if value is None and flag.default is None:
+        if key not in params:
+            raise ValueError(f"malformed input file {path}: {command} param {key!r} is missing")
+        value = params[key]
+        if value is None and flag.default is None and not flag.required:
             continue
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        if not isinstance(value, flag.type) or (isinstance(value, bool) and flag.type is not bool):
             raise ValueError(f"malformed input file {path}: param {key!r} of {command} must be "
-                             f"{kind.__name__}, got {type(value).__name__}")
+                             f"{flag.type.__name__}, got {type(value).__name__}")
+        if flag.choices and value not in flag.choices:
+            raise ValueError(f"malformed input file {path}: param {key!r} of {command} must be "
+                             f"one of {', '.join(map(repr, flag.choices))}, got {value!r}")
+
+
+class _Flag(NamedTuple):
+    """One flag of a command: its name as typed (a positional's has no dashes), type
+    (bool: a switch), default, help, choices and metavar, whether it must be given,
+    and its role: "input" may name a file the command reads, "output" a file it
+    writes, and "result" the JSON result file that embeds its manifest."""
+
+    name: str
+    type: type = str
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+    required: bool = False
+    role: str | None = None
+    metavar: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
+
+
+class _Command(NamedTuple):
+    handler: Callable[[dict], int]
+    help: str
+    flags: tuple
+
+
+#: Every command, its handler, help and flags, in the order that --help lists them.
+COMMANDS = {
+    "sic-search": _Command(run_sic_search, "search for a SIC fiducial vector", (
+        _Flag("--dim", int, required=True),
+        _Flag("--restarts", int, 20),
+        _Flag("--seed", int, 0),
+        _Flag("--tol", float, CERT_TOL),
+        _Flag("--out", default="fiducial.json", role="result"),
+    )),
+    "born-check": _Command(run_born_check, "probability-rule vs Born-rule sweep", (
+        _Flag("--dim", int, required=True),
+        _Flag("--trials", int, 100),
+        _Flag("--seed", int, 0),
+        _Flag("--reference", default="sic", role="input",
+              help="'sic', 'random', a reference JSON file or a sic-search result"),
+        _Flag("--report", default="born_check.json", role="result"),
+    )),
+    "classical-gap": _Command(run_classical_gap, "quantum rule vs law of total probability", (
+        _Flag("--state", required=True, role="input", help="density-operator JSON file"),
+        _Flag("--povm", required=True, role="input", help="POVM JSON file"),
+        _Flag("--reference", default="sic", role="input", help="'sic', 'random' (seed 0, "
+              "always), a reference JSON file or a sic-search result"),
+        _Flag("--report", default="classical_gap.json", role="result"),
+    )),
+    "bell": _Command(run_bell, "two-qubit correlation table and CHSH", (
+        _Flag("--state", default="singlet", role="input",
+              help="phi+, singlet, or a ket JSON file"),
+        _Flag("--angles", default="90,0:45,135",
+              help="'A1,A2,..:B1,B2,..' measurement angles in degrees"),
+        _Flag("--plane", default="xy", choices=("xy", "zx")),
+        _Flag("--chsh", bool, False, help="evaluate the CHSH combination"),
+        _Flag("--simulate", int, 0, metavar="N", help="also sample N trials per setting"),
+        _Flag("--seed", int, 0),
+        _Flag("--table-csv", default="bell_table.csv", role="output"),
+        _Flag("--counts-csv", role="output",
+              help="with --simulate, also write the sampled counts as CSV"),
+        _Flag("--report", default="bell_summary.json", role="result"),
+    )),
+    "steer": _Command(run_steer, "conditioned ensembles of a bipartite state", (
+        _Flag("--state", default="phi+", role="input", help="phi+, singlet, or a ket JSON file"),
+        _Flag("--basis-a", default="z", role="input", help="z, x, y, or a POVM JSON file"),
+        _Flag("--basis-b", default="x", role="input", help="z, x, y, or a POVM JSON file"),
+        _Flag("--report", default="steering.json", role="result"),
+    )),
+    "simulate": _Command(run_simulate, "sample outcome counts from a distribution", (
+        _Flag("--probs", required=True, role="input", help="JSON file with a 'values' list"),
+        _Flag("--n", int, required=True),
+        _Flag("--seed", int, 0),
+        _Flag("--out", default="counts.json", role="result"),
+    )),
+    "interval": _Command(run_interval,
+                         "binomial interval probability, within 1e-14 of the exact sum", (
+        _Flag("n", int, required=True),
+        _Flag("p", float, required=True),
+        _Flag("lo", int, required=True),
+        _Flag("hi", int, required=True),
+        _Flag("--out", role="result"),
+    )),
+    "rerun": _Command(run_rerun, "re-execute the manifest embedded in a result file", (
+        _Flag("file", required=True, role="input"),
+    )),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="probrep", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sic-search", help="search for a SIC fiducial vector")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=CERT_TOL)
-    p.add_argument("--out", default="fiducial.json")
-
-    p = sub.add_parser("born-check", help="probability-rule vs Born-rule sweep")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reference", default="sic",
-                   help="'sic', 'random', a reference JSON file or a sic-search result")
-    p.add_argument("--report", default="born_check.json")
-
-    p = sub.add_parser("classical-gap", help="quantum rule vs law of total probability")
-    p.add_argument("--state", required=True, help="density-operator JSON file")
-    p.add_argument("--povm", required=True, help="POVM JSON file")
-    p.add_argument("--reference", default="sic", help="'sic', 'random' (seed 0, always), a "
-                   "reference JSON file or a sic-search result")
-    p.add_argument("--report", default="classical_gap.json")
-
-    p = sub.add_parser("bell", help="two-qubit correlation table and CHSH")
-    p.add_argument("--state", default="singlet", help="phi+, singlet, or a ket JSON file")
-    p.add_argument(
-        "--angles",
-        default="90,0:45,135",
-        help="'A1,A2,..:B1,B2,..' measurement angles in degrees",
-    )
-    p.add_argument("--plane", choices=("xy", "zx"), default="xy")
-    p.add_argument("--chsh", action="store_true", help="evaluate the CHSH combination")
-    p.add_argument("--simulate", type=int, default=0, metavar="N",
-                   help="also sample N trials per setting")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--table-csv", dest="table_csv", default="bell_table.csv")
-    p.add_argument("--counts-csv", dest="counts_csv", default=None,
-                   help="with --simulate, also write the sampled counts as CSV")
-    p.add_argument("--report", default="bell_summary.json")
-
-    p = sub.add_parser("steer", help="conditioned ensembles of a bipartite state")
-    p.add_argument("--state", default="phi+", help="phi+, singlet, or a ket JSON file")
-    p.add_argument("--basis-a", dest="basis_a", default="z",
-                   help="z, x, y, or a POVM JSON file")
-    p.add_argument("--basis-b", dest="basis_b", default="x",
-                   help="z, x, y, or a POVM JSON file")
-    p.add_argument("--report", default="steering.json")
-
-    p = sub.add_parser("simulate", help="sample outcome counts from a distribution")
-    p.add_argument("--probs", required=True, help="JSON file with a 'values' list")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="counts.json")
-
-    p = sub.add_parser("interval", help="binomial interval probability, within 1e-14 of the exact sum")
-    p.add_argument("n", type=int)
-    p.add_argument("p", type=float)
-    p.add_argument("lo", type=int)
-    p.add_argument("hi", type=int)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("rerun", help="re-execute the manifest embedded in a result file")
-    p.add_argument("file")
-
+    for command, spec in COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for flag in spec.flags:
+            kwargs = ({"action": "store_true"} if flag.type is bool else
+                      {"type": flag.type, "choices": flag.choices, "metavar": flag.metavar})
+            if flag.name.startswith("-"):  # argparse takes no default or required for a positional
+                kwargs.update(default=flag.default, required=flag.required)
+            p.add_argument(flag.name, help=flag.help, **kwargs)
     return parser
 
 
@@ -444,9 +472,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # bad flags (1) or --help/--version (0)
         return int(exc.code or 0)
-    command = args.command
-    params = {k: v for k, v in vars(args).items() if k != "command"}
-    handler = run_rerun if command == "rerun" else _HANDLERS[command]
+    params = vars(args)
+    handler = COMMANDS[params.pop("command")].handler
     try:
         return handler(params)
     except NoConvergence as err:

@@ -122,6 +122,13 @@ def _require_positive(value, what: str) -> None:
         raise ValueError(f"{what} must be a finite number > 0, got {value!r}")
 
 
+def _total(a: np.ndarray, axis=None) -> np.ndarray:
+    """a.sum(axis); a sum past the float range is inf, which every caller refuses, and
+    not numpy's overflow warning."""
+    with np.errstate(over="ignore"):
+        return a.sum(axis=axis)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -208,7 +215,7 @@ def _check_prob_rows(rows: np.ndarray) -> np.ndarray:
     _require_finite(rows, "probability vector")
     lowest = rows.min(axis=1, initial=0.0)
     rows = np.where(rows < 0.0, 0.0, rows)
-    totals = rows.sum(axis=1)
+    totals = _total(rows, axis=1)
     bad = (lowest < PROB_FLOOR) | (np.abs(totals - 1.0) > PROB_SUM_TOL)
     if bad.any():
         b = int(np.argmax(bad))
@@ -250,7 +257,7 @@ def validate_density(matrix) -> DensityOperator:
     if dev > HERMITIAN_TOL:
         raise NotHermitian(dev, what="density matrix")
     m = 0.5 * m + 0.5 * m.conj().T  # halves first, so that no entry overflows
-    trace = float(np.real(np.trace(m)))
+    trace = float(_total(m.diagonal().real))
     if abs(trace - 1.0) > TRACE_TOL:
         raise TraceNotOne(trace, TRACE_TOL)
     w, v = np.linalg.eigh(m)
@@ -289,7 +296,7 @@ def _check_povm_stack(els: np.ndarray) -> None:
     half_adjoint = half.conj().swapaxes(-1, -2)
     half_devs = np.max(np.abs(half - half_adjoint), axis=(-2, -1))
     lowest = np.linalg.eigvalsh(half + half_adjoint)[..., 0]
-    sum_devs = np.max(np.abs(els.sum(axis=1) - np.eye(els.shape[-1])), axis=(-2, -1))
+    sum_devs = np.max(np.abs(_total(els, axis=1) - np.eye(els.shape[-1])), axis=(-2, -1))
     bad = (half_devs > HERMITIAN_TOL / 2) | (lowest < -EIGENVALUE_TOL)
     failed = bad.any(axis=1) | (sum_devs > HERMITIAN_TOL)
     if failed.any():

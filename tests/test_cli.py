@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from probrep import __version__, serialize, validate_density
-from probrep.cli import main
+from probrep.cli import COMMANDS, build_parser, main
 from probrep.correlations import direction_povm, singlet
 from probrep.operators import projector_povm
 
@@ -571,20 +571,34 @@ class TestRerun:
         assert sha(workdir / "m.json") == before
 
 
-@pytest.mark.parametrize("field,value", [("out", 5), ("probs", 7), ("n", "10"), ("bins", 3)])
-def test_rerun_refuses_a_param_its_flag_never_gives(workdir, capsys, field, value):
+DELETED = object()  # the param is taken out of the manifest
+
+RESULT_OF = {"simulate": ["simulate", "--probs", "probs.json", "--n", "10", "--out", "c.json"],
+             "bell": ["bell", "--table-csv", "t.csv", "--report", "c.json"]}
+
+
+# A manifest's params must be exactly its command's flags, each value one that its flag gives.
+@pytest.mark.parametrize("command,field,value", [
+    ("simulate", "out", 5), ("simulate", "probs", 7), ("simulate", "n", "10"),
+    ("simulate", "bins", 3), ("simulate", "n", None), ("bell", "seed", DELETED),
+    ("bell", "report", DELETED), ("bell", "plane", "yz"),
+], ids=["out-5", "probs-7", "n-10", "bins-3", "n-null", "bell-seed-deleted",
+        "bell-report-deleted", "bell-plane-yz"])
+def test_rerun_refuses_a_param_its_flag_never_gives(workdir, capsys, command, field, value):
     shutil.copy(GOLDEN / "inputs" / "probs.json", workdir)
-    assert main(["simulate", "--probs", "probs.json", "--n", "10", "--out", "c.json"]) == 0
+    assert main(RESULT_OF[command]) == 0
     data = load(workdir / "c.json")
-    data["manifest"]["params"][field] = value
+    if value is DELETED:
+        del data["manifest"]["params"][field]
+    else:
+        data["manifest"]["params"][field] = value
     (workdir / "c.json").write_text(serialize.dumps(data))
-    before = sha(workdir / "c.json")
+    before = {p.name: sha(p) for p in workdir.iterdir()}
     capsys.readouterr()
     assert main(["rerun", "c.json"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed input file c.json: ") and repr(field) in err
-    assert sha(workdir / "c.json") == before
-    assert sorted(p.name for p in workdir.iterdir()) == ["c.json", "probs.json"]
+    assert {p.name: sha(p) for p in workdir.iterdir()} == before
 
 
 # Every flag that reads a JSON file, with valid files for the flags it is given alongside.
@@ -601,6 +615,29 @@ FILE_FLAGS = {
     "steer --basis-b": ["steer", "--basis-b", "{}"],
     "rerun": ["rerun", "{}"],
 }
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_gives_the_flags_and_defaults_of_the_command_table(command):
+    # each required flag given a value of its type; every other flag takes its default
+    text = {int: "2", float: "0.5", str: "x.json"}
+    argv = [command]
+    for flag in COMMANDS[command].flags:
+        if flag.required:
+            argv += [text[flag.type]] if flag.name[0] != "-" else [flag.name, text[flag.type]]
+    want = {flag.dest: flag.type(text[flag.type]) if flag.required else flag.default
+            for flag in COMMANDS[command].flags}
+    got = vars(build_parser().parse_args(argv))
+    assert got.pop("command") == command
+    assert got == want
+    assert {key: type(value) for key, value in got.items()} == {
+        key: type(value) for key, value in want.items()}
+
+
+def test_file_flags_are_the_input_flags_of_the_command_table():
+    table = {command + (f" {flag.name}" if flag.name.startswith("-") else "")
+             for command, spec in COMMANDS.items() for flag in spec.flags if flag.role == "input"}
+    assert set(FILE_FLAGS) == table
 
 
 @pytest.mark.parametrize("shape", ["[1, 2]", '"text"', "5"], ids=["list", "string", "int"])

@@ -1,9 +1,10 @@
 """The exit-code contract, checked over generated input files.
 
-Every file-fed flag is given a valid file, written by the serialize.*_payload
-writers from a random object, with one field then kept, zeroed or mutated: a
-huge or non-finite number, a bool, a string, deep nesting, a ragged or
-mixed-shape list, or another depth. Whole files are broken too: bytes that are not
+Every file-fed flag (each input flag of cli.COMMANDS but rerun's) is given a
+valid file, written by the serialize.*_payload writers from a random object,
+with one or two fields then kept, zeroed or mutated: a huge or non-finite
+number, a bool, a string, deep nesting, a ragged or mixed-shape list, or
+another depth. Whole files are broken too: bytes that are not
 UTF-8, a top level that is not an object, an empty file. Whatever the input,
 cli.main returns 0, 1 (input error) or 2 (numerical failure), never raises,
 prints an `error:` line with any non-zero exit, writes no file when it
@@ -21,12 +22,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probrep import (random_density, random_povm, random_pure_state, random_reference,
                      serialize, sic_reference)
-from probrep.cli import main
+from probrep.cli import COMMANDS, main
 from probrep.operators import projector_povm
 
 
@@ -52,18 +53,30 @@ FLAGS = {
     "steer --state": (lambda seed: serialize.ket_payload(random_pure_state(4, seed)),
                       ["steer", "--state", "in.json", "--report", "out.json"]),
     "steer --basis-a": (_steer_basis, ["steer", "--basis-a", "in.json", "--report", "out.json"]),
+    "steer --basis-b": (_steer_basis, ["steer", "--basis-b", "in.json", "--report", "out.json"]),
     "classical-gap --state": (
         lambda seed: serialize.operator_payload(random_density(2, 1 + seed % 2, seed)),
         ["classical-gap", "--state", "in.json", "--povm", "povm.json", "--report", "out.json"]),
     "classical-gap --povm": (
         lambda seed: serialize.povm_payload(random_povm(2, 2 + seed % 3, seed)),
         ["classical-gap", "--state", "state.json", "--povm", "in.json", "--report", "out.json"]),
+    "classical-gap --reference": (
+        _reference, ["classical-gap", "--state", "state.json", "--povm", "povm.json",
+                     "--reference", "in.json", "--report", "out.json"]),
     "born-check --reference": (_reference, ["born-check", "--dim", "2", "--trials", "3",
                                             "--reference", "in.json", "--report", "out.json"]),
     "bell --state": (lambda seed: serialize.ket_payload(random_pure_state(4, seed)),
                      ["bell", "--state", "in.json", "--table-csv", "out.csv",
                       "--report", "out.json"]),
 }
+
+
+def test_every_file_fed_flag_has_a_generator():
+    # rerun's file is also its output, so it is fed only whole broken files (test_cli)
+    table = {command + (f" {flag.name}" if flag.name.startswith("-") else "")
+             for command, spec in COMMANDS.items() for flag in spec.flags if flag.role == "input"}
+    assert set(FLAGS) == table - {"rerun"}
+
 
 DEEP = "deep nesting"  # stands in for a value nested too deeply for json.dumps to write
 DEPTH = 100_000
@@ -103,17 +116,19 @@ WHOLE_FILES = [b"", b"\xff\xfe\x00{", b"[1, 2]", b'"text"', b"5", b"null", b"{"]
 
 @st.composite
 def mutated_inputs(draw):
-    """(flag, file bytes): a valid file with one field mutated, or a whole broken file."""
+    """(flag, file bytes): a valid file with one or two fields mutated, or a whole broken
+    file. A second field is drawn from the file as the first mutation left it."""
     flag = draw(st.sampled_from(sorted(FLAGS)))
     if draw(st.integers(0, 9)) == 0:
         return flag, draw(st.sampled_from(WHOLE_FILES))
     payload = FLAGS[flag][0](draw(st.integers(0, 2**32 - 1)))
-    path = draw(st.sampled_from(list(_paths(payload))))
-    kind = draw(st.sampled_from(sorted(MUTATIONS)))
-    parent = payload
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = MUTATIONS[kind](parent[path[-1]])
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(payload))))
+        kind = draw(st.sampled_from(sorted(MUTATIONS)))
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = MUTATIONS[kind](parent[path[-1]])
     text = json.dumps(payload).replace(json.dumps(DEEP), "[" * DEPTH + "]" * DEPTH)
     return flag, text.encode()
 
@@ -121,6 +136,13 @@ def mutated_inputs(draw):
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would reach stderr
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(case=mutated_inputs())
+# two fields at 1e308: each validator's sum overflows
+@example(case=("simulate --probs", b'{"values": [1e308, 1e308]}'))
+@example(case=("classical-gap --state",
+               b'{"dim": 2, "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]}'))
+@example(case=("classical-gap --povm", b'{"dim": 2, "elements": ['
+                                       b'[[[1e308, 0], [0, 0]], [[0, 0], [0, 0]]], '
+                                       b'[[[1e308, 0], [0, 0]], [[0, 0], [0, 0]]]]}'))
 def test_every_run_keeps_the_exit_code_contract(case):
     flag, data = case
     with tempfile.TemporaryDirectory() as tmp:

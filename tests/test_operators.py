@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from probrep import (
+    DensityOperator,
+    Ket,
+    Povm,
+    ProbVector,
+    ReferenceMeasurement,
     born_probabilities,
     make_ket,
     make_povm,
@@ -10,6 +17,8 @@ from probrep import (
     random_density,
     random_povm,
     random_pure_state,
+    serialize,
+    sic_reference,
     tensor,
     validate_density,
 )
@@ -21,6 +30,7 @@ from probrep.errors import (
     InvalidDimension,
     NotHermitian,
     NotPositive,
+    ProbrepError,
     SumNotIdentity,
     TraceNotOne,
 )
@@ -414,3 +424,102 @@ class TestMakePovm:
             )
             expected = np.array([np.outer(v, v.conj()) for v in q])
             assert projector_povm(q).elements.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Validators are total over the finite floats: entries from +-max, subnormals and
+# 10^U(-320, 308.25), or a valid object with one or two entries scaled toward the
+# limit, give a valid object or ProbrepError / ValueError, and no numpy warning.
+# ---------------------------------------------------------------------------
+
+LIMIT = float(np.finfo(float).max)
+
+
+# target: (valid entries from (d, seed), the call on such entries, the type it returns)
+TOTAL = {
+    "make_prob_vector": (lambda d, seed: random_density(d, d, seed).matrix.diagonal().real,
+                         make_prob_vector, ProbVector),
+    "make_ket": (lambda d, seed: random_pure_state(d, seed).amplitudes, make_ket, Ket),
+    "validate_density": (lambda d, seed: random_density(d, 1 + seed % d, seed).matrix,
+                         validate_density, DensityOperator),
+    "make_povm": (lambda d, seed: random_povm(d, 2 + seed % 4, seed).elements, make_povm, Povm),
+    "prob_values_from_payload": (
+        lambda d, seed: random_density(d, d, seed).matrix.diagonal().real,
+        lambda a: make_prob_vector(serialize.prob_values_from_payload({"values": a.tolist()})),
+        ProbVector),
+    "ket_from_payload": (
+        lambda d, seed: random_pure_state(d, seed).amplitudes,
+        lambda a: serialize.ket_from_payload(
+            {"dim": len(a), "vector": serialize.complex_pairs(a)}),
+        Ket),
+    "density_from_payload": (
+        lambda d, seed: random_density(d, 1 + seed % d, seed).matrix,
+        lambda a: serialize.density_from_payload(
+            {"dim": a.shape[-1], "matrix": serialize.complex_pairs(a)}),
+        DensityOperator),
+    "povm_from_payload": (
+        lambda d, seed: random_povm(d, 2 + seed % 4, seed).elements,
+        lambda a: serialize.povm_from_payload(
+            {"dim": a.shape[-1], "elements": [serialize.complex_pairs(el) for el in a]}),
+        Povm),
+    "reference_from_payload": (
+        lambda d, seed: sic_reference(d).elements.elements,
+        lambda a: serialize.reference_from_payload(
+            {"dim": a.shape[-1], "elements": [serialize.complex_pairs(el) for el in a]}),
+        ReferenceMeasurement),
+}
+
+
+def _extremes(rng, shape):
+    """Entries from +-max, +-subnormals and +-10^U(-320, 308.25), a third each."""
+    kinds = np.stack([np.full(shape, LIMIT), rng.integers(1, 2**52, shape) * 5e-324,
+                      10.0 ** rng.uniform(-320, 308.25, shape)])
+    return rng.choice([-1.0, 1.0], shape) * np.choose(rng.integers(0, 3, shape), kinds)
+
+
+def _mirror(a):
+    """The Hermitian matrices (on the last two axes) of a's upper triangle, built without
+    arithmetic on its entries, so that no entry overflows."""
+    out = np.triu(a)
+    lower = np.tril(np.ones(a.shape[-2:], dtype=bool), -1)
+    out[..., lower] = np.conj(np.swapaxes(a, -1, -2))[..., lower]
+    idx = np.arange(a.shape[-1])
+    out[..., idx, idx] = out[..., idx, idx].real
+    return out
+
+
+@st.composite
+def total_cases(draw):
+    """(target, entries): valid entries, some replaced by extremes or scaled toward the limit."""
+    target = draw(st.sampled_from(sorted(TOTAL)))
+    d = draw(st.integers(2, 4 if target == "reference_from_payload" else 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.array(TOTAL[target][0](d, int(rng.integers(2**31))))
+    mode = draw(st.sampled_from(["extremes", "scaled"]))
+    if mode == "extremes":  # each entry (each part of a complex one) at a drawn rate
+        new = _extremes(rng, a.shape)
+        if np.iscomplexobj(a):
+            new = new + 1j * _extremes(rng, a.shape)
+        a = np.where(rng.random(a.shape) < draw(st.sampled_from([0.1, 0.5, 1.0])), new, a)
+    else:  # one or two entries, or diagonal entries of a matrix, times +-10^U(0, 308.25)
+        index = np.indices(a.shape).reshape(a.ndim, -1).T
+        if a.ndim >= 2 and draw(st.booleans()):
+            index = index[index[:, -1] == index[:, -2]]
+        for i in rng.choice(len(index), size=draw(st.integers(1, 2)), replace=False):
+            a[tuple(index[i])] *= rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0, 308.25)
+    if a.ndim >= 2 and draw(st.booleans()):
+        a = _mirror(a)
+    return target, a
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(case=total_cases())
+def test_validators_are_total_over_the_finite_floats(case):
+    target, entries = case
+    _, call, kind = TOTAL[target]
+    try:
+        result = call(entries)
+    except (ProbrepError, ValueError):
+        return
+    assert isinstance(result, kind)
