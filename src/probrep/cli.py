@@ -37,10 +37,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _manifest(command: str, params: dict) -> dict:
-    return {"command": command, "params": params, "artifact_version": __version__}
-
-
 def _write(*files) -> None:
     """Write every (path, text) or none: each text goes to a temporary file beside
     its path, and the temporaries replace the paths only once all are written.
@@ -71,11 +67,6 @@ def _environment() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "system": platform.system(), "machine": platform.machine()}
-
-
-def _write_result(path: str, payload: dict, *others) -> None:
-    """A JSON result beside its manifest's environment, written by _write after the others."""
-    _write(*others, (path, serialize.dumps({**payload, "environment": _environment()})))
 
 
 def _not_a_number(literal: str):
@@ -129,26 +120,33 @@ def _builtin_basis(params: dict, flag: str):
 
 
 # ---------------------------------------------------------------------------
-# command handlers (each takes the JSON-compatible params dict)
+# command handlers: each renders its outputs from its params (bell's CSVs also
+# from the manifest) and writes nothing; _run writes them
 # ---------------------------------------------------------------------------
 
 
-def run_sic_search(params: dict) -> int:
+class _Rendered(NamedTuple):
+    """A command's JSON result (less its manifest and environment), stdout line,
+    exit code and other (path, text) outputs."""
+
+    payload: dict
+    line: str
+    code: int = 0
+    others: tuple = ()
+
+
+def run_sic_search(params: dict, manifest: dict) -> _Rendered:
     dim = check_dim(params["dim"])
     _require_positive(params["tol"], "--tol")
-    manifest = _manifest("sic-search", params)
     candidate = sic.sic_search(dim, seed=params["seed"], restarts=params["restarts"],
                                tol=params["tol"])
     certified = candidate.max_sic_deviation < params["tol"]
-    payload = {"manifest": manifest, "certified": certified}
-    payload.update(serialize.fiducial_payload(candidate))
-    _write_result(params["out"], payload)
-    print(
+    return _Rendered(
+        {"certified": certified, **serialize.fiducial_payload(candidate)},
         f"dim {dim}: frame potential {candidate.frame_potential:.12f}, "
         f"max SIC deviation {candidate.max_sic_deviation:.3e}, "
-        f"certified={certified} -> {params['out']}"
-    )
-    return 0 if certified else 2
+        f"certified={certified} -> {params['out']}",
+        0 if certified else 2)
 
 
 def _reference_for(params: dict, dim: int, seed: int):
@@ -159,19 +157,17 @@ def _reference_for(params: dict, dim: int, seed: int):
     return _read(params, "reference", serialize.reference_from_payload)
 
 
-def run_born_check(params: dict) -> int:
+def run_born_check(params: dict, manifest: dict) -> _Rendered:
     dim = check_dim(params["dim"])
     trials = params["trials"]
     seed = params["seed"]
     _check_draw_args(trials, "trials", seed)
-    manifest = _manifest("born-check", params)
     ref = _reference_for(params, dim, seed)
     if ref.dim != dim:
         raise DimensionMismatch(f"--dim {dim} != reference dim {ref.dim}")
     worst_general, worst_sic = born.check_trials(ref, range(seed + 1, seed + 1 + trials))
     passed = worst_general < BORN_CHECK_TOL
     payload = {
-        "manifest": manifest,
         "trials": trials,
         "reference": params["reference"],
         "reference_condition_number": float(ref.condition_number),
@@ -180,30 +176,25 @@ def run_born_check(params: dict) -> int:
         "tolerance": BORN_CHECK_TOL,
         "passed": passed,
     }
-    _write_result(params["report"], payload)
-    print(
+    return _Rendered(
+        payload,
         f"born-check dim {dim}, {trials} trials, reference {params['reference']}: "
         f"max deviation {worst_general:.3e} (tolerance {BORN_CHECK_TOL}) -> "
-        f"{params['report']}"
-    )
-    return 0 if passed else 2
+        f"{params['report']}",
+        0 if passed else 2)
 
 
-def run_classical_gap(params: dict) -> int:
-    manifest = _manifest("classical-gap", params)
+def run_classical_gap(params: dict, manifest: dict) -> _Rendered:
     rho = _read(params, "state", serialize.density_from_payload)
     povm = _read(params, "povm", serialize.povm_from_payload)
     ref = _reference_for(params, rho.dim, seed=0)
     gap, q_quantum, q_classical = born._gap_rules(ref, rho, povm)
     payload = {
-        "manifest": manifest,
         "gap": gap,
         "q_quantum": [float(v) for v in q_quantum.values],
         "q_classical": [float(v) for v in q_classical.values],
     }
-    _write_result(params["report"], payload)
-    print(f"classicality gap {gap:.9f} -> {params['report']}")
-    return 0
+    return _Rendered(payload, f"classicality gap {gap:.9f} -> {params['report']}")
 
 
 def _parse_angles(text: str):
@@ -215,13 +206,14 @@ def _parse_angles(text: str):
         raise ValueError(
             f"--angles must look like 'A1,A2:B1,B2' in degrees, got {text!r}"
         ) from err
+    if not np.isfinite(a + b).all():  # nan, inf, or past the float range once in radians
+        raise ValueError(f"--angles {text!r} has a non-finite angle in radians")
     return a, b
 
 
-def run_bell(params: dict) -> int:
+def run_bell(params: dict, manifest: dict) -> _Rendered:
     if params["counts_csv"] and not params["simulate"]:
         raise ValueError("--counts-csv needs --simulate")
-    manifest = _manifest("bell", params)
     psi = _builtin_state(params)
     angles_a, angles_b = _parse_angles(params["angles"])
     fam_a = correlations.angle_family(angles_a, plane=params["plane"])
@@ -229,7 +221,6 @@ def run_bell(params: dict) -> int:
     table = correlations.correlation_table(psi, fam_a, fam_b)
 
     payload = {
-        "manifest": manifest,
         "state": params["state"],
         "no_signalling": correlations.no_signalling_check(table),
         "table": serialize.table_payload(table),
@@ -250,62 +241,44 @@ def run_bell(params: dict) -> int:
     csvs = [(params["table_csv"], serialize.table_csv(table, manifest))]
     if params["counts_csv"]:
         csvs.append((params["counts_csv"], serialize.data_table_csv(dt, manifest)))
-    _write_result(params["report"], payload, *csvs)
     msg = f"bell table -> {params['table_csv']}, summary -> {params['report']}"
     if params["chsh"]:
         msg += f", CHSH = {payload['chsh']:.9f}"
-    print(msg)
-    return 0
+    return _Rendered(payload, msg, others=tuple(csvs))
 
 
-def run_steer(params: dict) -> int:
-    manifest = _manifest("steer", params)
+def run_steer(params: dict, manifest: dict) -> _Rendered:
     psi = _builtin_state(params)
     basis_1 = _builtin_basis(params, "basis_a")
     basis_2 = _builtin_basis(params, "basis_b")
     report = correlations.steering_ensembles(psi, basis_1, basis_2)
-    payload = {"manifest": manifest}
-    payload.update(serialize.steering_payload(report))
     marg_gap = float(
         np.max(np.abs(report.marginals[0].matrix - report.marginals[1].matrix))
     )
-    payload["marginal_deviation"] = marg_gap
-    _write_result(params["report"], payload)
-    print(
+    return _Rendered(
+        {**serialize.steering_payload(report), "marginal_deviation": marg_gap},
         f"steering overlap {report.overlap:.6f}, "
-        f"no_steering={report.no_steering} -> {params['report']}"
-    )
-    return 0
+        f"no_steering={report.no_steering} -> {params['report']}")
 
 
-def run_simulate(params: dict) -> int:
-    manifest = _manifest("simulate", params)
+def run_simulate(params: dict, manifest: dict) -> _Rendered:
     values = _read(params, "probs", serialize.prob_values_from_payload)
     q = make_prob_vector(values)
     counts = sampling.sample_outcomes(q, params["n"], params["seed"])
     payload = {
-        "manifest": manifest,
         "counts": [int(c) for c in counts.counts],
         "n_trials": counts.n_trials,
         "seed": counts.seed,
     }
-    _write_result(params["out"], payload)
-    print(f"counts {list(map(int, counts.counts))} -> {params['out']}")
-    return 0
+    return _Rendered(payload, f"counts {list(map(int, counts.counts))} -> {params['out']}")
 
 
-def run_interval(params: dict) -> int:
+def run_interval(params: dict, manifest: dict) -> _Rendered:
     value = sampling.binomial_interval_prob(
         params["n"], params["p"], params["lo"], params["hi"]
     )
-    payload = {
-        "manifest": _manifest("interval", params),
-        "probability": value,
-    }
-    if params["out"]:
-        _write_result(params["out"], payload)
-    print(f"P({params['lo']} <= K <= {params['hi']}) = {value!r}")
-    return 0
+    return _Rendered({"probability": value},
+                     f"P({params['lo']} <= K <= {params['hi']}) = {value!r}")
 
 
 def _embedded_manifest(data: dict):
@@ -318,7 +291,10 @@ def _embedded_manifest(data: dict):
     return manifest
 
 
-def run_rerun(params: dict) -> int:
+def _rerun(params: dict):
+    """The (command, params) of the manifest that params["file"] embeds, once the file
+    is found to be that command's JSON result, of this version, seen from where it was
+    written."""
     manifest = _read(params, "file", _embedded_manifest)
     if manifest is None:
         raise ValueError(f"{params['file']} does not embed a manifest")
@@ -327,16 +303,14 @@ def run_rerun(params: dict) -> int:
         raise ValueError(f"{params['file']} has artifact_version {version} and this is probrep "
                          f"{__version__}; rerun writes only over files of its own version")
     command = manifest["command"]
-    spec = COMMANDS.get(command)
-    result = [flag.dest for flag in spec.flags if flag.role == "result"] if spec else []
-    if not result:  # rerun writes no result, so no result file names it
+    if command not in COMMANDS or COMMANDS[command].result is None:  # no result names rerun
         raise ValueError(f"unknown command {command!r} in manifest")
     _check_params(params["file"], command, manifest["params"])
-    written = manifest["params"][result[0]]
+    written = manifest["params"][COMMANDS[command].result]
     if written is None or os.path.realpath(params["file"]) != os.path.realpath(written):
         raise ValueError(f"{params['file']} is not {written}, the output its manifest names, "
                          f"as seen from here; rerun from the directory the file was written in")
-    return spec.handler(manifest["params"])
+    return command, manifest["params"]
 
 
 def _check_params(path: str, command: str, params: dict) -> None:
@@ -382,9 +356,14 @@ class _Flag(NamedTuple):
 
 
 class _Command(NamedTuple):
-    handler: Callable[[dict], int]
+    handler: Callable[[dict, dict], _Rendered] | None  # None for rerun, which renders nothing
     help: str
     flags: tuple
+
+    @property
+    def result(self) -> str | None:
+        """The dest of the flag that names the command's JSON result (None for rerun)."""
+        return next((flag.dest for flag in self.flags if flag.role == "result"), None)
 
 
 #: Every command, its handler, help and flags, in the order that --help lists them.
@@ -445,7 +424,7 @@ COMMANDS = {
         _Flag("hi", int, required=True),
         _Flag("--out", role="result"),
     )),
-    "rerun": _Command(run_rerun, "re-execute the manifest embedded in a result file", (
+    "rerun": _Command(None, "re-execute the manifest embedded in a result file", (
         _Flag("file", required=True, role="input"),
     )),
 }
@@ -466,6 +445,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _run(command: str, params: dict) -> int:
+    """Render the command, write its outputs and its JSON result (which embeds the
+    manifest and environment) all or none, print its line and return its exit code."""
+    spec = COMMANDS[command]
+    manifest = {"command": command, "params": params, "artifact_version": __version__}
+    rendered = spec.handler(params, manifest)
+    path = params[spec.result]
+    result = [(path, serialize.dumps({**rendered.payload, "manifest": manifest,
+                                      "environment": _environment()}))] if path else []
+    _write(*rendered.others, *result)
+    print(rendered.line)
+    return rendered.code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -473,9 +466,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # bad flags (1) or --help/--version (0)
         return int(exc.code or 0)
     params = vars(args)
-    handler = COMMANDS[params.pop("command")].handler
+    command = params.pop("command")
     try:
-        return handler(params)
+        return _run(*_rerun(params)) if command == "rerun" else _run(command, params)
     except NoConvergence as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

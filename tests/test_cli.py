@@ -332,8 +332,11 @@ class TestBell:
     def test_bad_angles(self, workdir):
         assert main(["bell", "--angles", "90,0,45,135"]) == 1
 
-    def test_non_finite_angle_exits_one(self, workdir, capsys):
-        assert main(["bell", "--angles", "nan,0:45,135", "--chsh"]) == 1
+    # 1e308 degrees is finite and overflows in radians; a numpy warning would reach stderr
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("first", ["nan", "inf", "-inf", "1e308"])
+    def test_non_finite_angle_exits_one(self, workdir, capsys, first):
+        assert main(["bell", f"--angles={first},0:45,135", "--chsh"]) == 1
         assert "non-finite" in capsys.readouterr().err
         assert not (workdir / "bell_summary.json").exists()
 

@@ -7,7 +7,9 @@ strings, booleans and nulls exactly, floats to within 1e-12 (relative
 above magnitude 1). CSV files are compared cell by cell under the same
 rule, their `# manifest=` line as JSON. A JSON file's top-level
 `environment` block (the Python, numpy and BLAS that wrote it) must have
-the fixture's fields, but its values are not compared.
+the fixture's fields, but its values are not compared. Each case's JSON
+result is then rerun in place, which must exit and print as the command
+did and leave every file's bytes as they were.
 
 Regenerate the fixtures (only when a change is meant to move output
 bytes, together with an artifact_version bump):
@@ -151,13 +153,22 @@ def _parse(path: Path):
 
 
 @pytest.mark.parametrize("argv,outputs", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-def test_cli_output_matches_golden(argv, outputs, tmp_path, monkeypatch):
-    assert run_case(argv, tmp_path, monkeypatch) == 0
+def test_cli_output_matches_golden(argv, outputs, tmp_path, monkeypatch, capsys):
+    code = run_case(argv, tmp_path, monkeypatch)
+    assert code == 0
+    line = capsys.readouterr().out
     for name in outputs:
         got, want = _parse(tmp_path / name), _parse(GOLDEN / name)
         if name.endswith(".json"):  # the environment is recorded, not compared
             assert sorted(got.pop("environment")) == sorted(want.pop("environment"))
         _same(got, want, name)
+    # rerun of the JSON result, in place, repeats the command: its exit code and stdout
+    # line, and every file in the directory keeps its bytes
+    files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    (result,) = [name for name in outputs if name.endswith(".json")]
+    assert main(["rerun", result]) == code
+    assert capsys.readouterr().out == line
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
 
 
 def test_comparison_rule():

@@ -114,6 +114,7 @@ COMMANDS = [
     ("import", [], []),
     ("interval", ["interval", "10", "0.5", "2", "5", "--out", "i.json"],
      ["sampling", "serialize"]),
+    ("interval-no-out", ["interval", "10", "0.5", "2", "5"], ["sampling"]),
     ("simulate", ["simulate", "--probs", "probs.json", "--n", "100", "--out", "c.json"],
      ["sampling", "serialize"]),
     ("bell-simulate", ["bell", "--chsh", "--simulate", "100"],
