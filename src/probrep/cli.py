@@ -77,9 +77,11 @@ def _read(params: dict, flag: str, parse):
     """parse(JSON object in the file params[flag] names).
 
     A file that is also one of the command's outputs is refused, so that no
-    run writes over its own input. A top level or field of the wrong type, a
-    NaN or Infinity literal (not RFC 8259 JSON), JSON nested too deeply to
-    decode, or an integer too large for a float is a malformed input.
+    run writes over its own input. Bytes that are not UTF-8, text that is not
+    JSON, a top level or field of the wrong type, a missing field, a NaN or
+    Infinity literal (not RFC 8259 JSON), JSON nested too deeply to decode, or
+    an integer too large for a float is a malformed input, refused here by the
+    file's name.
     """
     path = params[flag]
     # params hold only their own command's flags, so every command's outputs may be looked up
@@ -94,8 +96,10 @@ def _read(params: dict, flag: str, parse):
         if not isinstance(data, dict):
             raise TypeError(f"expected an object at the top level, got {type(data).__name__}")
         return parse(data)
-    except (TypeError, AttributeError, RecursionError, OverflowError) as err:
-        raise ValueError(f"malformed input file {path}: {err}") from err
+    except (json.JSONDecodeError, KeyError, UnicodeDecodeError, TypeError, AttributeError,
+            RecursionError, OverflowError) as err:
+        kind = {json.JSONDecodeError: "malformed JSON: ", KeyError: "missing field "}
+        raise ValueError(f"malformed input file {path}: {kind.get(type(err), '')}{err}") from err
 
 
 def _builtin_state(params: dict):
@@ -281,58 +285,55 @@ def run_interval(params: dict, manifest: dict) -> _Rendered:
                      f"P({params['lo']} <= K <= {params['hi']}) = {value!r}")
 
 
-def _embedded_manifest(data: dict):
-    """The manifest a result file embeds, or None when it has none."""
-    manifest = data.get("manifest")
-    if not isinstance(manifest, dict) or "command" not in manifest:
-        return None
-    if not (isinstance(manifest["command"], str) and isinstance(manifest.get("params"), dict)):
-        raise TypeError("the manifest's command is not a string or its params not an object")
-    return manifest
-
-
 def _rerun(params: dict):
     """The (command, params) of the manifest that params["file"] embeds, once the file
     is found to be that command's JSON result, of this version, seen from where it was
-    written."""
-    manifest = _read(params, "file", _embedded_manifest)
-    if manifest is None:
-        raise ValueError(f"{params['file']} does not embed a manifest")
-    version = manifest.get("artifact_version", "none")
-    if version != __version__:
-        raise ValueError(f"{params['file']} has artifact_version {version} and this is probrep "
-                         f"{__version__}; rerun writes only over files of its own version")
-    command = manifest["command"]
-    if command not in COMMANDS or COMMANDS[command].result is None:  # no result names rerun
-        raise ValueError(f"unknown command {command!r} in manifest")
-    _check_params(params["file"], command, manifest["params"])
-    written = manifest["params"][COMMANDS[command].result]
-    if written is None or os.path.realpath(params["file"]) != os.path.realpath(written):
-        raise ValueError(f"{params['file']} is not {written}, the output its manifest names, "
-                         f"as seen from here; rerun from the directory the file was written in")
-    return command, manifest["params"]
+    written. These checks are the parse that _read applies to the file."""
+    path = params["file"]
+
+    def parse(data: dict):
+        manifest = data.get("manifest")
+        if not isinstance(manifest, dict) or "command" not in manifest:
+            raise ValueError(f"{path} does not embed a manifest")
+        command = manifest["command"]
+        if not (isinstance(command, str) and isinstance(manifest.get("params"), dict)):
+            raise TypeError("the manifest's command is not a string or its params not an object")
+        version = manifest.get("artifact_version", "none")
+        if version != __version__:
+            raise ValueError(f"{path} has artifact_version {version} and this is probrep "
+                             f"{__version__}; rerun writes only over files of its own version")
+        if command not in COMMANDS or COMMANDS[command].result is None:  # no result names rerun
+            raise ValueError(f"unknown command {command!r} in manifest")
+        _check_params(command, manifest["params"])
+        written = manifest["params"][COMMANDS[command].result]
+        if written is None or os.path.realpath(path) != os.path.realpath(written):
+            raise ValueError(f"{path} is not {written}, the output its manifest names, as seen "
+                             f"from here; rerun from the directory the file was written in")
+        return command, manifest["params"]
+
+    return _read(params, "file", parse)
 
 
-def _check_params(path: str, command: str, params: dict) -> None:
+def _check_params(command: str, params: dict) -> None:
     """Refuse params other than the command's flags, or a value its flag never gives:
     one of its type (bool for a switch) within its choices, or None where an optional
-    flag's default is None."""
+    flag's default is None. Each refusal is a TypeError, which _read reports by name."""
     flags = {flag.dest: flag for flag in COMMANDS[command].flags}
     for key in {**params, **flags}:  # each param, then each flag that has none
         flag = flags.get(key)
         if flag is None:
-            raise ValueError(f"malformed input file {path}: {command} has no param {key!r}")
+            raise TypeError(f"{command} has no param {key!r}")
         if key not in params:
-            raise ValueError(f"malformed input file {path}: {command} param {key!r} is missing")
+            raise TypeError(f"{command} param {key!r} is missing")
         value = params[key]
         if value is None and flag.default is None and not flag.required:
             continue
         if not isinstance(value, flag.type) or (isinstance(value, bool) and flag.type is not bool):
-            raise ValueError(f"malformed input file {path}: param {key!r} of {command} must be "
-                             f"{flag.type.__name__}, got {type(value).__name__}")
+            raise TypeError(f"param {key!r} of {command} must be {flag.type.__name__}, "
+                            f"got {type(value).__name__}")
         if flag.choices and value not in flag.choices:
-            raise ValueError(f"malformed input file {path}: param {key!r} of {command} must be "
-                             f"one of {', '.join(map(repr, flag.choices))}, got {value!r}")
+            raise TypeError(f"param {key!r} of {command} must be one of "
+                            f"{', '.join(map(repr, flag.choices))}, got {value!r}")
 
 
 class _Flag(NamedTuple):
@@ -394,7 +395,8 @@ COMMANDS = {
         _Flag("--state", default="singlet", role="input",
               help="phi+, singlet, or a ket JSON file"),
         _Flag("--angles", default="90,0:45,135",
-              help="'A1,A2,..:B1,B2,..' measurement angles in degrees"),
+              help="'A1,A2,..:B1,B2,..' measurement angles in degrees; write "
+              "--angles=-45,0:45,135 when the first angle is negative"),
         _Flag("--plane", default="xy", choices=("xy", "zx")),
         _Flag("--chsh", bool, False, help="evaluate the CHSH combination"),
         _Flag("--simulate", int, 0, metavar="N", help="also sample N trials per setting"),
@@ -469,18 +471,9 @@ def main(argv=None) -> int:
     command = params.pop("command")
     try:
         return _run(*_rerun(params)) if command == "rerun" else _run(command, params)
-    except NoConvergence as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as err:
-        print(f"error: malformed JSON: {err}", file=sys.stderr)
-        return 1
-    except KeyError as err:
-        print(f"error: missing field {err} in input file", file=sys.stderr)
-        return 1
     except (ProbrepError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, NoConvergence) else 1
 
 
 if __name__ == "__main__":

@@ -66,7 +66,7 @@ def _check_dim_field(data: dict, found: int) -> None:
     if not _is_int(stated):
         raise TypeError(f"field 'dim' must be a JSON integer, got {stated!r}")
     if stated != found:
-        raise ValueError(f"field 'dim' says {stated} but the data has dimension {found}")
+        raise TypeError(f"field 'dim' says {stated} but the data has dimension {found}")
 
 
 def ket_from_payload(data: dict) -> Ket:

@@ -552,7 +552,7 @@ class TestSicReference:
             assert ref.n_outcomes == d * d
 
     def test_unsupported_dimension_is_invalid_not_missing(self):
-        # KeyError would reach the CLI as "missing field in input file"
+        # a KeyError is no refusal the CLI reports: it would escape main as a traceback
         for d in (1, 9):
             with pytest.raises(InvalidDimension):
                 sic_reference(d)

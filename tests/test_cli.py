@@ -291,7 +291,8 @@ class TestClassicalGap:
                      "--report", "gap.json"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "line" in err and "malformed JSON" in err
+        assert err.startswith("error: malformed input file bad.json: malformed JSON: ")
+        assert "line" in err
 
     def test_missing_field_diagnostic(self, workdir, capsys):
         (workdir / "bad.json").write_text('{"dim": 2}')
@@ -299,7 +300,8 @@ class TestClassicalGap:
         code = main(["classical-gap", "--state", "bad.json", "--povm", "povm.json",
                      "--report", "gap.json"])
         assert code == 1
-        assert "matrix" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: malformed input file bad.json: missing field 'matrix'\n"
 
 
 class TestBell:
@@ -338,6 +340,16 @@ class TestBell:
     def test_non_finite_angle_exits_one(self, workdir, capsys, first):
         assert main(["bell", f"--angles={first},0:45,135", "--chsh"]) == 1
         assert "non-finite" in capsys.readouterr().err
+        assert not (workdir / "bell_summary.json").exists()
+
+    def test_negative_first_angle_needs_the_equals_form(self, workdir, capsys):
+        # argparse reads "-45,0:45,135" after a space as a flag, not as the value
+        assert main(["bell", "--angles=-45,0:45,135"]) == 0
+        assert load(workdir / "bell_summary.json")["table"]["settings_a"] == ["-45", "0"]
+        (workdir / "bell_summary.json").unlink()
+        capsys.readouterr()
+        assert main(["bell", "--angles", "-45,0:45,135"]) == 1
+        assert "error: argument --angles: expected one argument" in capsys.readouterr().err
         assert not (workdir / "bell_summary.json").exists()
 
     def test_refused_simulation_writes_no_file(self, workdir, capsys):
@@ -715,6 +727,14 @@ MIXED_SHAPE_POVM = {"dim": 2, "elements": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
      {"dim": 2, "vector": [[1, 0], [False, 0]]}),
     (["classical-gap", "--state", "plus.json", "--povm", "x.json", "--reference", "bad.json"],
      {"dim": 2, "vector": NESTED_KET}),
+    # a missing field is named with the file that lacks it, not the other file-fed flag's
+    (["steer", "--basis-a", "x.json", "--basis-b", "bad.json"],
+     serialize.operator_payload(validate_density(np.eye(2) / 2))),
+    # a "dim" field that disagrees with its data
+    (["steer", "--basis-a", "bad.json"],
+     {"dim": 3, "elements": serialize.povm_payload(direction_povm(0.0))["elements"]}),
+    (["steer", "--state", "bad.json"],
+     {"dim": 2, "vector": serialize.ket_payload(singlet())["vector"]}),
     # json.dumps writes NaN and Infinity literals, which are not RFC 8259 JSON
     (["simulate", "--probs", "bad.json", "--n", "5"], {"values": [float("nan"), 1.0]}),
     (["born-check", "--dim", "2", "--reference", "bad.json"],

@@ -8,7 +8,8 @@ another depth. Whole files are broken too: bytes that are not
 UTF-8, a top level that is not an object, an empty file. Whatever the input,
 cli.main returns 0, 1 (input error) or 2 (numerical failure), never raises,
 prints an `error:` line with any non-zero exit, writes no file when it
-exits 1, and lets no numpy RuntimeWarning reach stderr.
+exits 1, and lets no numpy RuntimeWarning reach stderr. Each whole broken file
+exits 1 with an `error: malformed input file FILE: ...` line naming that file.
 
 The examples are derandomized and not stored, so every run checks the same
 inputs.
@@ -133,6 +134,23 @@ def mutated_inputs(draw):
     return flag, text.encode()
 
 
+def _main_on(tmp, flag, data):
+    """(exit code, stderr) of cli.main on flag's argv in the directory tmp, with data as
+    in.json beside a valid state.json and povm.json."""
+    with open(os.path.join(tmp, "state.json"), "w") as fh:
+        fh.write(serialize.dumps(serialize.operator_payload(random_density(2, 2, 0))))
+    with open(os.path.join(tmp, "povm.json"), "w") as fh:
+        fh.write(serialize.dumps(serialize.povm_payload(random_povm(2, 3, 0))))
+    with open(os.path.join(tmp, "in.json"), "wb") as fh:
+        fh.write(data)
+    argv = [os.path.join(tmp, arg) if arg.endswith((".json", ".csv")) else arg
+            for arg in FLAGS[flag][1]]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would reach stderr
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(case=mutated_inputs())
@@ -146,20 +164,19 @@ def mutated_inputs(draw):
 def test_every_run_keeps_the_exit_code_contract(case):
     flag, data = case
     with tempfile.TemporaryDirectory() as tmp:
-        with open(os.path.join(tmp, "state.json"), "w") as fh:
-            fh.write(serialize.dumps(serialize.operator_payload(random_density(2, 2, 0))))
-        with open(os.path.join(tmp, "povm.json"), "w") as fh:
-            fh.write(serialize.dumps(serialize.povm_payload(random_povm(2, 3, 0))))
-        with open(os.path.join(tmp, "in.json"), "wb") as fh:
-            fh.write(data)
-        argv = [os.path.join(tmp, arg) if arg.endswith((".json", ".csv")) else arg
-                for arg in FLAGS[flag][1]]
-        before = sorted(os.listdir(tmp))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, err = _main_on(tmp, flag, data)
         assert code in (0, 1, 2)
         if code:
-            assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+            assert any(line.startswith("error: ") for line in err.splitlines())
         if code == 1:
-            assert sorted(os.listdir(tmp)) == before
+            assert sorted(os.listdir(tmp)) == ["in.json", "povm.json", "state.json"]
+
+
+@pytest.mark.parametrize("data", WHOLE_FILES, ids=repr)
+@pytest.mark.parametrize("flag", sorted(FLAGS))
+def test_a_whole_broken_file_is_refused_by_name(tmp_path, flag, data):
+    # undecodable bytes, broken JSON and a top level that is not an object alike
+    code, err = _main_on(str(tmp_path), flag, data)
+    assert code == 1
+    assert err.startswith(f"error: malformed input file {tmp_path / 'in.json'}: ")
+    assert sorted(os.listdir(tmp_path)) == ["in.json", "povm.json", "state.json"]
