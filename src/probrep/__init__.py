@@ -11,7 +11,9 @@ registered in sys.modules and as an attribute of the package, and its code
 runs when one of its attributes is first read, set or deleted, under one
 re-entrant lock, so a thread that reads it while another runs it waits for
 the whole module. A command therefore compiles and runs only the layers it
-calls.
+calls. `errors` (the exception types and the tolerance table) uses the
+standard library alone, and every other layer imports numpy, so
+`import probrep.cli`, which runs only `errors`, imports no numpy.
 """
 
 import importlib.util

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import sic
 from .errors import (
+    CERT_TOL, CONDITION_CAP, GRAM_RANK_FACTOR, PROB_FLOOR, PROB_SUM_TOL, RANK_ONE_TOL,
     DimensionMismatch,
     IllConditionedReference,
     NotAValidState,
@@ -32,12 +33,6 @@ from .errors import (
     WrongOutcomeCount,
 )
 from .operators import (
-    CERT_TOL,
-    CONDITION_CAP,
-    GRAM_RANK_FACTOR,
-    PROB_FLOOR,
-    PROB_SUM_TOL,
-    RANK_ONE_TOL,
     DensityOperator,
     Ket,
     Povm,

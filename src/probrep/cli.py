@@ -14,18 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
-import platform
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import __version__, born, correlations, sampling, serialize, sic
-from .errors import DimensionMismatch, NoConvergence, ProbrepError
-from .operators import (BORN_CHECK_TOL, CERT_TOL, _check_draw_args, _require_positive,
-                        check_dim, make_prob_vector, projector_povm)
+# Only errors runs at import; numpy loads with the first other layer a handler reads.
+from . import __version__, born, correlations, operators, sampling, serialize, sic
+from .errors import BORN_CHECK_TOL, CERT_TOL, DimensionMismatch, NoConvergence, ProbrepError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,14 +56,6 @@ def _write(*files) -> None:
     finally:
         for tmp in temps:
             Path(tmp).unlink(missing_ok=True)
-
-
-def _environment() -> dict:
-    """What produced a result's bytes; static fields only, so a rerun on one machine matches."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": {"name": blas.get("name"), "version": blas.get("version")},
-            "system": platform.system(), "machine": platform.machine()}
 
 
 def _not_a_number(literal: str):
@@ -110,16 +99,9 @@ def _builtin_state(params: dict):
     return _read(params, "state", serialize.ket_from_payload)
 
 
-_BUILTIN_BASES = {
-    "z": np.array([[1, 0], [0, 1]], dtype=complex),
-    "x": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "y": np.array([[1, 1j], [1, -1j]], dtype=complex) / np.sqrt(2),
-}
-
-
 def _builtin_basis(params: dict, flag: str):
-    if params[flag] in _BUILTIN_BASES:
-        return projector_povm(_BUILTIN_BASES[params[flag]])
+    if params[flag] in correlations.BASES:
+        return operators.projector_povm(correlations.BASES[params[flag]])
     return _read(params, flag, serialize.povm_from_payload)
 
 
@@ -140,8 +122,8 @@ class _Rendered(NamedTuple):
 
 
 def run_sic_search(params: dict, manifest: dict) -> _Rendered:
-    dim = check_dim(params["dim"])
-    _require_positive(params["tol"], "--tol")
+    dim = operators.check_dim(params["dim"])
+    operators._require_positive(params["tol"], "--tol")
     candidate = sic.sic_search(dim, seed=params["seed"], restarts=params["restarts"],
                                tol=params["tol"])
     certified = candidate.max_sic_deviation < params["tol"]
@@ -162,10 +144,10 @@ def _reference_for(params: dict, dim: int, seed: int):
 
 
 def run_born_check(params: dict, manifest: dict) -> _Rendered:
-    dim = check_dim(params["dim"])
+    dim = operators.check_dim(params["dim"])
     trials = params["trials"]
     seed = params["seed"]
-    _check_draw_args(trials, "trials", seed)
+    operators._check_draw_args(trials, "trials", seed)
     ref = _reference_for(params, dim, seed)
     if ref.dim != dim:
         raise DimensionMismatch(f"--dim {dim} != reference dim {ref.dim}")
@@ -204,13 +186,13 @@ def run_classical_gap(params: dict, manifest: dict) -> _Rendered:
 def _parse_angles(text: str):
     try:
         part_a, part_b = text.split(":")
-        a = [float(v) * np.pi / 180.0 for v in part_a.split(",")]
-        b = [float(v) * np.pi / 180.0 for v in part_b.split(",")]
+        a = [float(v) * math.pi / 180.0 for v in part_a.split(",")]
+        b = [float(v) * math.pi / 180.0 for v in part_b.split(",")]
     except ValueError as err:
         raise ValueError(
             f"--angles must look like 'A1,A2:B1,B2' in degrees, got {text!r}"
         ) from err
-    if not np.isfinite(a + b).all():  # nan, inf, or past the float range once in radians
+    if not all(map(math.isfinite, a + b)):  # nan, inf, or past the float range once in radians
         raise ValueError(f"--angles {text!r} has a non-finite angle in radians")
     return a, b
 
@@ -256,18 +238,15 @@ def run_steer(params: dict, manifest: dict) -> _Rendered:
     basis_1 = _builtin_basis(params, "basis_a")
     basis_2 = _builtin_basis(params, "basis_b")
     report = correlations.steering_ensembles(psi, basis_1, basis_2)
-    marg_gap = float(
-        np.max(np.abs(report.marginals[0].matrix - report.marginals[1].matrix))
-    )
     return _Rendered(
-        {**serialize.steering_payload(report), "marginal_deviation": marg_gap},
+        serialize.steering_payload(report),
         f"steering overlap {report.overlap:.6f}, "
         f"no_steering={report.no_steering} -> {params['report']}")
 
 
 def run_simulate(params: dict, manifest: dict) -> _Rendered:
     values = _read(params, "probs", serialize.prob_values_from_payload)
-    q = make_prob_vector(values)
+    q = operators.make_prob_vector(values)
     counts = sampling.sample_outcomes(q, params["n"], params["seed"])
     payload = {
         "counts": [int(c) for c in counts.counts],
@@ -455,7 +434,7 @@ def _run(command: str, params: dict) -> int:
     rendered = spec.handler(params, manifest)
     path = params[spec.result]
     result = [(path, serialize.dumps({**rendered.payload, "manifest": manifest,
-                                      "environment": _environment()}))] if path else []
+                                      "environment": serialize.environment()}))] if path else []
     _write(*rendered.others, *result)
     print(rendered.line)
     return rendered.code

@@ -12,11 +12,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotBipartite, WrongArity, WrongDimension
+from .errors import (EIGENVALUE_TOL, NO_STEERING_TOL, SUPPORT_CUT, DimensionMismatch,
+                     NotBipartite, WrongArity, WrongDimension)
 from .operators import (
-    EIGENVALUE_TOL,
-    NO_STEERING_TOL,
-    SUPPORT_CUT,
     DensityOperator,
     Ket,
     Povm,
@@ -280,6 +278,13 @@ def embedded_correlation_table(
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+#: The eigenbases of PAULI_Z, PAULI_X and PAULI_Y (columns), by steer's --basis-a/-b names.
+BASES = {
+    "z": np.array([[1, 0], [0, 1]], dtype=complex),
+    "x": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "y": np.array([[1, 1j], [1, -1j]], dtype=complex) / np.sqrt(2),
+}
 
 
 def phi_plus() -> Ket:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DIM_CAP, EIGENVALUE_TOL, HERMITIAN_TOL, NORM_TOL, NORMALIZER_COND_CAP, PROB_FLOOR,
+    PROB_SUM_TOL, TRACE_TOL,
     BadRank,
     DimensionMismatch,
     DimensionOverflow,
@@ -26,61 +28,6 @@ from .errors import (
     SumNotIdentity,
     TraceNotOne,
 )
-
-#: Cap on Hilbert-space dimension (d^2 = 64 reference outcomes at most).
-DIM_CAP = 8
-
-# ---------------------------------------------------------------------------
-# Every tolerance and threshold of the package. A "contract" is a chosen limit
-# that inputs and results are held to; a "derived" entry follows from others.
-# Each module imports its entries from here, under the same names.
-# ---------------------------------------------------------------------------
-
-#: contract: largest |A - A^dag| entry of a state, a POVM element or a POVM's sum - I.
-HERMITIAN_TOL = 1e-10
-#: contract: lowest eigenvalue of a positive operator, and the slack of a projector's 0 and 1.
-EIGENVALUE_TOL = 1e-10
-#: contract: largest |tr rho - 1| of a density operator.
-TRACE_TOL = 1e-10
-#: contract: largest |norm - 1| of a ket.
-NORM_TOL = 1e-12
-#: contract: lowest probability accepted; entries in [PROB_FLOOR, 0) are clipped to 0.
-PROB_FLOOR = -1e-12
-#: contract: largest |sum - 1| of a distribution or a conditional row.
-PROB_SUM_TOL = 1e-10
-#: contract: largest condition number of the normalizer S that _whiten inverts.
-NORMALIZER_COND_CAP = 1e12
-#: contract: largest distance of a certified SIC's overlaps from 1/(d+1) (sic.sic_search,
-#: born.make_reference), and sic-search's default --tol.
-CERT_TOL = 1e-8
-#: contract: the tighter CERT_TOL every registry fiducial meets (sic.known_fiducial).
-REGISTRY_CERT_TOL = 1e-10
-#: contract: projected-gradient norm at which a sic_search restart has converged.
-GRAD_TOL = 1e-10
-#: contract: largest SIC residual at which a sic_search restart stops.
-SEARCH_RESIDUAL_TARGET = 1e-12
-#: contract: largest second eigenvalue of a rank-1 reference element (born.make_reference).
-RANK_ONE_TOL = 1e-10
-#: contract: singular values of a transfer matrix below this times its largest are zero
-#: when its informationally-complete rank is counted (born.make_reference).
-GRAM_RANK_FACTOR = 1e-10
-#: contract: largest max_j |q_general(j) - tr(rho F_j)| born-check passes.
-BORN_CHECK_TOL = 1e-9
-#: derived: c of the forward-error bound max_j |q_general(j) - tr(rho F_j)| <= c eps cond(M)
-#: (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 7): the largest
-#: ratio, 0.152, over random references at d = 2..8, seeds 0..399, 300 born-check trials
-#: each, with cond(M) >= 1e4, rounded up. Below 1e4 the deviation is the output's own
-#: rounding, at most 6.2e-14.
-BORN_ERROR_CONSTANT = 0.16
-#: derived: largest cond(M) of a reference's transfer matrix M (born.make_reference); the
-#: bound above then keeps every accepted reference within BORN_CHECK_TOL.
-CONDITION_CAP = BORN_CHECK_TOL / (BORN_ERROR_CONSTANT * float(np.finfo(float).eps))
-#: contract: two steering ensembles whose largest fidelity exceeds 1 minus this share a state
-#: (correlations.SteeringReport.no_steering).
-NO_STEERING_TOL = 1e-9
-#: contract: a conditional outcome of probability at or below this is left out of its
-#: steering ensemble (correlations.steering_ensembles).
-SUPPORT_CUT = 1e-12
 
 
 def check_dim(d: int) -> int:

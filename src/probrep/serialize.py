@@ -8,6 +8,7 @@ keys and two-space indentation so identical data produces identical bytes.
 from __future__ import annotations
 
 import json
+import platform
 
 import numpy as np
 
@@ -19,6 +20,14 @@ from .operators import (DensityOperator, Ket, Povm, _is_int, make_ket, make_povm
 def dumps(payload) -> str:
     """Canonical JSON; NaN and infinities raise ValueError (not valid RFC 8259 JSON)."""
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def environment() -> dict:
+    """What produced a result's bytes; static fields only, so a rerun on one machine matches."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "system": platform.system(), "machine": platform.machine()}
 
 
 def complex_pairs(array: np.ndarray):
@@ -178,4 +187,6 @@ def steering_payload(report: correlations.SteeringReport) -> dict:
         "cross_fidelities": report.cross_fidelities.tolist(),
         "overlap": float(report.overlap),
         "no_steering": bool(report.no_steering),
+        "marginal_deviation": float(
+            np.max(np.abs(report.marginals[0].matrix - report.marginals[1].matrix))),
     }

@@ -27,9 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoConvergence
-from .operators import (CERT_TOL, GRAD_TOL, REGISTRY_CERT_TOL, SEARCH_RESIDUAL_TARGET, Ket,
-                        _check_draw_args, _freeze, _require_positive, check_dim, make_ket)
+from .errors import CERT_TOL, GRAD_TOL, REGISTRY_CERT_TOL, SEARCH_RESIDUAL_TARGET, NoConvergence
+from .operators import Ket, _check_draw_args, _freeze, _require_positive, check_dim, make_ket
 
 
 def sic_target(dim: int) -> float:

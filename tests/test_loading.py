@@ -4,7 +4,9 @@
 layer's code runs when one of its attributes is first read. A layer has
 run when its sys.modules entry is a plain types.ModuleType (before that it
 is a subclass). Every subprocess here starts from a fresh interpreter, so
-no layer has run in it yet.
+no layer has run in it yet. `errors` uses the standard library only, and
+every other layer imports numpy, so numpy is loaded exactly when a layer
+past `errors` has run.
 """
 
 import json
@@ -38,8 +40,9 @@ PUBLIC = [
     "tensor", "urgleichung_general", "urgleichung_sic", "validate_density", "wh_orbit",
 ]
 
-# Prints the sorted names of the layers that have run, after running the
-# CLI on the given arguments (none: only `import probrep.cli`).
+# Prints the exit code, the sorted names of the layers that have run and
+# whether numpy is loaded, after running the CLI on the given arguments
+# (none: only `import probrep.cli`).
 RAN = """
 import json, sys, types
 import probrep.cli
@@ -47,7 +50,7 @@ code = probrep.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 ran = sorted(name.split(".")[1] for name, module in list(sys.modules.items())
              if name.startswith("probrep.") and name != "probrep.cli"
              and type(module) is types.ModuleType)
-print(json.dumps({"code": code, "ran": ran}))
+print(json.dumps({"code": code, "ran": ran, "numpy": "numpy" in sys.modules}))
 """
 
 
@@ -107,36 +110,52 @@ def inputs(tmp_path):
     return tmp_path
 
 
+NO_NUMPY = ["errors"]
 BASE = ["errors", "operators"]
 
-# (command kind, argv, the layers it runs besides `errors` and `operators`)
+# (command kind, argv, exit code, the layers it runs). Parsing flags, --version
+# and a flag error run no layer but `errors`, and so load no numpy.
 COMMANDS = [
-    ("import", [], []),
-    ("interval", ["interval", "10", "0.5", "2", "5", "--out", "i.json"],
-     ["sampling", "serialize"]),
-    ("interval-no-out", ["interval", "10", "0.5", "2", "5"], ["sampling"]),
-    ("simulate", ["simulate", "--probs", "probs.json", "--n", "100", "--out", "c.json"],
-     ["sampling", "serialize"]),
-    ("bell-simulate", ["bell", "--chsh", "--simulate", "100"],
-     ["correlations", "sampling", "serialize"]),
-    ("steer", ["steer"], ["correlations", "serialize"]),
-    ("sic-search", ["sic-search", "--dim", "2", "--restarts", "2"], ["sic", "serialize"]),
-    ("born-check", ["born-check", "--dim", "2", "--trials", "3", "--reference", "sic"],
-     ["born", "sic", "serialize"]),
+    ("import", [], 0, NO_NUMPY),
+    ("version", ["--version"], 0, NO_NUMPY),
+    ("bad-flag", ["sic-search", "--dim", "x"], 1, NO_NUMPY),
+    ("interval", ["interval", "10", "0.5", "2", "5", "--out", "i.json"], 0,
+     BASE + ["sampling", "serialize"]),
+    ("interval-no-out", ["interval", "10", "0.5", "2", "5"], 0, BASE + ["sampling"]),
+    ("simulate", ["simulate", "--probs", "probs.json", "--n", "100", "--out", "c.json"], 0,
+     BASE + ["sampling", "serialize"]),
+    ("bell-simulate", ["bell", "--chsh", "--simulate", "100"], 0,
+     BASE + ["correlations", "sampling", "serialize"]),
+    ("steer", ["steer"], 0, BASE + ["correlations", "serialize"]),
+    ("sic-search", ["sic-search", "--dim", "2", "--restarts", "2"], 0,
+     BASE + ["sic", "serialize"]),
+    ("born-check", ["born-check", "--dim", "2", "--trials", "3", "--reference", "sic"], 0,
+     BASE + ["born", "sic", "serialize"]),
     ("classical-gap-file", ["classical-gap", "--state", "plus.json", "--povm", "x_povm.json",
-                            "--reference", "reference_random_d2.json"], ["born", "serialize"]),
+                            "--reference", "reference_random_d2.json"], 0,
+     BASE + ["born", "serialize"]),
 ]
 
 
-@pytest.mark.parametrize("argv,extra", [c[1:] for c in COMMANDS], ids=[c[0] for c in COMMANDS])
-def test_command_runs_only_the_layers_it_calls(inputs, argv, extra):
-    assert python(RAN, *argv, cwd=inputs) == {"code": 0, "ran": sorted(BASE + extra)}
+@pytest.mark.parametrize("argv,code,ran", [c[1:] for c in COMMANDS], ids=[c[0] for c in COMMANDS])
+def test_command_runs_only_the_layers_it_calls(inputs, argv, code, ran):
+    assert python(RAN, *argv, cwd=inputs) == {
+        "code": code, "ran": sorted(ran), "numpy": ran != NO_NUMPY}
 
 
 def test_rerun_runs_the_layers_of_the_command_it_reruns(inputs):
     python(RAN, "simulate", "--probs", "probs.json", "--n", "100", "--out", "c.json", cwd=inputs)
     assert python(RAN, "rerun", "c.json", cwd=inputs) == {
-        "code": 0, "ran": sorted(BASE + ["sampling", "serialize"])}
+        "code": 0, "ran": sorted(BASE + ["sampling", "serialize"]), "numpy": True}
+
+
+def test_rerun_of_another_version_runs_no_layer_but_errors(inputs):
+    python(RAN, "simulate", "--probs", "probs.json", "--n", "100", "--out", "c.json", cwd=inputs)
+    result = json.loads((inputs / "c.json").read_text())
+    result["manifest"]["artifact_version"] = "0.0.0"
+    (inputs / "c.json").write_text(json.dumps(result))
+    assert python(RAN, "rerun", "c.json", cwd=inputs) == {
+        "code": 1, "ran": NO_NUMPY, "numpy": False}
 
 
 # Eight threads read an attribute of the layer `born` for the first time at

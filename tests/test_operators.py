@@ -24,6 +24,9 @@ from probrep import (
 )
 from probrep.born import make_cond_prob
 from probrep.errors import (
+    DIM_CAP,
+    EIGENVALUE_TOL,
+    HERMITIAN_TOL,
     BadRank,
     DimensionMismatch,
     DimensionOverflow,
@@ -36,9 +39,6 @@ from probrep.errors import (
 )
 from probrep import operators
 from probrep.operators import (
-    DIM_CAP,
-    EIGENVALUE_TOL,
-    HERMITIAN_TOL,
     check_dim,
     hermitian_deviation,
     projector_povm,

@@ -19,6 +19,8 @@ inputs.
 """
 
 import math
+import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -45,13 +47,14 @@ from probrep import (
     urgleichung_general,
     urgleichung_sic,
 )
-from probrep import born
+from probrep import born, errors
 from probrep.born import (_check_cond_stack, _general_rule, _sic_rule, check_trials,
                           random_ic_inputs)
-from probrep.cli import BORN_CHECK_TOL, main
+from probrep.cli import _parse_angles, main
 from probrep.correlations import family, make_table
-from probrep.errors import IllConditionedReference, NotInformationallyComplete
-from probrep.operators import BORN_ERROR_CONSTANT, _check_prob_rows, _grams, _traces, _whiten
+from probrep.errors import (BORN_CHECK_TOL, BORN_ERROR_CONSTANT, IllConditionedReference,
+                            NotInformationallyComplete)
+from probrep.operators import _check_prob_rows, _grams, _traces, _whiten
 from probrep.sampling import (
     DRAW_BLOCK,
     _bd0,
@@ -131,8 +134,11 @@ def test_accepted_reference_passes_born_check(d, ref_seed):
 
 
 def test_condition_cap_keeps_the_well_conditioned_references():
-    assert born.CONDITION_CAP == BORN_CHECK_TOL / (BORN_ERROR_CONSTANT * np.finfo(float).eps)
-    assert born.CONDITION_CAP > COND_LIMIT
+    # errors computes the cap from sys.float_info.epsilon, without numpy
+    assert sys.float_info.epsilon == np.finfo(float).eps
+    eps = float(np.finfo(float).eps)
+    assert errors.CONDITION_CAP == BORN_CHECK_TOL / (BORN_ERROR_CONSTANT * eps)
+    assert born.CONDITION_CAP == errors.CONDITION_CAP > COND_LIMIT
 
 
 # From the sweep that fitted the cap's constant (d = 2..8, seeds 0..399): the references
@@ -609,3 +615,32 @@ def test_local_deterministic_mixtures_obey_chsh_bound(weights):
                 block[(f >> i) & 1, (g >> j) & 1] += w / total
             probs[(a, b)] = block
     assert chsh_value(make_table(("a1", "a2"), ("b1", "b2"), probs)) <= 2 + 1e-12
+
+
+# Degrees as --angles gives them: whole numbers, any double's repr (nan and the
+# infinities included) and finite degrees past the float range in radians.
+degree_texts = st.lists(st.one_of(st.integers(-720, 720).map(str), st.floats().map(repr),
+                                  st.sampled_from(["1e308", "-1e308", "1e-320", "-0"])),
+                        min_size=1, max_size=4).map(",".join)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(part_a=degree_texts, part_b=degree_texts)
+@example(part_a="nan,0", part_b="45,135")
+@example(part_a="inf,0", part_b="45,135")
+@example(part_a="-inf,0", part_b="45,135")
+@example(part_a="1e308,0", part_b="45,135")
+def test_parse_angles_gives_the_radians_of_numpy_pi(part_a, part_b):
+    """_parse_angles converts with math.pi: the floats of float(v) * np.pi / 180.0, bit for
+    bit, and the same refusal of an angle that is not finite in radians."""
+    text = f"{part_a}:{part_b}"
+    radians = tuple([float(v) * np.pi / 180.0 for v in part.split(",")]
+                    for part in (part_a, part_b))
+    if np.isfinite(radians[0] + radians[1]).all():
+        assert [list(map(float.hex, side)) for side in _parse_angles(text)] == \
+            [list(map(float.hex, side)) for side in radians]
+    else:
+        message = f"--angles {text!r} has a non-finite angle in radians"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _parse_angles(text)

@@ -17,8 +17,7 @@ from probrep import (
     wh_orbit,
 )
 from probrep import sic
-from probrep.errors import NoConvergence
-from probrep.operators import CERT_TOL, DIM_CAP
+from probrep.errors import CERT_TOL, DIM_CAP, NoConvergence
 from probrep.sic import (
     GRAD_TOL,
     SEARCH_PROVENANCE,
