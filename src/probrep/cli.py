@@ -63,7 +63,8 @@ def _not_a_number(literal: str):
 
 
 def _read(params: dict, flag: str, parse):
-    """parse(JSON object in the file params[flag] names).
+    """parse(JSON object in the file params[flag] names); parse is a function, or the name
+    of one in serialize, looked up (running serialize and numpy) once the file holds one.
 
     A file that is also one of the command's outputs is refused, so that no
     run writes over its own input. Bytes that are not UTF-8, text that is not
@@ -84,7 +85,7 @@ def _read(params: dict, flag: str, parse):
             data = json.load(fh, parse_constant=_not_a_number)
         if not isinstance(data, dict):
             raise TypeError(f"expected an object at the top level, got {type(data).__name__}")
-        return parse(data)
+        return (getattr(serialize, parse) if isinstance(parse, str) else parse)(data)
     except (json.JSONDecodeError, KeyError, UnicodeDecodeError, TypeError, AttributeError,
             RecursionError, OverflowError) as err:
         kind = {json.JSONDecodeError: "malformed JSON: ", KeyError: "missing field "}
@@ -96,13 +97,13 @@ def _builtin_state(params: dict):
         return correlations.phi_plus()
     if params["state"] == "singlet":
         return correlations.singlet()
-    return _read(params, "state", serialize.ket_from_payload)
+    return _read(params, "state", "ket_from_payload")
 
 
 def _builtin_basis(params: dict, flag: str):
     if params[flag] in correlations.BASES:
         return operators.projector_povm(correlations.BASES[params[flag]])
-    return _read(params, flag, serialize.povm_from_payload)
+    return _read(params, flag, "povm_from_payload")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,7 @@ def _reference_for(params: dict, dim: int, seed: int):
         return born.sic_reference(dim)
     if params["reference"] == "random":
         return born.random_reference(dim, seed)
-    return _read(params, "reference", serialize.reference_from_payload)
+    return _read(params, "reference", "reference_from_payload")
 
 
 def run_born_check(params: dict, manifest: dict) -> _Rendered:
@@ -171,8 +172,8 @@ def run_born_check(params: dict, manifest: dict) -> _Rendered:
 
 
 def run_classical_gap(params: dict, manifest: dict) -> _Rendered:
-    rho = _read(params, "state", serialize.density_from_payload)
-    povm = _read(params, "povm", serialize.povm_from_payload)
+    rho = _read(params, "state", "density_from_payload")
+    povm = _read(params, "povm", "povm_from_payload")
     ref = _reference_for(params, rho.dim, seed=0)
     gap, q_quantum, q_classical = born._gap_rules(ref, rho, povm)
     payload = {
@@ -202,8 +203,10 @@ def run_bell(params: dict, manifest: dict) -> _Rendered:
         raise ValueError("--counts-csv needs --simulate")
     psi = _builtin_state(params)
     angles_a, angles_b = _parse_angles(params["angles"])
-    fam_a = correlations.angle_family(angles_a, plane=params["plane"])
-    fam_b = correlations.angle_family(angles_b, plane=params["plane"])
+    typed_a, typed_b = ([float(v) for v in side.split(",")]
+                        for side in params["angles"].split(":"))
+    fam_a = correlations.angle_family(angles_a, plane=params["plane"], degrees=typed_a)
+    fam_b = correlations.angle_family(angles_b, plane=params["plane"], degrees=typed_b)
     table = correlations.correlation_table(psi, fam_a, fam_b)
 
     payload = {
@@ -245,7 +248,7 @@ def run_steer(params: dict, manifest: dict) -> _Rendered:
 
 
 def run_simulate(params: dict, manifest: dict) -> _Rendered:
-    values = _read(params, "probs", serialize.prob_values_from_payload)
+    values = _read(params, "probs", "prob_values_from_payload")
     q = operators.make_prob_vector(values)
     counts = sampling.sample_outcomes(q, params["n"], params["seed"])
     payload = {

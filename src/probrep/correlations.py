@@ -314,9 +314,15 @@ def direction_povm(theta: float, plane: str = "xy") -> Povm:
     return make_povm(np.array([(eye + n) / 2, (eye - n) / 2]))
 
 
-def angle_family(thetas: Sequence[float], plane: str = "xy") -> MeasurementFamily:
-    """Family of direction measurements labeled by their angles in degrees."""
-    labels = tuple(f"{np.degrees(t):g}" for t in thetas)
+def angle_family(thetas: Sequence[float], plane: str = "xy",
+                 degrees: Sequence[float] | None = None) -> MeasurementFamily:
+    """Direction measurements at the angles thetas (radians), each labeled by its degrees
+    to 6 significant digits or, where different angles share that label, by the shortest
+    decimal that reads back to its `degrees` (as typed; default np.degrees(thetas))."""
+    degrees = [float(v) for v in (np.degrees(thetas) if degrees is None else degrees)]
+    short = [f"{np.degrees(t):g}" for t in thetas]
+    clash = {s for s in short if len({v for v, other in zip(degrees, short) if other == s}) > 1}
+    labels = tuple(repr(v).removesuffix(".0") if s in clash else s for v, s in zip(degrees, short))
     return MeasurementFamily(labels, tuple(direction_povm(t, plane) for t in thetas))
 
 

@@ -1,8 +1,9 @@
 """Exception types and the tolerance table shared across the package.
 
-Every validation failure names the violated invariant and carries the
-measured deviation, so callers (and the CLI) can report exactly what went
-wrong without re-deriving it. The package's tolerance table sits here too:
+Every validation failure names the violated invariant, and one that reports
+numbers (a MeasuredError) keeps each number its message prints as an
+attribute, so callers (and the CLI) can report exactly what went wrong
+without re-deriving it. The package's tolerance table sits here too:
 this layer uses the standard library only, so `import probrep.cli`, which
 runs no other layer, imports no numpy.
 """
@@ -70,41 +71,49 @@ class ProbrepError(Exception):
     """Base class for all package-specific errors."""
 
 
+class MeasuredError(ProbrepError):
+    """An error that reports numbers. A subclass declares FIELDS, the names of its
+    arguments in the order its raise sites pass them, and MESSAGE, a format string
+    over those names; every field is kept as an attribute of the same name."""
+
+    FIELDS: tuple = ()
+    MESSAGE: str = ""
+
+    def __init__(self, *args, **kwargs):
+        fields = dict(zip(self.FIELDS, args), **kwargs)
+        if len(fields) != len(args) + len(kwargs) or set(fields) != set(self.FIELDS):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self.FIELDS)}")
+        vars(self).update(fields)
+        super().__init__(self.MESSAGE.format(**fields))
+
+
 class InvalidDimension(ProbrepError):
     """Hilbert-space dimension outside the supported range."""
 
 
-class NotHermitian(ProbrepError):
-    def __init__(self, deviation: float, what: str = "matrix"):
-        self.deviation = float(deviation)
-        super().__init__(f"{what} is not Hermitian: max |M - M^dag| = {deviation:.3e}")
+class NotHermitian(MeasuredError):
+    FIELDS = ("deviation", "what")
+    MESSAGE = "{what} is not Hermitian: max |M - M^dag| = {deviation:.3e}"
 
 
-class NotPositive(ProbrepError):
-    def __init__(self, min_eigenvalue: float, what: str = "matrix"):
-        self.min_eigenvalue = float(min_eigenvalue)
-        super().__init__(
-            f"{what} is not positive semidefinite: min eigenvalue = {min_eigenvalue:.3e}"
-        )
+class NotPositive(MeasuredError):
+    FIELDS = ("min_eigenvalue", "what")
+    MESSAGE = "{what} is not positive semidefinite: min eigenvalue = {min_eigenvalue:.3e}"
 
 
-class TraceNotOne(ProbrepError):
-    def __init__(self, trace: float, tolerance: float):
-        self.trace = float(trace)
-        super().__init__(f"trace = {trace!r}, expected 1 within {tolerance}")
+class TraceNotOne(MeasuredError):
+    FIELDS = ("trace", "tolerance")
+    MESSAGE = "trace = {trace!r}, expected 1 within {tolerance}"
 
 
-class SumNotIdentity(ProbrepError):
-    def __init__(self, deviation: float):
-        self.deviation = float(deviation)
-        super().__init__(f"POVM elements do not sum to identity: max deviation = {deviation:.3e}")
+class SumNotIdentity(MeasuredError):
+    FIELDS = ("deviation",)
+    MESSAGE = "POVM elements do not sum to identity: max deviation = {deviation:.3e}"
 
 
-class DimensionOverflow(ProbrepError):
-    def __init__(self, dim: int, cap: int):
-        self.dim = dim
-        self.cap = cap
-        super().__init__(f"product dimension {dim} exceeds the dimension cap {cap}")
+class DimensionOverflow(MeasuredError):
+    FIELDS = ("dim", "cap")
+    MESSAGE = "product dimension {dim} exceeds the dimension cap {cap}"
 
 
 class DimensionMismatch(ProbrepError):
@@ -115,52 +124,35 @@ class BadRank(ProbrepError):
     """Requested rank outside 1..d."""
 
 
-class SingularNormalizer(ProbrepError):
-    def __init__(self, condition_number: float):
-        self.condition_number = float(condition_number)
-        super().__init__(
-            f"POVM normalizer is numerically singular: condition number = {condition_number:.3e}"
-        )
+class SingularNormalizer(MeasuredError):
+    FIELDS = ("condition_number",)
+    MESSAGE = "POVM normalizer is numerically singular: condition number = {condition_number:.3e}"
 
 
 class NoConvergence(ProbrepError):
     """No restart of the fiducial search reached the gradient-norm target."""
 
 
-class NotRankOne(ProbrepError):
-    def __init__(self, index: int, second_eigenvalue: float):
-        self.index = index
-        self.second_eigenvalue = float(second_eigenvalue)
-        super().__init__(
-            f"reference element {index} is not rank 1: "
-            f"second eigenvalue = {second_eigenvalue:.3e}"
-        )
+class NotRankOne(MeasuredError):
+    FIELDS = ("index", "second_eigenvalue")
+    MESSAGE = ("reference element {index} is not rank 1: "
+               "second eigenvalue = {second_eigenvalue:.3e}")
 
 
-class NotInformationallyComplete(ProbrepError):
-    def __init__(self, gram_rank: int, needed: int):
-        self.gram_rank = gram_rank
-        self.needed = needed
-        super().__init__(
-            f"reference elements span only a rank-{gram_rank} operator subspace, "
-            f"need {needed}"
-        )
+class NotInformationallyComplete(MeasuredError):
+    FIELDS = ("gram_rank", "needed")
+    MESSAGE = "reference elements span only a rank-{gram_rank} operator subspace, need {needed}"
 
 
-class IllConditionedReference(ProbrepError):
-    def __init__(self, condition_number: float, cap: float):
-        self.condition_number = float(condition_number)
-        super().__init__(
-            f"reference transfer matrix is ill-conditioned: condition number "
-            f"{condition_number:.3e}, limit {cap:g}"
-        )
+class IllConditionedReference(MeasuredError):
+    FIELDS = ("condition_number", "cap")
+    MESSAGE = ("reference transfer matrix is ill-conditioned: condition number "
+               "{condition_number:.3e}, limit {cap:g}")
 
 
-class WrongOutcomeCount(ProbrepError):
-    def __init__(self, got: int, expected: int):
-        self.got = got
-        self.expected = expected
-        super().__init__(f"reference measurement needs {expected} outcomes, got {got}")
+class WrongOutcomeCount(MeasuredError):
+    FIELDS = ("got", "expected")
+    MESSAGE = "reference measurement needs {expected} outcomes, got {got}"
 
 
 class NotAValidState(ProbrepError):
@@ -171,16 +163,14 @@ class ShapeMismatch(ProbrepError):
     """Probability inputs are not shaped for the given reference."""
 
 
-class TrialFailed(ProbrepError):
+class TrialFailed(MeasuredError):
     """A random trial of a probability-rule check failed its validation.
 
-    The error the trial raised is the cause (``__cause__``).
+    The error the trial raised is the cause (``__cause__``), and ``cause`` too.
     """
 
-    def __init__(self, trial: int, seed: int, cause: Exception):
-        self.trial = trial
-        self.seed = seed
-        super().__init__(f"trial {trial} (seed {seed}): {cause}")
+    FIELDS = ("trial", "seed", "cause")
+    MESSAGE = "trial {trial} (seed {seed}): {cause}"
 
 
 class WrongArity(ProbrepError):

@@ -31,8 +31,8 @@ import numpy as np
 from . import correlations
 from .operators import _check_draw_args, _freeze, _is_int, prob_values
 
-#: Most terms binomial_interval_prob evaluates at once; a block of float64s
-#: this size (512 KiB) bounds the peak memory of any interval.
+#: Most terms binomial_interval_prob evaluates at once; its ~15 temporaries of
+#: this many float64s (512 KiB each) bound the peak memory of any interval.
 DRAW_BLOCK = 1 << 16
 
 
@@ -177,7 +177,7 @@ def binomial_interval_prob(n: int, p: float, lo: int, hi: int) -> float:
     exactly 0.0 and skipping it moves no bit of the fsum. Bisection on the
     peaks, evaluated by the same code on 1-element arrays, finds the
     skipped blocks on each side, so the cost is O(log n) probes plus the
-    blocks that hold a non-zero term, however wide the window is.
+    blocks within ~40 sqrt(n p (1-p)) of the mode, however wide the window is.
 
     A result P below ~1e-5 is the exp of logs of size ln(1/P) > 11 and
     inherits their rounding: its bound is 4 eps ln(1/P) relative (4e-14 at

@@ -388,13 +388,23 @@ class TestBell:
         assert [p.name for p in workdir.iterdir()] == ["same.out"]
         assert (workdir / "same.out").read_text() == "earlier bytes\n"
 
-    @pytest.mark.parametrize("angles", ["0,0.0:45,135", "0.1234567,0.1234568:45,135"])
+    @pytest.mark.parametrize("angles", ["0,0.0:45,135", "45,45:0,90", "45,45.0:0,90"])
     def test_repeated_setting_label_exits_one(self, workdir, capsys, angles):
-        # labels are the angles in %g: 0 and 0.0, and these two, would merge their blocks
+        # an angle typed twice has one label, and its two blocks would merge
         argv = ["bell", "--angles", angles, "--chsh", "--simulate", "100", "--seed", "1"]
         assert main(argv) == 1
         assert "setting labels must be distinct" in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize("angles", ["45,45.0000001:0,90", "0.5,0.50000001:0,90",
+                                        "0.1234567,0.1234568:45,135"])
+    def test_distinct_angles_get_distinct_labels(self, workdir, angles):
+        # in %g (6 significant digits) each pair of angles has one label
+        assert main(["bell", "--angles", angles, "--chsh", "--simulate", "100"]) == 0
+        table = load(workdir / "bell_summary.json")["table"]
+        typed = [[float(v) for v in side.split(",")] for side in angles.split(":")]
+        assert [[float(v) for v in table[f"settings_{x}"]] for x in "ab"] == typed
+        assert len(set(table["settings_a"])) == 2
 
     def test_rerun_reproduces_csv_and_json(self, workdir):
         main(["bell", "--state", "singlet", "--chsh", "--simulate", "500",

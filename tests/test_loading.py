@@ -107,18 +107,24 @@ class TestPublicNames:
 def inputs(tmp_path):
     for path in INPUTS.iterdir():
         shutil.copy(path, tmp_path)
+    (tmp_path / "nan.json").write_text('{"values": [NaN, 1.0]}')
+    (tmp_path / "truncated.json").write_text('{"dim": 2, "matrix": [[')
     return tmp_path
 
 
 NO_NUMPY = ["errors"]
 BASE = ["errors", "operators"]
 
-# (command kind, argv, exit code, the layers it runs). Parsing flags, --version
-# and a flag error run no layer but `errors`, and so load no numpy.
+# (command kind, argv, exit code, the layers it runs). Parsing flags, --version,
+# a flag error and a file that is not a JSON object run no layer but `errors`,
+# and so load no numpy.
 COMMANDS = [
     ("import", [], 0, NO_NUMPY),
     ("version", ["--version"], 0, NO_NUMPY),
     ("bad-flag", ["sic-search", "--dim", "x"], 1, NO_NUMPY),
+    ("simulate-nan-file", ["simulate", "--probs", "nan.json", "--n", "5"], 1, NO_NUMPY),
+    ("classical-gap-truncated-file", ["classical-gap", "--state", "truncated.json",
+                                      "--povm", "x_povm.json"], 1, NO_NUMPY),
     ("interval", ["interval", "10", "0.5", "2", "5", "--out", "i.json"], 0,
      BASE + ["sampling", "serialize"]),
     ("interval-no-out", ["interval", "10", "0.5", "2", "5"], 0, BASE + ["sampling"]),

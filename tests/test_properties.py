@@ -22,6 +22,7 @@ import math
 import re
 import sys
 from collections import Counter
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ from probrep import born, errors
 from probrep.born import (_check_cond_stack, _general_rule, _sic_rule, check_trials,
                           random_ic_inputs)
 from probrep.cli import _parse_angles, main
-from probrep.correlations import family, make_table
+from probrep.correlations import angle_family, family, make_table
 from probrep.errors import (BORN_CHECK_TOL, BORN_ERROR_CONSTANT, IllConditionedReference,
                             NotInformationallyComplete)
 from probrep.operators import _check_prob_rows, _grams, _traces, _whiten
@@ -644,3 +645,33 @@ def test_parse_angles_gives_the_radians_of_numpy_pi(part_a, part_b):
         message = f"--angles {text!r} has a non-finite angle in radians"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _parse_angles(text)
+
+
+# Distinct degrees in clusters, so that many share their label in %g (6 significant
+# digits): a centre plus whole multiples of a step, kept once per value.
+clustered_degrees = st.tuples(
+    st.floats(-720, 720), st.sampled_from([1e-13, 1e-9, 1e-5, 1.0]),
+    st.lists(st.integers(-1000, 1000), min_size=1, max_size=5, unique=True),
+).map(lambda c: list(dict.fromkeys(c[0] + k * c[1] for k in c[2])))
+
+
+@PROPERTY
+@given(degrees=clustered_degrees)
+@example(degrees=[45.0, 45.0000001])
+@example(degrees=[0.5, 0.50000001, 0.5000001])
+def test_distinct_angles_get_distinct_labels(degrees):
+    """Each angle keeps its %g label unless a different angle shares it; each of those
+    is the shortest decimal that reads back to its degrees as typed. An angle typed
+    twice is still refused."""
+    radians, _ = _parse_angles(",".join(map(repr, degrees)) + ":0")
+    labels = angle_family(radians, degrees=degrees).settings
+    short = [f"{np.degrees(t):g}" for t in radians]
+    for v, label, s in zip(degrees, labels, short):
+        if short.count(s) == 1:
+            assert label == s
+        else:
+            assert float(label) == v
+            digits = len(Decimal(label).normalize().as_tuple().digits)
+            assert digits == 1 or float(f"{v:.{digits - 1}g}") != v
+    with pytest.raises(ValueError, match="setting labels must be distinct"):
+        angle_family(radians + radians[:1], degrees=degrees + degrees[:1])
