@@ -86,8 +86,8 @@ def _read(params: dict, flag: str, parse):
         if not isinstance(data, dict):
             raise TypeError(f"expected an object at the top level, got {type(data).__name__}")
         return (getattr(serialize, parse) if isinstance(parse, str) else parse)(data)
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError, TypeError, AttributeError,
-            RecursionError, OverflowError) as err:
+    except (json.JSONDecodeError, KeyError, UnicodeDecodeError, TypeError, RecursionError,
+            OverflowError) as err:
         kind = {json.JSONDecodeError: "malformed JSON: ", KeyError: "missing field "}
         raise ValueError(f"malformed input file {path}: {kind.get(type(err), '')}{err}") from err
 

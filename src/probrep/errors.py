@@ -86,6 +86,11 @@ class MeasuredError(ProbrepError):
         vars(self).update(fields)
         super().__init__(self.MESSAGE.format(**fields))
 
+    def __reduce__(self):
+        # args holds the message, which the constructor does not take: pickle rebuilds
+        # the error from its fields instead
+        return type(self), tuple(getattr(self, name) for name in self.FIELDS)
+
 
 class InvalidDimension(ProbrepError):
     """Hilbert-space dimension outside the supported range."""

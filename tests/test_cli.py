@@ -127,13 +127,20 @@ class TestBornCheck:
         assert data["passed"] is True
         assert data["max_sic_vs_general"] < 1e-10
 
-    def test_random_reference(self, workdir):
+    def test_random_reference(self, workdir, capsys):
         code = main(
             ["born-check", "--dim", "3", "--trials", "10", "--seed", "2",
              "--reference", "random", "--report", "bc.json"]
         )
         assert code == 0
         assert load(workdir / "bc.json")["max_sic_vs_general"] is None
+        # seed 364's reference is past the condition cap: refused, and no report
+        (workdir / "bc.json").unlink()
+        assert main(["born-check", "--dim", "3", "--reference", "random", "--seed", "364",
+                     "--report", "bc.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ill-conditioned" in err
+        assert list(workdir.iterdir()) == []
 
     def test_sic_flag_in_reference_file_is_recomputed(self, workdir):
         from probrep import random_reference, sic_reference
@@ -302,6 +309,12 @@ class TestClassicalGap:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "error: malformed input file bad.json: missing field 'matrix'\n"
+        # steer names the --basis-b file that lacks its field, and not the --basis-a one
+        assert main(["steer", "--basis-a", "povm.json", "--basis-b", "bad.json",
+                     "--report", "s.json"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: malformed input file bad.json: missing field 'elements'\n"
+        assert sorted(p.name for p in workdir.iterdir()) == ["bad.json", "povm.json"]
 
 
 class TestBell:
@@ -339,8 +352,9 @@ class TestBell:
     @pytest.mark.parametrize("first", ["nan", "inf", "-inf", "1e308"])
     def test_non_finite_angle_exits_one(self, workdir, capsys, first):
         assert main(["bell", f"--angles={first},0:45,135", "--chsh"]) == 1
-        assert "non-finite" in capsys.readouterr().err
-        assert not (workdir / "bell_summary.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err
+        assert list(workdir.iterdir()) == []
 
     def test_negative_first_angle_needs_the_equals_form(self, workdir, capsys):
         # argparse reads "-45,0:45,135" after a space as a flag, not as the value
@@ -402,8 +416,9 @@ class TestBell:
         # in %g (6 significant digits) each pair of angles has one label
         assert main(["bell", "--angles", angles, "--chsh", "--simulate", "100"]) == 0
         table = load(workdir / "bell_summary.json")["table"]
-        typed = [[float(v) for v in side.split(",")] for side in angles.split(":")]
-        assert [[float(v) for v in table[f"settings_{x}"]] for x in "ab"] == typed
+        # each labeled as typed
+        assert [table["settings_a"], table["settings_b"]] == [
+            side.split(",") for side in angles.split(":")]
         assert len(set(table["settings_a"])) == 2
 
     def test_rerun_reproduces_csv_and_json(self, workdir):
@@ -764,13 +779,16 @@ def test_input_field_of_the_wrong_type_exits_one(workdir, capsys, argv, payload)
     (["steer", "--state", "bad.json"], '{"dim": 1e400, "vector": [[1, 0], [0, 0]]}'),
     (["interval", "99999999999999999999999", "0.5", "0", "5"], None),
     (["simulate", "--probs", "bad.json", "--n", "5"], '{"values": [1%s, 0]}' % ("0" * 400)),
+    (["simulate", "--probs", "bad.json", "--n", "5"], '{"values": [1e308, 1e308]}'),
 ], ids=["probs-nested-100000-deep", "state-dim-1e400", "interval-n-beyond-int64",
-        "probs-integer-beyond-float"])
+        "probs-integer-beyond-float", "probs-sum-beyond-float"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would reach stderr
 def test_overflowing_or_deeply_nested_input_exits_one(workdir, capsys, argv, text):
     if text is not None:
         (workdir / "bad.json").write_text(text)
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in workdir.iterdir()] == ([] if text is None else ["bad.json"])
 
 
 def test_json_results_record_their_environment(workdir):
@@ -806,3 +824,12 @@ def test_console_script_exit_codes(workdir):
         text=True,
     )
     assert proc.returncode == 1
+    # no restart certifies at this tolerance: the best is written uncertified
+    proc = subprocess.run(
+        [sys.executable, "-m", "probrep.cli", "sic-search", "--dim", "3", "--restarts", "3",
+         "--seed", "1", "--tol", "1e-300", "--out", "f0.json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert '"certified": false' in (workdir / "f0.json").read_text()

@@ -1,6 +1,8 @@
-"""The errors that report numbers: each keeps every field its message prints."""
+"""The errors that report numbers: each keeps every field its message prints, and
+every error survives pickling."""
 
 import inspect
+import pickle
 import string
 
 import pytest
@@ -104,3 +106,24 @@ def test_a_message_prints_exactly_the_declared_fields(cls):
 def test_arguments_that_do_not_match_the_fields_are_refused(args, kwargs):
     with pytest.raises(TypeError, match="^NotHermitian takes the fields deviation, what$"):
         NotHermitian(*args, **kwargs)
+
+
+def _what(err):
+    """An error's class, message and fields, with a field that is an error in turn."""
+    fields = {name: getattr(err, name) for name in getattr(err, "FIELDS", ())}
+    return type(err), str(err), {name: _what(value) if isinstance(value, Exception) else value
+                                 for name, value in fields.items()}
+
+
+# each of the eleven as its raise sites construct it, a trial failed on a trace as well,
+# and each of the nine plain errors
+PICKLED = ([err for err, _, _ in MEASURED] + [TrialFailed(0, 5, TraceNotOne(0.75, 1e-10))]
+           + [cls(f"{name} reason") for name, cls in CLASSES.items()
+              if not issubclass(cls, MeasuredError) and cls is not ProbrepError])
+
+
+@pytest.mark.parametrize("err", PICKLED, ids=lambda err: type(err).__name__)
+def test_an_error_survives_pickling(err):
+    again = pickle.loads(pickle.dumps(err))
+    assert _what(again) == _what(err)
+    assert again.args == err.args

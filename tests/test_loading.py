@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import probrep
+import probrep.cli
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 
@@ -116,11 +117,13 @@ NO_NUMPY = ["errors"]
 BASE = ["errors", "operators"]
 
 # (command kind, argv, exit code, the layers it runs). Parsing flags, --version,
-# a flag error and a file that is not a JSON object run no layer but `errors`,
-# and so load no numpy.
+# --help, a flag error and a file that is not a JSON object run no layer but
+# `errors`, and so load no numpy.
 COMMANDS = [
     ("import", [], 0, NO_NUMPY),
     ("version", ["--version"], 0, NO_NUMPY),
+    ("help", ["--help"], 0, NO_NUMPY),
+    *((f"{command}-help", [command, "--help"], 0, NO_NUMPY) for command in probrep.cli.COMMANDS),
     ("bad-flag", ["sic-search", "--dim", "x"], 1, NO_NUMPY),
     ("simulate-nan-file", ["simulate", "--probs", "nan.json", "--n", "5"], 1, NO_NUMPY),
     ("classical-gap-truncated-file", ["classical-gap", "--state", "truncated.json",
