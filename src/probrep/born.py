@@ -13,7 +13,6 @@ metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,8 +37,8 @@ from .operators import (
     Povm,
     ProbVector,
     _check_prob_rows,
-    _freeze,
     _grams,
+    _record,
     _require_finite,
     _traces,
     _unit_trace,
@@ -55,7 +54,7 @@ from .operators import (
 STACK_ENTRIES = 8 * 10 * 64
 
 
-@dataclass(frozen=True)
+@_record
 class ReferenceMeasurement:
     """Rank-1 IC reference with its transfer machinery precomputed."""
 
@@ -72,7 +71,7 @@ class ReferenceMeasurement:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
+@_record
 class CondProbMatrix:
     """Conditional probabilities r(j|i); row i is a distribution over j."""
 
@@ -92,7 +91,7 @@ def make_cond_prob(rows) -> CondProbMatrix:
     if r.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {r.shape}")
     _check_cond_stack(r[None])
-    return CondProbMatrix(_freeze(r.copy()))
+    return CondProbMatrix(r)
 
 
 def _check_cond_stack(r: np.ndarray) -> None:
@@ -159,9 +158,9 @@ def make_reference(povm: Povm) -> ReferenceMeasurement:
     return ReferenceMeasurement(
         dim=d,
         elements=povm,
-        projectors=_freeze(povm.elements / traces[:, None, None]),
-        transfer=_freeze(transfer),
-        transfer_inverse=_freeze(np.linalg.inv(transfer)),
+        projectors=povm.elements / traces[:, None, None],
+        transfer=transfer,
+        transfer_inverse=np.linalg.inv(transfer),
         condition_number=cond,
         sic_certified=sic_certified,
     )
@@ -188,7 +187,7 @@ def random_reference(dim: int, seed: int) -> ReferenceMeasurement:
     vecs = x[0] + 1j * x[1]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     parts = vecs[:, :, None] * vecs.conj()[:, None, :]
-    return make_reference(Povm(d, _freeze(_whiten(parts[None])[0])))
+    return make_reference(Povm(d, _whiten(parts[None])[0]))
 
 
 def _transfer_weights(ref: ReferenceMeasurement, values: np.ndarray) -> np.ndarray:
@@ -329,7 +328,7 @@ def random_ic_inputs(dim: int, seed: int):
     """Deterministic (rho, povm) pair for sweep tests, drawn from default_rng(seed)."""
     d = check_dim(dim)
     ((_, rhos, parts),) = _stacks(d, [seed])
-    return DensityOperator(d, _freeze(rhos[0])), Povm(d, _freeze(_whiten(parts)[0]))
+    return DensityOperator(d, rhos[0]), Povm(d, _whiten(parts)[0])
 
 
 def check_trials(ref: ReferenceMeasurement, seeds) -> tuple[float, float | None]:

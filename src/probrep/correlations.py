@@ -7,7 +7,6 @@ binary measurement maps to +1, the second to -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +18,7 @@ from .operators import (
     Ket,
     Povm,
     _check_prob_rows,
-    _freeze,
+    _record,
     _traces,
     born_probabilities,
     make_ket,
@@ -28,7 +27,7 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class MeasurementFamily:
     """One POVM per setting label, all in the same dimension."""
 
@@ -56,7 +55,7 @@ def family(settings: Sequence, povms: Sequence[Povm]) -> MeasurementFamily:
     return MeasurementFamily(tuple(settings), tuple(povms))
 
 
-@dataclass(frozen=True)
+@_record
 class CorrelationTable:
     """p(x, y | a, b) stored as one (n_x, n_y) block per setting pair."""
 
@@ -85,7 +84,7 @@ def make_table(settings_a, settings_b, probs: Dict[Tuple, np.ndarray]) -> Correl
                 rows = _check_prob_rows(blk.reshape(1, -1))
             except ValueError as err:
                 raise ValueError(f"block ({a!r}, {b!r}): {err}") from err
-            out[(a, b)] = _freeze(rows.reshape(blk.shape))
+            out[(a, b)] = rows.reshape(blk.shape)
     return CorrelationTable(tuple(settings_a), tuple(settings_b), out)
 
 
@@ -149,7 +148,7 @@ def no_signalling_check(table: CorrelationTable) -> float:
     return max(float(np.max(m.max(axis=0) - m.min(axis=0))) for m in margs)
 
 
-@dataclass(frozen=True)
+@_record
 class SteeringReport:
     """Conditioned ensembles of subsystem B for two measurement choices on A.
 
@@ -214,14 +213,14 @@ def steering_ensembles(psi: Ket, basis_1: Povm, basis_2: Povm) -> SteeringReport
             if prob > SUPPORT_CUT:
                 cond = np.outer(sub, sub.conj()) / prob
                 cond = 0.5 * (cond + cond.conj().T)
-                members.append((prob, DensityOperator(db, _freeze(cond))))
+                members.append((prob, DensityOperator(db, cond)))
         ensembles.append(members)
         marginal = 0.5 * (marginal + marginal.conj().T)
-        marginals.append(DensityOperator(db, _freeze(marginal)))
+        marginals.append(DensityOperator(db, marginal))
 
     # members are pure, so fidelity reduces to tr(rho1 rho2)
     states = [np.array([rho.matrix for _, rho in members]) for members in ensembles]
-    cross = _freeze(_traces(states[0], states[1]))
+    cross = _traces(states[0], states[1])
     return SteeringReport(
         ensembles=(ensembles[0], ensembles[1]),
         marginals=(marginals[0], marginals[1]),

@@ -1,7 +1,8 @@
 """Finite-dimensional operator algebra: validated domain types, tensor
 products, the Born rule, and seeded random generators.
 
-All types are immutable value objects; every operation is a pure function
+All types are immutable value objects, declared with _record, which copies
+and freezes the arrays they hold; every operation is a pure function
 of its inputs (randomness always flows through an explicit integer seed,
 fed to numpy's PCG64 generator). Complex matrices are dense numpy arrays
 with the row-major tensor index convention (i_A, i_B) -> i_A * dim_B + i_B.
@@ -76,12 +77,39 @@ def _total(a: np.ndarray, axis=None) -> np.ndarray:
         return a.sum(axis=axis)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _owned(value):
+    """A read-only copy of an array, a new dict (same key order) with each array value so
+    copied, or the value itself."""
+    if isinstance(value, dict):
+        return {key: _owned(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.setflags(write=False)
+    return value
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """Declare cls a record: a frozen dataclass that owns read-only copies of the arrays
+    given to it (see _owned), so that no later write to the caller's arrays or dicts
+    reaches it. A __post_init__ of cls's own runs after the copies are made. pickle and
+    copy rebuild a record through its constructor, so a copy is read-only too."""
+    checks = cls.__dict__.get("__post_init__")
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, _owned(getattr(self, name)))
+        if checks is not None:
+            checks(self)
+
+    def __reduce__(self):
+        return cls, tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+    cls.__post_init__ = __post_init__
+    cls.__reduce__ = __reduce__
+    return dataclass(frozen=True)(cls)
+
+
+@_record
 class Ket:
     """Unit vector in a d-dimensional complex Hilbert space."""
 
@@ -91,7 +119,7 @@ class Ket:
     def density(self) -> "DensityOperator":
         """The rank-1 state |psi><psi|."""
         m = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityOperator(self.dim, _freeze(0.5 * (m + m.conj().T)))
+        return DensityOperator(self.dim, 0.5 * (m + m.conj().T))
 
 
 def make_ket(amplitudes) -> Ket:
@@ -103,10 +131,10 @@ def make_ket(amplitudes) -> Ket:
         norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"ket norm {norm!r} differs from 1 by more than {NORM_TOL}")
-    return Ket(d, _freeze(v.copy()))
+    return Ket(d, v)
 
 
-@dataclass(frozen=True)
+@_record
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace operator."""
 
@@ -114,7 +142,7 @@ class DensityOperator:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
+@_record
 class Povm:
     """Finite measurement: positive operators summing to identity.
 
@@ -131,7 +159,7 @@ class Povm:
         return self.elements[j]
 
 
-@dataclass(frozen=True)
+@_record
 class ProbVector:
     """Probability distribution over outcome labels.
 
@@ -150,7 +178,7 @@ class ProbVector:
 
 def make_prob_vector(values) -> ProbVector:
     v = np.asarray(values, dtype=float).reshape(-1)
-    return ProbVector(_freeze(_check_prob_rows(v[None])[0]))
+    return ProbVector(_check_prob_rows(v[None])[0])
 
 
 def _check_prob_rows(rows: np.ndarray) -> np.ndarray:
@@ -215,7 +243,7 @@ def validate_density(matrix) -> DensityOperator:
         m = (v * w) @ v.conj().T
         m = 0.5 * (m + m.conj().T)
         m = m / np.real(np.trace(m))
-    return DensityOperator(d, _freeze(m))
+    return DensityOperator(d, m)
 
 
 def make_povm(elements) -> Povm:
@@ -229,7 +257,7 @@ def make_povm(elements) -> Povm:
         raise ValueError(f"expected shape (n, d, d), got {els.shape}")
     d = check_dim(els.shape[1])
     _check_povm_stack(els[None])
-    return Povm(d, _freeze(els.copy()))
+    return Povm(d, els)
 
 
 def _check_povm_stack(els: np.ndarray) -> None:
@@ -299,7 +327,7 @@ def random_pure_state(dim: int, seed: int) -> Ket:
     x = np.random.default_rng(seed).standard_normal((2, d))
     v = x[0] + 1j * x[1]
     v /= np.linalg.norm(v)
-    return Ket(d, _freeze(v))
+    return Ket(d, v)
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityOperator:
@@ -308,7 +336,7 @@ def random_density(dim: int, rank: int, seed: int) -> DensityOperator:
     if not 1 <= rank <= d:
         raise BadRank(f"rank {rank} outside 1..{d}")
     x = np.random.default_rng(seed).standard_normal((1, 2, d, rank))
-    return DensityOperator(d, _freeze(_unit_trace(_grams(x))[0]))
+    return DensityOperator(d, _unit_trace(_grams(x))[0])
 
 
 def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
@@ -322,7 +350,7 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
     x = np.random.default_rng(seed).standard_normal((1, n_outcomes, 2, d, d))
-    return Povm(d, _freeze(_whiten(_grams(x))[0]))
+    return Povm(d, _whiten(_grams(x))[0])
 
 
 def _grams(x: np.ndarray) -> np.ndarray:

@@ -16,27 +16,31 @@ the algorithm of R's dbinom), DRAW_BLOCK terms at a time. They are within
 1e-14 relative of the exact sum (for results above 1e-5; see
 binomial_interval_prob), clamped to [0, 1], in O(DRAW_BLOCK) memory. Only
 the blocks that can hold a term above exp(-800) are evaluated: the others
-sum to exactly 0.0, so skipping them leaves every result bit unchanged.
+sum to exactly 0.0, so skipping them leaves every result bit unchanged. A
+window with more than MAX_LIVE_BLOCKS such blocks is refused.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
 
 from . import correlations
-from .operators import _check_draw_args, _freeze, _is_int, prob_values
+from .operators import _check_draw_args, _is_int, _record, prob_values
 
 #: Most terms binomial_interval_prob evaluates at once; its ~15 temporaries of
 #: this many float64s (512 KiB each) bound the peak memory of any interval.
 DRAW_BLOCK = 1 << 16
+#: Most blocks binomial_interval_prob evaluates: a window with more blocks that
+#: can hold a term above exp(-800) is refused. At 12-16 ms a block, 64 bound an
+#: answer to ~1 s, and allow the full window up to n ~ 1e10 at p = 1/2.
+MAX_LIVE_BLOCKS = 64
 
 
-@dataclass(frozen=True)
+@_record
 class OutcomeCounts:
     """Counts per outcome label from n_trials seeded draws."""
 
@@ -45,7 +49,7 @@ class OutcomeCounts:
     seed: int
 
 
-@dataclass(frozen=True)
+@_record
 class DataTable:
     """Per-setting joint outcome counts d(x, y | a, b).
 
@@ -91,7 +95,7 @@ def sample_outcomes(q, n: int, seed: int) -> OutcomeCounts:
     probs = prob_values(q)
     rng = np.random.default_rng(seed)
     counts = _draw_counts(probs, n, rng)
-    return OutcomeCounts(counts=_freeze(counts), n_trials=n, seed=seed)
+    return OutcomeCounts(counts=counts, n_trials=n, seed=seed)
 
 
 #: stirlerr(k) = log(k!) - log(sqrt(2 pi k) (k/e)^k) for k = 0..15, where the
@@ -131,10 +135,15 @@ def _bd0(x: np.ndarray, m: float, m_low: float) -> np.ndarray:
     Near M it is the series (x - m) v + 2x (v^3/3 + v^5/5 + ...), summed by
     Horner's rule. m_low, the rounding error of m, enters to first order,
     (1 - x/m) m_low: it is below half an ulp of m, but 1 - x/m need not be
-    small.
+    small. Where x/m overflows, log(x/m) is log x - log m; a live x there is
+    1 and m is subnormal, so m_low, below half a subnormal ulp, is 0.
     """
-    with np.errstate(over="ignore"):  # x/m = inf at a subnormal m, and then bd0 = inf
-        out = x * np.log(x / m) + m - x
+    with np.errstate(over="ignore"):
+        ratio = x / m
+    wide = np.isinf(ratio)
+    log_ratio = np.log(ratio)
+    log_ratio[wide] = np.log(x[wide]) - math.log(m)
+    out = x * log_ratio + m - x
     live = out < _BD0_UNDERFLOW
     near = live & (np.abs(x - m) < _BD0_SERIES_V * (x + m))
     xn = x[near]
@@ -145,7 +154,8 @@ def _bd0(x: np.ndarray, m: float, m_low: float) -> np.ndarray:
     for j in range(_BD0_SERIES_TERMS - 1, 0, -1):
         tail = 1 / (2 * j + 1) + v2 * tail
     out[near] = d * v + 2 * xn * v * v2 * tail
-    out[live] += (1 - x[live] / m) * m_low
+    live &= ~wide
+    out[live] += (1 - ratio[live]) * m_low
     return out
 
 
@@ -178,10 +188,15 @@ def binomial_interval_prob(n: int, p: float, lo: int, hi: int) -> float:
     peaks, evaluated by the same code on 1-element arrays, finds the
     skipped blocks on each side, so the cost is O(log n) probes plus the
     blocks within ~40 sqrt(n p (1-p)) of the mode, however wide the window is.
+    When more than MAX_LIVE_BLOCKS blocks remain, ValueError names their
+    count before any is evaluated: the cap bounds the total cost, not the
+    cost of a block.
 
     A result P below ~1e-5 is the exp of logs of size ln(1/P) > 11 and
     inherits their rounding: its bound is 4 eps ln(1/P) relative (4e-14 at
-    P = 1e-20), and a subnormal P is off by a few of its ulps.
+    P = 1e-20, 6e-13 at P = 1e-308). A subnormal P keeps that bound plus half
+    the subnormal spacing, 2**-1075; near 1e-308 that is up to ~1,000 of its
+    ulps, not a few.
     """
     if not all(map(_is_int, (n, lo, hi))):
         raise ValueError(f"n, lo and hi must be integers, got n={n!r} lo={lo!r} hi={hi!r}")
@@ -222,6 +237,9 @@ def binomial_interval_prob(n: int, p: float, lo: int, hi: int) -> float:
                                   key=lambda j: live(starts[j] + DRAW_BLOCK - 1))
         right = centre + 1 + bisect.bisect_left(range(centre + 1, len(starts)), True,
                                                 key=lambda j: not live(starts[j]))
+        if right - left > MAX_LIVE_BLOCKS:
+            raise ValueError(f"the window holds {right - left} blocks of {DRAW_BLOCK} terms "
+                             f"that can be non-zero, more than the cap of {MAX_LIVE_BLOCKS}")
         for start in starts[left:right]:
             k = np.arange(start, min(start + DRAW_BLOCK, last + 1))
             x = k.astype(float)
@@ -245,7 +263,7 @@ def data_table_sim(
     counts = {}
     for key, block in table.probs.items():
         flat = _draw_counts(block.reshape(-1), n_per_setting, rng)
-        counts[key] = _freeze(flat.reshape(block.shape))
+        counts[key] = flat.reshape(block.shape)
     return DataTable(
         settings_a=table.settings_a,
         settings_b=table.settings_b,

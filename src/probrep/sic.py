@@ -22,13 +22,12 @@ projected gradient is P_T(2 J^T f) with P_T(g) = g - Re<phi, g> phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import CERT_TOL, GRAD_TOL, REGISTRY_CERT_TOL, SEARCH_RESIDUAL_TARGET, NoConvergence
-from .operators import Ket, _check_draw_args, _freeze, _require_positive, check_dim, make_ket
+from .operators import Ket, _check_draw_args, _record, _require_positive, check_dim, make_ket
 
 
 def sic_target(dim: int) -> float:
@@ -49,7 +48,8 @@ def displacement_stack(dim: int) -> np.ndarray:
         xj = np.linalg.matrix_power(shift, j)
         for k in range(d):
             out[j * d + k] = tau ** (j * k) * (xj @ np.linalg.matrix_power(clock, k))
-    return _freeze(out)
+    out.setflags(write=False)
+    return out
 
 
 def displacement(dim: int, j: int, k: int) -> np.ndarray:
@@ -90,7 +90,7 @@ def max_sic_deviation(fiducial: Ket) -> float:
     return float(np.max(np.abs(c2[1:] - 1.0 / (fiducial.dim + 1))))
 
 
-@dataclass(frozen=True)
+@_record
 class FiducialCandidate:
     """Best unit vector found by sic_search, with its certification numbers.
 

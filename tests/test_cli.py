@@ -1,6 +1,9 @@
 import hashlib
 import json
 import shutil
+import subprocess
+import sys
+import time
 import tomllib
 from pathlib import Path
 
@@ -95,23 +98,23 @@ class TestSicSearch:
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_bad_tolerance_exits_one_before_searching(self, workdir, monkeypatch, tol):
-        import probrep.cli as cli_mod
+        import probrep.sic
 
         def no_search(*args, **kwargs):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(cli_mod.sic, "sic_search", no_search)
+        monkeypatch.setattr(probrep.sic, "sic_search", no_search)
         assert main(["sic-search", "--dim", "2", f"--tol={tol}", "--out", "fid.json"]) == 1
         assert not (workdir / "fid.json").exists()
 
     def test_search_failure_exits_two(self, workdir, monkeypatch):
         from probrep.errors import NoConvergence
-        import probrep.cli as cli_mod
+        import probrep.sic
 
         def explode(*args, **kwargs):
             raise NoConvergence("no restart converged")
 
-        monkeypatch.setattr(cli_mod.sic, "sic_search", explode)
+        monkeypatch.setattr(probrep.sic, "sic_search", explode)
         assert main(["sic-search", "--dim", "2", "--out", "fid.json"]) == 2
 
 
@@ -551,6 +554,21 @@ class TestInterval:
     def test_invalid_window(self, workdir):
         assert main(["interval", "100", "0.5", "80", "70"]) == 1
 
+    @pytest.mark.parametrize("window", [
+        ["9223372036854775807", "0.5", "0", "9223372036854775807"],
+        ["9223372036854775807", "0.3", "1000", "4000000000000000000"],
+    ], ids=["half-full", "wide-tail"])
+    def test_refuses_a_window_past_the_block_cap_within_a_second(self, workdir, window):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "probrep.cli", "interval", *window],
+                              capture_output=True, text=True)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: the window holds ")
+        assert proc.stderr.count("\n") == 1  # one line: no warning
+        assert list(workdir.iterdir()) == []
+
 
 class TestRerun:
     def test_rejects_file_without_manifest(self, workdir):
@@ -808,9 +826,6 @@ def test_unknown_command_exits_one():
 
 
 def test_console_script_exit_codes(workdir):
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "probrep.cli", "interval", "1", "0.5", "1", "1"],
         capture_output=True,

@@ -17,7 +17,7 @@ from probrep import (
     sampling,
 )
 from probrep.correlations import canonical_chsh_table, make_table
-from probrep.sampling import DRAW_BLOCK
+from probrep.sampling import DRAW_BLOCK, MAX_LIVE_BLOCKS
 
 
 def exact_binomial_interval(n: int, p: float, lo: int, hi: int) -> Fraction:
@@ -41,9 +41,10 @@ def mpmath_interval(n: int, p: float, lo: int, hi: int):
             + start * mpmath.log(pf) + (n - start) * mpmath.log1p(-pf)
         )
         total = first
+        cut = mpmath.mpf(10) ** -45
         for step, stop in ((1, hi), (-1, lo)):
             term, k = first, start
-            while k != stop and term >= total * mpmath.mpf(10) ** -45:
+            while k != stop and term >= total * cut:
                 term *= (n - k) * ratio / (k + 1) if step == 1 else k / ((n - k + 1) * ratio)
                 k += step
                 total += term
@@ -284,6 +285,52 @@ class TestBinomialInterval:
         assert probes <= 2 * math.ceil(math.log2(blocks_in_window))
         if (lo, hi) == (0, n):
             assert value == 1.0
+
+    def test_answers_at_the_block_cap(self, bd0_sizes):
+        # the upper tail from 20 sd on: its blocks out to ~40 sd can hold a term above
+        # exp(-800), while the oracle's terms fall below 1e-45 of its sum by ~25 sd
+        n = 175 * 10**9
+        lo = n // 2 + 10 * math.isqrt(n)
+        value = binomial_interval_prob(n, 0.5, lo, n)
+        assert sum(size > 1 for size in bd0_sizes) // 2 == MAX_LIVE_BLOCKS
+        assert abs(value - mpmath_interval(n, 0.5, lo, n)) <= 1e-14 * value
+
+    def test_refuses_past_the_block_cap_before_evaluating_a_block(self, bd0_sizes):
+        n = 176 * 10**9
+        message = (f"holds 65 blocks of {DRAW_BLOCK} terms that can be non-zero, "
+                   f"more than the cap of {MAX_LIVE_BLOCKS}$")
+        with pytest.raises(ValueError, match=message):
+            binomial_interval_prob(n, 0.5, n // 2 + 10 * math.isqrt(n), n)
+        assert set(bd0_sizes) == {1}  # the bisection's probes only
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 20])
+    @pytest.mark.parametrize("p", [2.2250738585072014e-308, 5.6e-309, 1e-310, 3e-315, 1e-320,
+                                   5e-324])
+    def test_subnormal_np_matches_the_exact_sum(self, n, p):
+        # k = 1 at np below ~5.6e-309, where 1/np overflows. The bound is that of any P,
+        # max(1e-14, 4 eps ln(1/P)) relative, plus half the subnormal spacing, 2**-1075
+        for lo, hi in {(1, n), (1, 1), (0, n), (0, 0), (min(2, n), n), (n, n)}:
+            exact = exact_binomial_interval(n, p, lo, hi)
+            value = binomial_interval_prob(n, p, lo, hi)
+            log_inverse = math.log(exact.denominator) - math.log(exact.numerator)
+            relative = max(1e-14, 4 * 2.0**-52 * log_inverse)
+            bound = Fraction(relative) * exact + Fraction(1, 2**1075)
+            assert abs(Fraction(value) - exact) <= bound, (lo, hi, value, float(exact))
+
+
+@pytest.fixture
+def bd0_sizes(monkeypatch):
+    """The sizes of the arrays binomial_interval_prob passes to _bd0: each evaluated block
+    or 1-element bisection probe calls it once for k and once for n - k."""
+    sizes = []
+    bd0 = sampling._bd0
+
+    def counted(x, m, m_low):
+        sizes.append(x.size)
+        return bd0(x, m, m_low)
+
+    monkeypatch.setattr(sampling, "_bd0", counted)
+    return sizes
 
 
 # (trial count, seed) pairs refused before any draw: a bad count, then a bad seed
