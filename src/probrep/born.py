@@ -40,6 +40,7 @@ from .operators import (
     _grams,
     _record,
     _require_finite,
+    _shaped,
     _traces,
     _unit_trace,
     _whiten,
@@ -81,15 +82,9 @@ class CondProbMatrix:
     def n_reference(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def n_outcomes(self) -> int:
-        return self.rows.shape[1]
-
 
 def make_cond_prob(rows) -> CondProbMatrix:
-    r = np.asarray(rows, dtype=float)
-    if r.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {r.shape}")
+    r = _shaped(rows, float, 2)
     _check_cond_stack(r[None])
     return CondProbMatrix(r)
 

@@ -19,6 +19,7 @@ from .operators import (
     Povm,
     _check_prob_rows,
     _record,
+    _shaped,
     _traces,
     born_probabilities,
     make_ket,
@@ -47,9 +48,6 @@ class MeasurementFamily:
     def dim(self) -> int:
         return self.povms[0].dim
 
-    def __len__(self) -> int:
-        return len(self.settings)
-
 
 def family(settings: Sequence, povms: Sequence[Povm]) -> MeasurementFamily:
     return MeasurementFamily(tuple(settings), tuple(povms))
@@ -75,12 +73,13 @@ class CorrelationTable:
 
 
 def make_table(settings_a, settings_b, probs: Dict[Tuple, np.ndarray]) -> CorrelationTable:
-    """Blocks validated (clipped) as make_prob_vector does, keyed in row-major setting order."""
+    """2-d blocks validated (clipped) as make_prob_vector does, keyed in row-major setting
+    order."""
     out = {}
     for a in settings_a:
         for b in settings_b:
-            blk = np.asarray(probs[(a, b)], dtype=float)
             try:
+                blk = _shaped(probs[(a, b)], float, 2)
                 rows = _check_prob_rows(blk.reshape(1, -1))
             except ValueError as err:
                 raise ValueError(f"block ({a!r}, {b!r}): {err}") from err
@@ -156,13 +155,22 @@ class SteeringReport:
     outcomes with nonzero probability; ``marginals`` are the two partial
     traces (equal by no-signalling); ``cross_fidelities[k, l]`` is the
     fidelity between member k of the first ensemble and member l of the
-    second, and ``overlap`` is its maximum.
+    second.
     """
 
     ensembles: Tuple[List[Tuple[float, DensityOperator]], List[Tuple[float, DensityOperator]]]
     marginals: Tuple[DensityOperator, DensityOperator]
     cross_fidelities: np.ndarray
-    overlap: float
+
+    @property
+    def overlap(self) -> float:
+        """The largest cross fidelity."""
+        return float(self.cross_fidelities.max())
+
+    @property
+    def marginal_deviation(self) -> float:
+        """Largest entry of |marginal 1 - marginal 2|, zero up to rounding by no-signalling."""
+        return float(np.max(np.abs(self.marginals[0].matrix - self.marginals[1].matrix)))
 
     @property
     def no_steering(self) -> bool:
@@ -220,12 +228,10 @@ def steering_ensembles(psi: Ket, basis_1: Povm, basis_2: Povm) -> SteeringReport
 
     # members are pure, so fidelity reduces to tr(rho1 rho2)
     states = [np.array([rho.matrix for _, rho in members]) for members in ensembles]
-    cross = _traces(states[0], states[1])
     return SteeringReport(
         ensembles=(ensembles[0], ensembles[1]),
         marginals=(marginals[0], marginals[1]),
-        cross_fidelities=cross,
-        overlap=float(cross.max()),
+        cross_fidelities=_traces(states[0], states[1]),
     )
 
 

@@ -1,8 +1,9 @@
 """Finite-dimensional operator algebra: validated domain types, tensor
 products, the Born rule, and seeded random generators.
 
-All types are immutable value objects, declared with _record, which copies
-and freezes the arrays they hold; every operation is a pure function
+All types are records, declared with _record: frozen holders of read-only
+copies of their arrays, compared and hashed by identity, that store no number
+their other fields determine; every operation is a pure function
 of its inputs (randomness always flows through an explicit integer seed,
 fed to numpy's PCG64 generator). Complex matrices are dense numpy arrays
 with the row-major tensor index convention (i_A, i_B) -> i_A * dim_B + i_B.
@@ -58,6 +59,14 @@ def _check_draw_args(n, n_name: str, seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def _shaped(values, dtype, ndim: int) -> np.ndarray:
+    """values as an array of dtype; one of another number of axes: ValueError naming its shape."""
+    a = np.asarray(values, dtype=dtype)
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array, got shape {a.shape}")
+    return a
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
     """Reject NaN and infinite entries, which every tolerance comparison lets through."""
     if not np.isfinite(a).all():
@@ -91,8 +100,10 @@ def _owned(value):
 def _record(cls):
     """Declare cls a record: a frozen dataclass that owns read-only copies of the arrays
     given to it (see _owned), so that no later write to the caller's arrays or dicts
-    reaches it. A __post_init__ of cls's own runs after the copies are made. pickle and
-    copy rebuild a record through its constructor, so a copy is read-only too."""
+    reaches it, and that compares and hashes by identity (a generated __eq__ would
+    compare arrays, whose truth value is ambiguous). A __post_init__ of cls's own runs
+    after the copies are made. pickle and copy rebuild a record through its
+    constructor, so a copy is read-only too."""
     checks = cls.__dict__.get("__post_init__")
 
     def __post_init__(self):
@@ -106,7 +117,7 @@ def _record(cls):
 
     cls.__post_init__ = __post_init__
     cls.__reduce__ = __reduce__
-    return dataclass(frozen=True)(cls)
+    return dataclass(frozen=True, eq=False)(cls)
 
 
 @_record
@@ -124,7 +135,7 @@ class Ket:
 
 def make_ket(amplitudes) -> Ket:
     """Validate and wrap a complex amplitude vector (unit norm within NORM_TOL)."""
-    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    v = _shaped(amplitudes, complex, 1)
     d = check_dim(v.shape[0])
     _require_finite(v, "ket")
     with np.errstate(over="ignore"):  # a norm past the float range is inf, refused below
@@ -155,9 +166,6 @@ class Povm:
     def __len__(self) -> int:
         return self.elements.shape[0]
 
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self.elements[j]
-
 
 @_record
 class ProbVector:
@@ -169,16 +177,9 @@ class ProbVector:
 
     values: np.ndarray
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def __getitem__(self, i: int) -> float:
-        return float(self.values[i])
-
 
 def make_prob_vector(values) -> ProbVector:
-    v = np.asarray(values, dtype=float).reshape(-1)
-    return ProbVector(_check_prob_rows(v[None])[0])
+    return ProbVector(_check_prob_rows(_shaped(values, float, 1)[None])[0])
 
 
 def _check_prob_rows(rows: np.ndarray) -> np.ndarray:
@@ -388,5 +389,5 @@ def _whiten(parts: np.ndarray) -> np.ndarray:
 
 def projector_povm(vectors) -> Povm:
     """Projective measurement onto an orthonormal basis given as row vectors."""
-    vecs = np.asarray(vectors, dtype=complex)
+    vecs = _shaped(vectors, complex, 2)
     return make_povm(vecs[:, :, None] * vecs.conj()[:, None, :])

@@ -121,8 +121,8 @@ def reference_from_payload(data: dict) -> born.ReferenceMeasurement:
 def fiducial_payload(candidate: sic.FiducialCandidate) -> dict:
     return {
         **ket_payload(candidate.vector),
-        "frame_potential": float(candidate.frame_potential),
-        "max_sic_deviation": float(candidate.max_sic_deviation),
+        "frame_potential": candidate.frame_potential,
+        "max_sic_deviation": candidate.max_sic_deviation,
         "seed": candidate.seed,
         "restarts_used": candidate.restarts_used,
         "restart_index": candidate.restart_index,
@@ -185,8 +185,7 @@ def steering_payload(report: correlations.SteeringReport) -> dict:
         "ensembles": [ensemble(e) for e in report.ensembles],
         "marginals": [complex_pairs(m.matrix) for m in report.marginals],
         "cross_fidelities": report.cross_fidelities.tolist(),
-        "overlap": float(report.overlap),
+        "overlap": report.overlap,
         "no_steering": bool(report.no_steering),
-        "marginal_deviation": float(
-            np.max(np.abs(report.marginals[0].matrix - report.marginals[1].matrix))),
+        "marginal_deviation": report.marginal_deviation,
     }

@@ -92,7 +92,8 @@ def max_sic_deviation(fiducial: Ket) -> float:
 
 @_record
 class FiducialCandidate:
-    """Best unit vector found by sic_search, with its certification numbers.
+    """Best unit vector found by sic_search; its certification numbers are properties
+    computed from ``vector`` by the module functions of the same names.
 
     ``restarts_used`` is the search's restart budget and ``restart_index``
     the index i of the restart that won (its start seed is seed + i); a
@@ -100,11 +101,17 @@ class FiducialCandidate:
     """
 
     vector: Ket
-    frame_potential: float
-    max_sic_deviation: float
     seed: int
     restarts_used: int
     restart_index: int
+
+    @property
+    def frame_potential(self) -> float:
+        return frame_potential(self.vector)
+
+    @property
+    def max_sic_deviation(self) -> float:
+        return max_sic_deviation(self.vector)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +214,7 @@ def sic_search(dim: int, seed: int, restarts: int, tol: float = CERT_TOL) -> Fid
             f"the closest reached {closest[0]:.3e} (restart seed {seed + closest[1]})"
         )
     winner, ket = best
-    return FiducialCandidate(
-        vector=ket,
-        frame_potential=frame_potential(ket),
-        max_sic_deviation=max_sic_deviation(ket),
-        seed=seed,
-        restarts_used=restarts,
-        restart_index=winner,
-    )
+    return FiducialCandidate(vector=ket, seed=seed, restarts_used=restarts, restart_index=winner)
 
 
 # ---------------------------------------------------------------------------

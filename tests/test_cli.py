@@ -628,6 +628,18 @@ class TestRerun:
         assert capsys.readouterr().err == "error: m.json does not embed a manifest\n"
         assert sha(workdir / "m.json") == before
 
+    @pytest.mark.parametrize("command", ["frobnicate", "rerun"])
+    def test_refuses_a_manifest_of_an_unknown_command(self, workdir, capsys, command):
+        # rerun writes no result, so no manifest can be one of its own
+        data = {"manifest": {"command": command, "artifact_version": __version__,
+                             "params": {"file": "m.json"}}}
+        (workdir / "m.json").write_text(serialize.dumps(data))
+        before = sha(workdir / "m.json")
+        assert main(["rerun", "m.json"]) == 1
+        assert capsys.readouterr().err == f"error: unknown command {command!r} in manifest\n"
+        assert [p.name for p in workdir.iterdir()] == ["m.json"]
+        assert sha(workdir / "m.json") == before
+
 
 DELETED = object()  # the param is taken out of the manifest
 

@@ -1,11 +1,13 @@
-"""Every record owns read-only copies of its arrays.
+"""Every record owns read-only copies of its arrays, compares by identity and stores
+no number that its other fields determine.
 
 Each record type is declared with operators._record. A record built by a
 public producer, or directly from the caller's arrays and dicts, holds
 read-only copies: a write through the record raises, and the caller's
 arrays stay writable, unchanged and apart from the record's. A record
 that pickle or copy.deepcopy duplicates is built again by its constructor,
-so the duplicate's arrays are read-only too. MeasurementFamily and
+so the duplicate's arrays are read-only too. A record equals only itself and
+hashes, so it can be a dict key. MeasurementFamily and
 FiducialCandidate hold only records and scalars, so they are covered
 through the records they hold.
 """
@@ -17,6 +19,7 @@ import pickle
 import numpy as np
 import pytest
 
+from probrep import sic
 from probrep.born import (
     CondProbMatrix,
     ReferenceMeasurement,
@@ -36,6 +39,7 @@ from probrep.correlations import (
     singlet,
     steering_ensembles,
 )
+from probrep.errors import NO_STEERING_TOL
 from probrep.operators import (
     DensityOperator,
     Ket,
@@ -51,7 +55,7 @@ from probrep.operators import (
     validate_density,
 )
 from probrep.sampling import DataTable, OutcomeCounts, data_table_sim, sample_outcomes
-from probrep.sic import known_fiducial, sic_search, wh_orbit
+from probrep.sic import FiducialCandidate, known_fiducial, sic_search, wh_orbit
 
 HADAMARD_BASIS = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -94,7 +98,7 @@ DIRECT = {
     "SteeringReport": (SteeringReport, lambda: [
         ([(1.0, DensityOperator(2, np.eye(2) / 2))], []),
         (DensityOperator(2, np.eye(2) / 2), DensityOperator(2, np.eye(2) / 2)),
-        np.ones((1, 0)), 0.0]),
+        np.ones((1, 0))]),
     "OutcomeCounts": (OutcomeCounts, lambda: [np.array([3, 7]), 10, 1]),
     "DataTable": (DataTable, lambda: [("a",), ("b",), {("a", "b"): np.array([[3, 0], [0, 7]])},
                                       10, 1]),
@@ -116,8 +120,12 @@ def arrays_in(value):
             yield from arrays_in(item)
 
 
-@pytest.mark.parametrize("build,arguments", [*PRODUCERS.values(), *DIRECT.values()],
-                         ids=[*PRODUCERS, *(f"direct-{name}" for name in DIRECT)])
+EVERY_RECORD = pytest.mark.parametrize(
+    "build,arguments", [*PRODUCERS.values(), *DIRECT.values()],
+    ids=[*PRODUCERS, *(f"direct-{name}" for name in DIRECT)])
+
+
+@EVERY_RECORD
 def test_a_record_owns_read_only_copies_of_its_arrays(build, arguments):
     arguments = arguments()
     given = [a for a in arguments if isinstance(a, (np.ndarray, dict))]
@@ -162,3 +170,40 @@ def test_a_dict_field_keeps_its_key_order():
     table = CorrelationTable(("a",), ("b", "c"), probs)
     assert list(table.probs) == [("a", "c"), ("a", "b")]
     np.testing.assert_array_equal(table.probs[("a", "b")], np.eye(2) / 2)
+
+
+@EVERY_RECORD
+def test_a_record_equals_only_itself_and_hashes(build, arguments):
+    record = build(*arguments())
+    again = copy.deepcopy(record)
+    assert record == record and not record != record
+    assert record != again and not record == again
+    assert hash(record) == object.__hash__(record)
+    assert {record: 1, again: 2}[record] == 1
+
+
+def test_derived_numbers_are_properties_not_fields():
+    assert [f.name for f in dataclasses.fields(FiducialCandidate)] == [
+        "vector", "seed", "restarts_used", "restart_index"]
+    assert [f.name for f in dataclasses.fields(SteeringReport)] == [
+        "ensembles", "marginals", "cross_fidelities"]
+
+
+@pytest.mark.parametrize("dim,seed,restarts,tol", [(2, 1, 3, 1e-8), (3, 0, 5, 1e-8),
+                                                    (5, 1, 1, 1e-8), (4, 2, 3, 1e-300)])
+def test_a_candidate_reports_the_sic_functions_of_its_vector(dim, seed, restarts, tol):
+    candidate = sic_search(dim, seed, restarts, tol)
+    assert repr(candidate.frame_potential) == repr(sic.frame_potential(candidate.vector))
+    assert repr(candidate.max_sic_deviation) == repr(sic.max_sic_deviation(candidate.vector))
+
+
+@pytest.mark.parametrize("psi,basis_2", [
+    (phi_plus(), HADAMARD_BASIS), (singlet(), np.eye(2)),
+    (random_pure_state(4, 3), HADAMARD_BASIS), (random_pure_state(6, 1), np.eye(2))],
+    ids=["phi+-x", "singlet-z", "random-d4-x", "random-d6-z"])
+def test_a_steering_report_derives_its_overlap_and_marginal_deviation(psi, basis_2):
+    report = steering_ensembles(psi, projector_povm(np.eye(2)), projector_povm(basis_2))
+    first, second = (m.matrix for m in report.marginals)
+    assert repr(report.overlap) == repr(float(report.cross_fidelities.max()))
+    assert repr(report.marginal_deviation) == repr(float(np.max(np.abs(first - second))))
+    assert report.no_steering == (report.overlap > 1.0 - NO_STEERING_TOL)
