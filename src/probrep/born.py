@@ -57,15 +57,22 @@ STACK_ENTRIES = 8 * 10 * 64
 
 @_record
 class ReferenceMeasurement:
-    """Rank-1 IC reference with its transfer machinery precomputed."""
+    """Rank-1 IC reference with its transfer machinery precomputed.
 
-    dim: int
+    The one record that stores numbers its ``elements`` determine: the fields
+    after ``elements`` are what make_reference computes to accept a reference.
+    """
+
     elements: Povm
     projectors: np.ndarray
     transfer: np.ndarray
     transfer_inverse: np.ndarray
     condition_number: float
     sic_certified: bool
+
+    @property
+    def dim(self) -> int:
+        return self.elements.dim
 
     @property
     def n_outcomes(self) -> int:
@@ -151,7 +158,6 @@ def make_reference(povm: Povm) -> ReferenceMeasurement:
     sic_certified = bool(np.max(np.abs(d * d * gram - (d * np.eye(n) + 1) / (d + 1))) < CERT_TOL)
 
     return ReferenceMeasurement(
-        dim=d,
         elements=povm,
         projectors=povm.elements / traces[:, None, None],
         transfer=transfer,
@@ -182,7 +188,7 @@ def random_reference(dim: int, seed: int) -> ReferenceMeasurement:
     vecs = x[0] + 1j * x[1]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     parts = vecs[:, :, None] * vecs.conj()[:, None, :]
-    return make_reference(Povm(d, _whiten(parts[None])[0]))
+    return make_reference(Povm(_whiten(parts[None])[0]))
 
 
 def _transfer_weights(ref: ReferenceMeasurement, values: np.ndarray) -> np.ndarray:
@@ -323,7 +329,7 @@ def random_ic_inputs(dim: int, seed: int):
     """Deterministic (rho, povm) pair for sweep tests, drawn from default_rng(seed)."""
     d = check_dim(dim)
     ((_, rhos, parts),) = _stacks(d, [seed])
-    return DensityOperator(d, rhos[0]), Povm(d, _whiten(parts)[0])
+    return DensityOperator(rhos[0]), Povm(_whiten(parts)[0])
 
 
 def check_trials(ref: ReferenceMeasurement, seeds) -> tuple[float, float | None]:

@@ -36,6 +36,8 @@ class MeasurementFamily:
     povms: Tuple[Povm, ...]
 
     def __post_init__(self):
+        if not self.settings:
+            raise ValueError("a family needs at least one setting")
         if len(self.settings) != len(self.povms):
             raise ValueError("one POVM per setting label required")
         if len(set(self.settings)) != len(self.settings):
@@ -53,13 +55,38 @@ def family(settings: Sequence, povms: Sequence[Povm]) -> MeasurementFamily:
     return MeasurementFamily(tuple(settings), tuple(povms))
 
 
+def _setting_orders(blocks: Dict[Tuple, np.ndarray]) -> Tuple[Tuple, Tuple]:
+    """(settings_a, settings_b) of a block map keyed (a, b): each side's labels in the order
+    they first appear. ValueError when the map is empty, or its keys are not these labels'
+    product in row-major order (a outer, b inner)."""
+    keys = list(blocks)
+    if not keys:
+        raise ValueError("a table needs at least one setting pair")
+    settings_a = tuple(dict.fromkeys(a for a, _ in keys))
+    settings_b = tuple(dict.fromkeys(b for _, b in keys))
+    if keys != [(a, b) for a in settings_a for b in settings_b]:
+        raise ValueError(f"block keys {keys} are not the row-major product of settings "
+                         f"{list(settings_a)} and {list(settings_b)}")
+    return settings_a, settings_b
+
+
 @_record
 class CorrelationTable:
-    """p(x, y | a, b) stored as one (n_x, n_y) block per setting pair."""
+    """p(x, y | a, b) stored as one (n_x, n_y) block per setting pair, keyed in row-major
+    setting order; settings_a and settings_b are read from that order."""
 
-    settings_a: Tuple
-    settings_b: Tuple
     probs: Dict[Tuple, np.ndarray]
+
+    def __post_init__(self):
+        _setting_orders(self.probs)
+
+    @property
+    def settings_a(self) -> Tuple:
+        return _setting_orders(self.probs)[0]
+
+    @property
+    def settings_b(self) -> Tuple:
+        return _setting_orders(self.probs)[1]
 
     def block(self, a, b) -> np.ndarray:
         return self.probs[(a, b)]
@@ -74,7 +101,10 @@ class CorrelationTable:
 
 def make_table(settings_a, settings_b, probs: Dict[Tuple, np.ndarray]) -> CorrelationTable:
     """2-d blocks validated (clipped) as make_prob_vector does, keyed in row-major setting
-    order."""
+    order. A label repeated on one side: ValueError."""
+    for side, labels in (("a", settings_a), ("b", settings_b)):
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"settings_{side} labels must be distinct, got {list(labels)}")
     out = {}
     for a in settings_a:
         for b in settings_b:
@@ -84,7 +114,7 @@ def make_table(settings_a, settings_b, probs: Dict[Tuple, np.ndarray]) -> Correl
             except ValueError as err:
                 raise ValueError(f"block ({a!r}, {b!r}): {err}") from err
             out[(a, b)] = rows.reshape(blk.shape)
-    return CorrelationTable(tuple(settings_a), tuple(settings_b), out)
+    return CorrelationTable(out)
 
 
 def correlation_table(
@@ -152,15 +182,27 @@ class SteeringReport:
     """Conditioned ensembles of subsystem B for two measurement choices on A.
 
     ``ensembles`` holds (probability, conditional state) pairs restricted to
-    outcomes with nonzero probability; ``marginals`` are the two partial
-    traces (equal by no-signalling); ``cross_fidelities[k, l]`` is the
-    fidelity between member k of the first ensemble and member l of the
-    second.
+    outcomes with nonzero probability, at least one per ensemble; ``marginals``
+    are the two partial traces (equal by no-signalling). ``cross_fidelities``,
+    ``overlap``, ``marginal_deviation`` and ``no_steering`` are derived from them.
     """
 
     ensembles: Tuple[List[Tuple[float, DensityOperator]], List[Tuple[float, DensityOperator]]]
     marginals: Tuple[DensityOperator, DensityOperator]
-    cross_fidelities: np.ndarray
+
+    def __post_init__(self):
+        if not all(self.ensembles):
+            raise ValueError("each steering ensemble needs at least one member")
+
+    @property
+    def cross_fidelities(self) -> np.ndarray:
+        """Read-only [k, l]: the fidelity between member k of the first ensemble and member
+        l of the second, tr(rho_k rho_l), since the members are pure."""
+        first, second = (np.array([rho.matrix for _, rho in members])
+                         for members in self.ensembles)
+        fidelities = _traces(first, second)
+        fidelities.setflags(write=False)
+        return fidelities
 
     @property
     def overlap(self) -> float:
@@ -221,17 +263,14 @@ def steering_ensembles(psi: Ket, basis_1: Povm, basis_2: Povm) -> SteeringReport
             if prob > SUPPORT_CUT:
                 cond = np.outer(sub, sub.conj()) / prob
                 cond = 0.5 * (cond + cond.conj().T)
-                members.append((prob, DensityOperator(db, cond)))
+                members.append((prob, DensityOperator(cond)))
         ensembles.append(members)
         marginal = 0.5 * (marginal + marginal.conj().T)
-        marginals.append(DensityOperator(db, marginal))
+        marginals.append(DensityOperator(marginal))
 
-    # members are pure, so fidelity reduces to tr(rho1 rho2)
-    states = [np.array([rho.matrix for _, rho in members]) for members in ensembles]
     return SteeringReport(
         ensembles=(ensembles[0], ensembles[1]),
         marginals=(marginals[0], marginals[1]),
-        cross_fidelities=_traces(states[0], states[1]),
     )
 
 

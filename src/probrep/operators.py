@@ -3,10 +3,20 @@ products, the Born rule, and seeded random generators.
 
 All types are records, declared with _record: frozen holders of read-only
 copies of their arrays, compared and hashed by identity, that store no number
-their other fields determine; every operation is a pure function
-of its inputs (randomness always flows through an explicit integer seed,
-fed to numpy's PCG64 generator). Complex matrices are dense numpy arrays
-with the row-major tensor index convention (i_A, i_B) -> i_A * dim_B + i_B.
+their other fields determine. Ket stores its amplitudes, DensityOperator its
+matrix and Povm its elements, and each reads ``dim`` from its array's shape;
+ProbVector stores its values. The records of the other layers follow the same
+rule: a table's settings are the key order of its block map, a trial count is
+a total of counts, and a steering report's cross fidelities are traces of its
+ensembles' states. The one exception is born.ReferenceMeasurement: beside its
+elements (whose ``dim`` it reads) it stores the projectors, transfer maps,
+condition number and SIC certificate that make_reference computes to accept
+a reference.
+
+Every operation is a pure function of its inputs (randomness always flows
+through an explicit integer seed, fed to numpy's PCG64 generator). Complex
+matrices are dense numpy arrays with the row-major tensor index convention
+(i_A, i_B) -> i_A * dim_B + i_B.
 """
 
 from __future__ import annotations
@@ -124,33 +134,39 @@ def _record(cls):
 class Ket:
     """Unit vector in a d-dimensional complex Hilbert space."""
 
-    dim: int
     amplitudes: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.shape[0]
 
     def density(self) -> "DensityOperator":
         """The rank-1 state |psi><psi|."""
         m = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityOperator(self.dim, 0.5 * (m + m.conj().T))
+        return DensityOperator(0.5 * (m + m.conj().T))
 
 
 def make_ket(amplitudes) -> Ket:
     """Validate and wrap a complex amplitude vector (unit norm within NORM_TOL)."""
     v = _shaped(amplitudes, complex, 1)
-    d = check_dim(v.shape[0])
+    check_dim(v.shape[0])
     _require_finite(v, "ket")
     with np.errstate(over="ignore"):  # a norm past the float range is inf, refused below
         norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"ket norm {norm!r} differs from 1 by more than {NORM_TOL}")
-    return Ket(d, v)
+    return Ket(v)
 
 
 @_record
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace operator."""
 
-    dim: int
     matrix: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
 
 @_record
@@ -160,8 +176,11 @@ class Povm:
     ``elements`` has shape (n_outcomes, d, d); outcome j indexes axis 0.
     """
 
-    dim: int
     elements: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.elements.shape[-1]
 
     def __len__(self) -> int:
         return self.elements.shape[0]
@@ -227,7 +246,7 @@ def validate_density(matrix) -> DensityOperator:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    d = check_dim(m.shape[0])
+    check_dim(m.shape[0])
     _require_finite(m, "density matrix")
     dev = hermitian_deviation(m)
     if dev > HERMITIAN_TOL:
@@ -244,7 +263,7 @@ def validate_density(matrix) -> DensityOperator:
         m = (v * w) @ v.conj().T
         m = 0.5 * (m + m.conj().T)
         m = m / np.real(np.trace(m))
-    return DensityOperator(d, m)
+    return DensityOperator(m)
 
 
 def make_povm(elements) -> Povm:
@@ -256,9 +275,9 @@ def make_povm(elements) -> Povm:
     els = np.asarray(elements, dtype=complex)
     if els.ndim != 3 or els.shape[1] != els.shape[2]:
         raise ValueError(f"expected shape (n, d, d), got {els.shape}")
-    d = check_dim(els.shape[1])
+    check_dim(els.shape[1])
     _check_povm_stack(els[None])
-    return Povm(d, els)
+    return Povm(els)
 
 
 def _check_povm_stack(els: np.ndarray) -> None:
@@ -288,11 +307,15 @@ def _check_povm_stack(els: np.ndarray) -> None:
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the (i_A, i_B) -> i_A * dim_B + i_B convention.
 
-    Accepts operators (2-d) or kets (1-d). Raises DimensionOverflow when the
-    product dimension exceeds DIM_CAP.
+    Accepts two operators (2-d) or two kets (1-d); any other pair of shapes is
+    a ValueError naming both. Raises DimensionOverflow when the product
+    dimension exceeds DIM_CAP.
     """
     a = np.asarray(a)
     b = np.asarray(b)
+    if a.ndim != b.ndim or a.ndim not in (1, 2):
+        raise ValueError(f"tensor takes two kets (1-d) or two operators (2-d), "
+                         f"got shapes {a.shape} and {b.shape}")
     out_dim = a.shape[0] * b.shape[0]
     if out_dim > DIM_CAP:
         raise DimensionOverflow(out_dim, DIM_CAP)
@@ -328,7 +351,7 @@ def random_pure_state(dim: int, seed: int) -> Ket:
     x = np.random.default_rng(seed).standard_normal((2, d))
     v = x[0] + 1j * x[1]
     v /= np.linalg.norm(v)
-    return Ket(d, v)
+    return Ket(v)
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityOperator:
@@ -337,7 +360,7 @@ def random_density(dim: int, rank: int, seed: int) -> DensityOperator:
     if not 1 <= rank <= d:
         raise BadRank(f"rank {rank} outside 1..{d}")
     x = np.random.default_rng(seed).standard_normal((1, 2, d, rank))
-    return DensityOperator(d, _unit_trace(_grams(x))[0])
+    return DensityOperator(_unit_trace(_grams(x))[0])
 
 
 def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
@@ -351,7 +374,7 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
     x = np.random.default_rng(seed).standard_normal((1, n_outcomes, 2, d, d))
-    return Povm(d, _whiten(_grams(x))[0])
+    return Povm(_whiten(_grams(x))[0])
 
 
 def _grams(x: np.ndarray) -> np.ndarray:

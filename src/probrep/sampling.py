@@ -45,8 +45,11 @@ class OutcomeCounts:
     """Counts per outcome label from n_trials seeded draws."""
 
     counts: np.ndarray
-    n_trials: int
     seed: int
+
+    @property
+    def n_trials(self) -> int:
+        return int(self.counts.sum())
 
 
 @_record
@@ -54,14 +57,30 @@ class DataTable:
     """Per-setting joint outcome counts d(x, y | a, b).
 
     counts maps a setting pair to an (n_x, n_y) integer block of n_trials
-    draws; every setting pair gets the same n_trials.
+    draws, keyed in row-major setting order; every block totals the same
+    n_trials. settings_a, settings_b and n_trials are read from counts.
     """
 
-    settings_a: Tuple
-    settings_b: Tuple
     counts: Dict[Tuple, np.ndarray]
-    n_trials: int
     seed: int
+
+    def __post_init__(self):
+        correlations._setting_orders(self.counts)
+        totals = [int(block.sum()) for block in self.counts.values()]
+        if len(set(totals)) != 1:
+            raise ValueError(f"every block must total the same number of trials, got {totals}")
+
+    @property
+    def settings_a(self) -> Tuple:
+        return correlations._setting_orders(self.counts)[0]
+
+    @property
+    def settings_b(self) -> Tuple:
+        return correlations._setting_orders(self.counts)[1]
+
+    @property
+    def n_trials(self) -> int:
+        return int(next(iter(self.counts.values())).sum())
 
     def empirical_table(self) -> correlations.CorrelationTable:
         """Relative frequencies as a correlation table."""
@@ -95,7 +114,7 @@ def sample_outcomes(q, n: int, seed: int) -> OutcomeCounts:
     probs = prob_values(q)
     rng = np.random.default_rng(seed)
     counts = _draw_counts(probs, n, rng)
-    return OutcomeCounts(counts=counts, n_trials=n, seed=seed)
+    return OutcomeCounts(counts=counts, seed=seed)
 
 
 #: stirlerr(k) = log(k!) - log(sqrt(2 pi k) (k/e)^k) for k = 0..15, where the
@@ -264,10 +283,4 @@ def data_table_sim(
     for key, block in table.probs.items():
         flat = _draw_counts(block.reshape(-1), n_per_setting, rng)
         counts[key] = flat.reshape(block.shape)
-    return DataTable(
-        settings_a=table.settings_a,
-        settings_b=table.settings_b,
-        counts=counts,
-        n_trials=int(n_per_setting),
-        seed=seed,
-    )
+    return DataTable(counts=counts, seed=seed)

@@ -10,6 +10,24 @@ so the duplicate's arrays are read-only too. A record equals only itself and
 hashes, so it can be a dict key. MeasurementFamily and
 FiducialCandidate hold only records and scalars, so they are covered
 through the records they hold.
+
+What each record stores, and what it derives, is pinned by RECORDS:
+- Ket stores amplitudes, DensityOperator matrix and Povm elements; each
+  derives dim from its array's shape. ProbVector stores values and
+  CondProbMatrix rows (n_reference is their count).
+- ReferenceMeasurement stores elements and derives dim from them. It is the
+  one exception to the rule: it also stores projectors, transfer,
+  transfer_inverse, condition_number and sic_certified, which make_reference
+  computes to accept a reference.
+- MeasurementFamily stores settings and povms (dim is the povms').
+- CorrelationTable stores probs, DataTable counts and seed; settings_a and
+  settings_b are the row-major key order of the block map, and a DataTable's
+  n_trials is a block's total.
+- OutcomeCounts stores counts and seed; n_trials is the counts' total.
+- SteeringReport stores ensembles and marginals; cross_fidelities, overlap,
+  marginal_deviation and no_steering are derived from them.
+- FiducialCandidate stores vector, seed, restarts_used and restart_index;
+  frame_potential and max_sic_deviation are functions of vector.
 """
 
 import copy
@@ -31,6 +49,7 @@ from probrep.born import (
 )
 from probrep.correlations import (
     CorrelationTable,
+    MeasurementFamily,
     SteeringReport,
     angle_family,
     canonical_chsh_table,
@@ -45,6 +64,8 @@ from probrep.operators import (
     Ket,
     Povm,
     ProbVector,
+    _traces,
+    check_dim,
     make_ket,
     make_povm,
     make_prob_vector,
@@ -85,23 +106,72 @@ PRODUCERS = {
 }
 
 DIRECT = {
-    "Ket": (Ket, lambda: [2, np.array([1, 0], dtype=complex)]),
-    "DensityOperator": (DensityOperator, lambda: [2, np.eye(2, dtype=complex) / 2]),
-    "Povm": (Povm, lambda: [2, np.array([np.diag([1, 0]), np.diag([0, 1])], dtype=complex)]),
+    "Ket": (Ket, lambda: [np.array([1, 0], dtype=complex)]),
+    "DensityOperator": (DensityOperator, lambda: [np.eye(2, dtype=complex) / 2]),
+    "Povm": (Povm, lambda: [np.array([np.diag([1, 0]), np.diag([0, 1])], dtype=complex)]),
     "ProbVector": (ProbVector, lambda: [np.array([0.25, 0.75])]),
     "CondProbMatrix": (CondProbMatrix, lambda: [np.array([[0.5, 0.5], [1.0, 0.0]])]),
     "ReferenceMeasurement": (ReferenceMeasurement, lambda: [
-        2, sic_reference(2).elements, np.ones((4, 2, 2)), np.eye(4), np.eye(4), 1.0, False]),
+        sic_reference(2).elements, np.ones((4, 2, 2)), np.eye(4), np.eye(4), 1.0, False]),
     "CorrelationTable": (CorrelationTable,
-                         lambda: [("a",), ("b", "c"), {("a", "b"): np.eye(2) / 2,
-                                                       ("a", "c"): np.full((2, 2), 0.25)}]),
+                         lambda: [{("a", "b"): np.eye(2) / 2, ("a", "c"): np.full((2, 2), 0.25)}]),
     "SteeringReport": (SteeringReport, lambda: [
-        ([(1.0, DensityOperator(2, np.eye(2) / 2))], []),
-        (DensityOperator(2, np.eye(2) / 2), DensityOperator(2, np.eye(2) / 2)),
-        np.ones((1, 0))]),
-    "OutcomeCounts": (OutcomeCounts, lambda: [np.array([3, 7]), 10, 1]),
-    "DataTable": (DataTable, lambda: [("a",), ("b",), {("a", "b"): np.array([[3, 0], [0, 7]])},
-                                      10, 1]),
+        ([(1.0, DensityOperator(np.eye(2) / 2))], [(1.0, DensityOperator(np.eye(2) / 2))]),
+        (DensityOperator(np.eye(2) / 2), DensityOperator(np.eye(2) / 2))]),
+    "OutcomeCounts": (OutcomeCounts, lambda: [np.array([3, 7]), 1]),
+    "DataTable": (DataTable, lambda: [{("a", "b"): np.array([[3, 0], [0, 7]])}, 1]),
+}
+
+# record type: (its fields, in order; the properties derived from them)
+RECORDS = {
+    Ket: (["amplitudes"], ["dim"]),
+    DensityOperator: (["matrix"], ["dim"]),
+    Povm: (["elements"], ["dim"]),
+    ProbVector: (["values"], []),
+    CondProbMatrix: (["rows"], ["n_reference"]),
+    ReferenceMeasurement: (["elements", "projectors", "transfer", "transfer_inverse",
+                            "condition_number", "sic_certified"], ["dim", "n_outcomes"]),
+    MeasurementFamily: (["settings", "povms"], ["dim"]),
+    CorrelationTable: (["probs"], ["settings_a", "settings_b"]),
+    SteeringReport: (["ensembles", "marginals"],
+                     ["cross_fidelities", "overlap", "marginal_deviation", "no_steering"]),
+    OutcomeCounts: (["counts", "seed"], ["n_trials"]),
+    DataTable: (["counts", "seed"], ["settings_a", "settings_b", "n_trials"]),
+    FiducialCandidate: (["vector", "seed", "restarts_used", "restart_index"],
+                        ["frame_potential", "max_sic_deviation"]),
+}
+
+
+# producer: (record, *arguments) -> [(a derived number of the record, the expression the
+# producer stored in that number's field before it became a property)]
+STORED_BEFORE = {
+    "make_ket": lambda r, v: [(r.dim, check_dim(v.shape[0]))],
+    "validate_density": lambda r, m: [(r.dim, check_dim(m.shape[0]))],
+    "make_povm": lambda r, els: [(r.dim, check_dim(els.shape[1]))],
+    "make_prob_vector": lambda r, values: [],
+    "make_cond_prob": lambda r, rows: [],
+    "make_reference": lambda r, povm: [(r.dim, check_dim(povm.elements.shape[1]))],
+    "sic_reference": lambda r, d: [(r.dim, check_dim(d)), (r.elements.dim, check_dim(d))],
+    "random_reference": lambda r, d, seed: [(r.dim, check_dim(d)),
+                                            (r.elements.dim, check_dim(d))],
+    "reference_from_fiducial": lambda r, ket: [
+        (r.dim, check_dim(ket.amplitudes.shape[0])),
+        (r.elements.dim, check_dim(ket.amplitudes.shape[0]))],
+    "random_density": lambda r, d, rank, seed: [(r.dim, check_dim(d))],
+    "random_povm": lambda r, d, n, seed: [(r.dim, check_dim(d))],
+    "random_pure_state": lambda r, d, seed: [(r.dim, check_dim(d))],
+    "correlation_table": lambda r, psi, fam_a, fam_b: [(r.settings_a, tuple(fam_a.settings)),
+                                                       (r.settings_b, tuple(fam_b.settings))],
+    "steering_ensembles": lambda r, psi, basis_1, basis_2: [
+        (r.cross_fidelities, _traces(*(np.array([rho.matrix for _, rho in members])
+                                       for members in r.ensembles))),
+        *((rho.dim, psi.dim // basis_1.dim) for members in r.ensembles for _, rho in members),
+        *((rho.dim, psi.dim // basis_1.dim) for rho in r.marginals)],
+    "sample_outcomes": lambda r, q, n, seed: [(r.n_trials, n)],
+    "data_table_sim": lambda r, table, n, seed: [(r.n_trials, int(n)),
+                                                 (r.settings_a, table.settings_a),
+                                                 (r.settings_b, table.settings_b)],
+    "sic_search": lambda r, d, seed, restarts: [(r.vector.dim, check_dim(d))],
 }
 
 
@@ -167,8 +237,9 @@ def test_a_duplicated_record_is_read_only_too(producer, duplicate):
 
 def test_a_dict_field_keeps_its_key_order():
     probs = {("a", "c"): np.full((2, 2), 0.25), ("a", "b"): np.eye(2) / 2}
-    table = CorrelationTable(("a",), ("b", "c"), probs)
+    table = CorrelationTable(probs)
     assert list(table.probs) == [("a", "c"), ("a", "b")]
+    assert (table.settings_a, table.settings_b) == (("a",), ("c", "b"))
     np.testing.assert_array_equal(table.probs[("a", "b")], np.eye(2) / 2)
 
 
@@ -182,11 +253,26 @@ def test_a_record_equals_only_itself_and_hashes(build, arguments):
     assert {record: 1, again: 2}[record] == 1
 
 
-def test_derived_numbers_are_properties_not_fields():
-    assert [f.name for f in dataclasses.fields(FiducialCandidate)] == [
-        "vector", "seed", "restarts_used", "restart_index"]
-    assert [f.name for f in dataclasses.fields(SteeringReport)] == [
-        "ensembles", "marginals", "cross_fidelities"]
+@pytest.mark.parametrize("record_type", RECORDS, ids=[t.__name__ for t in RECORDS])
+def test_a_record_stores_its_fields_and_derives_the_rest(record_type):
+    fields, derived = RECORDS[record_type]
+    assert [f.name for f in dataclasses.fields(record_type)] == fields
+    for name in derived:
+        assert isinstance(getattr(record_type, name), property), name
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+def test_a_derived_number_is_the_number_once_stored(producer):
+    build, arguments = PRODUCERS[producer]
+    arguments = arguments()
+    record = build(*arguments)
+    for now, before in STORED_BEFORE[producer](record, *arguments):
+        if isinstance(before, np.ndarray):
+            assert (now.dtype, now.shape) == (before.dtype, before.shape)
+            assert now.tobytes() == before.tobytes()
+            assert not now.flags.writeable
+        else:
+            assert repr(now) == repr(before)
 
 
 @pytest.mark.parametrize("dim,seed,restarts,tol", [(2, 1, 3, 1e-8), (3, 0, 5, 1e-8),

@@ -2,8 +2,10 @@
 the exact message below.
 
 The rank rows: a validator refuses an array of the wrong number of axes, naming its
-shape, where it once reshaped it or let it through to fail later. The other rows are
-refusals that no other test reaches.
+shape, where it once reshaped it or let it through to fail later. The record rows: a
+record whose derived numbers (a table's settings and trial count, a steering report's
+cross fidelities) would be undefined or inconsistent is refused when it is built. The
+other rows are refusals that no other test reaches.
 """
 
 import re
@@ -13,6 +15,8 @@ import pytest
 
 from probrep.born import classical_law, make_cond_prob, povm_to_cond, sic_reference, state_to_prob
 from probrep.correlations import (
+    CorrelationTable,
+    SteeringReport,
     _projective_rank1_vectors,
     angle_family,
     direction_povm,
@@ -24,13 +28,19 @@ from probrep.correlations import (
 )
 from probrep.errors import DimensionMismatch, ShapeMismatch, WrongArity
 from probrep.operators import (
+    DensityOperator,
     make_ket,
     make_povm,
     make_prob_vector,
     projector_povm,
     random_pure_state,
+    tensor,
     validate_density,
 )
+from probrep.sampling import DataTable
+
+HALVES = np.full((2, 2), 0.25)
+MIXED = DensityOperator(np.eye(2) / 2)
 
 # name: (the refused call, its error class, its message)
 REFUSALS = {
@@ -78,6 +88,41 @@ REFUSALS = {
                      DimensionMismatch, "state dim 3 != joint dim 4"),
     "direction_povm-plane": (lambda: direction_povm(0.0, "yz"),
                              ValueError, "unknown plane 'yz'"),
+    "family-empty": (lambda: family([], []), ValueError, "a family needs at least one setting"),
+    "tensor-ket-operator": (lambda: tensor(np.array([1, 0]), np.eye(2)), ValueError,
+                            "tensor takes two kets (1-d) or two operators (2-d), "
+                            "got shapes (2,) and (2, 2)"),
+    "tensor-3d": (lambda: tensor(np.ones((2, 2, 2)), np.eye(2)), ValueError,
+                  "tensor takes two kets (1-d) or two operators (2-d), "
+                  "got shapes (2, 2, 2) and (2, 2)"),
+    "make_table-repeated": (lambda: make_table(("a", "a"), ("b",), {("a", "b"): HALVES}),
+                            ValueError, "settings_a labels must be distinct, got ['a', 'a']"),
+    "make_table-empty": (lambda: make_table((), ("b",), {}),
+                         ValueError, "a table needs at least one setting pair"),
+    "CorrelationTable-empty": (lambda: CorrelationTable({}),
+                               ValueError, "a table needs at least one setting pair"),
+    "CorrelationTable-not-product": (
+        lambda: CorrelationTable({("a", "b"): HALVES, ("c", "d"): HALVES}), ValueError,
+        "block keys [('a', 'b'), ('c', 'd')] are not the row-major product of settings "
+        "['a', 'c'] and ['b', 'd']"),
+    "CorrelationTable-column-major": (
+        lambda: CorrelationTable({("a", "b"): HALVES, ("c", "b"): HALVES,
+                                  ("a", "d"): HALVES, ("c", "d"): HALVES}), ValueError,
+        "block keys [('a', 'b'), ('c', 'b'), ('a', 'd'), ('c', 'd')] are not the row-major "
+        "product of settings ['a', 'c'] and ['b', 'd']"),
+    "DataTable-empty": (lambda: DataTable({}, 1),
+                        ValueError, "a table needs at least one setting pair"),
+    "DataTable-not-product": (
+        lambda: DataTable({("a", "b"): np.eye(2, dtype=int), ("c", "d"): np.eye(2, dtype=int)},
+                          1), ValueError,
+        "block keys [('a', 'b'), ('c', 'd')] are not the row-major product of settings "
+        "['a', 'c'] and ['b', 'd']"),
+    "DataTable-totals": (
+        lambda: DataTable({("a", "b"): np.array([[3, 0], [0, 7]]),
+                           ("a", "c"): np.ones((2, 2), dtype=int)}, 1), ValueError,
+        "every block must total the same number of trials, got [10, 4]"),
+    "SteeringReport-empty": (lambda: SteeringReport(([], [(1.0, MIXED)]), (MIXED, MIXED)),
+                             ValueError, "each steering ensemble needs at least one member"),
 }
 
 
