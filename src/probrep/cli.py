@@ -185,28 +185,27 @@ def run_classical_gap(params: dict, manifest: dict) -> _Rendered:
 
 
 def _parse_angles(text: str):
+    """[(radians, degrees as typed) of side A, the same of side B] of 'A1,A2,..:B1,B2,..'."""
     try:
         part_a, part_b = text.split(":")
-        a = [float(v) * math.pi / 180.0 for v in part_a.split(",")]
-        b = [float(v) * math.pi / 180.0 for v in part_b.split(",")]
+        degrees = [[float(v) for v in part.split(",")] for part in (part_a, part_b)]
     except ValueError as err:
         raise ValueError(
             f"--angles must look like 'A1,A2:B1,B2' in degrees, got {text!r}"
         ) from err
-    if not all(map(math.isfinite, a + b)):  # nan, inf, or past the float range once in radians
+    sides = [([v * math.pi / 180.0 for v in side], side) for side in degrees]
+    # nan, inf, or past the float range once in radians
+    if not all(math.isfinite(r) for radians, _ in sides for r in radians):
         raise ValueError(f"--angles {text!r} has a non-finite angle in radians")
-    return a, b
+    return sides
 
 
 def run_bell(params: dict, manifest: dict) -> _Rendered:
     if params["counts_csv"] and not params["simulate"]:
         raise ValueError("--counts-csv needs --simulate")
     psi = _builtin_state(params)
-    angles_a, angles_b = _parse_angles(params["angles"])
-    typed_a, typed_b = ([float(v) for v in side.split(",")]
-                        for side in params["angles"].split(":"))
-    fam_a = correlations.angle_family(angles_a, plane=params["plane"], degrees=typed_a)
-    fam_b = correlations.angle_family(angles_b, plane=params["plane"], degrees=typed_b)
+    fam_a, fam_b = (correlations.angle_family(radians, plane=params["plane"], degrees=degrees)
+                    for radians, degrees in _parse_angles(params["angles"]))
     table = correlations.correlation_table(psi, fam_a, fam_b)
 
     payload = {

@@ -1,13 +1,17 @@
 """Bipartite correlation scenarios: joint outcome tables, CHSH, steering
 ensembles, and the single-system embedding of a two-qubit measurement.
 
+A setting label is stated once: a MeasurementFamily maps each label to its
+POVM, and a CorrelationTable each (a, b) pair to its block, in row-major order;
+their settings are read from the key order.
+
 Outcome sign convention for correlators: the first POVM element of every
 binary measurement maps to +1, the second to -1.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Hashable, Sequence, Tuple
 
 import numpy as np
 
@@ -30,29 +34,36 @@ from .operators import (
 
 @_record
 class MeasurementFamily:
-    """One POVM per setting label, all in the same dimension."""
+    """One POVM per setting label, all in the same dimension: povms maps each label to its
+    POVM, and settings is the key order."""
 
-    settings: Tuple
-    povms: Tuple[Povm, ...]
+    povms: Dict[Hashable, Povm]
 
     def __post_init__(self):
-        if not self.settings:
+        if not self.povms:
             raise ValueError("a family needs at least one setting")
-        if len(self.settings) != len(self.povms):
-            raise ValueError("one POVM per setting label required")
-        if len(set(self.settings)) != len(self.settings):
-            raise ValueError(f"setting labels must be distinct, got {list(self.settings)}")
-        dims = {p.dim for p in self.povms}
+        dims = {p.dim for p in self.povms.values()}
         if len(dims) != 1:
             raise DimensionMismatch(f"family mixes dimensions {sorted(dims)}")
 
     @property
+    def settings(self) -> Tuple:
+        return tuple(self.povms)
+
+    @property
     def dim(self) -> int:
-        return self.povms[0].dim
+        return next(iter(self.povms.values())).dim
 
 
 def family(settings: Sequence, povms: Sequence[Povm]) -> MeasurementFamily:
-    return MeasurementFamily(tuple(settings), tuple(povms))
+    """The family measuring povms[k] at settings[k]. Lists of different lengths, or a
+    repeated label: ValueError."""
+    settings, povms = list(settings), list(povms)
+    if len(settings) != len(povms):
+        raise ValueError("one POVM per setting label required")
+    if len(set(settings)) != len(settings):
+        raise ValueError(f"setting labels must be distinct, got {settings}")
+    return MeasurementFamily(dict(zip(settings, povms)))
 
 
 def _setting_orders(blocks: Dict[Tuple, np.ndarray]) -> Tuple[Tuple, Tuple]:
@@ -99,21 +110,17 @@ class CorrelationTable:
         return float(blk[0, 0] - blk[0, 1] - blk[1, 0] + blk[1, 1])
 
 
-def make_table(settings_a, settings_b, probs: Dict[Tuple, np.ndarray]) -> CorrelationTable:
-    """2-d blocks validated (clipped) as make_prob_vector does, keyed in row-major setting
-    order. A label repeated on one side: ValueError."""
-    for side, labels in (("a", settings_a), ("b", settings_b)):
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"settings_{side} labels must be distinct, got {list(labels)}")
+def make_table(probs: Dict[Tuple, np.ndarray]) -> CorrelationTable:
+    """Every block 2-d and validated (clipped) as make_prob_vector does, the keys the
+    row-major product of the settings (see _setting_orders)."""
     out = {}
-    for a in settings_a:
-        for b in settings_b:
-            try:
-                blk = _shaped(probs[(a, b)], float, 2)
-                rows = _check_prob_rows(blk.reshape(1, -1))
-            except ValueError as err:
-                raise ValueError(f"block ({a!r}, {b!r}): {err}") from err
-            out[(a, b)] = rows.reshape(blk.shape)
+    for key, block in probs.items():
+        try:
+            blk = _shaped(block, float, 2)
+            rows = _check_prob_rows(blk.reshape(1, -1))
+        except ValueError as err:
+            raise ValueError(f"block {key!r}: {err}") from err
+        out[key] = rows.reshape(blk.shape)
     return CorrelationTable(out)
 
 
@@ -128,12 +135,12 @@ def correlation_table(
         )
     amp = psi.amplitudes.reshape(da, db)
     probs = {}
-    for a, pa in zip(fam_a.settings, fam_a.povms):
+    for a, pa in fam_a.povms.items():
         # p(x, y) = tr(C_x B_y^T) with C_x = amp^dag A_x amp, and B_y^T = conj(B_y)
         c = amp.conj().T @ pa.elements @ amp
-        for b, pb in zip(fam_b.settings, fam_b.povms):
+        for b, pb in fam_b.povms.items():
             probs[(a, b)] = _traces(c, pb.elements.conj())
-    return make_table(fam_a.settings, fam_b.settings, probs)
+    return make_table(probs)
 
 
 def chsh_value(table: CorrelationTable) -> float:
@@ -165,7 +172,7 @@ def lhv_chsh_bound() -> float:
                     blk = np.zeros((2, 2))
                     blk[(fa >> ia) & 1, (gb >> ib) & 1] = 1.0
                     probs[(a, b)] = blk
-            best = max(best, chsh_value(make_table(("a1", "a2"), ("b1", "b2"), probs)))
+            best = max(best, chsh_value(make_table(probs)))
     return best
 
 
@@ -187,7 +194,7 @@ class SteeringReport:
     ``overlap``, ``marginal_deviation`` and ``no_steering`` are derived from them.
     """
 
-    ensembles: Tuple[List[Tuple[float, DensityOperator]], List[Tuple[float, DensityOperator]]]
+    ensembles: Tuple[Tuple[Tuple[float, DensityOperator], ...], ...]
     marginals: Tuple[DensityOperator, DensityOperator]
 
     def __post_init__(self):
@@ -249,28 +256,20 @@ def steering_ensembles(psi: Ket, basis_1: Povm, basis_2: Povm) -> SteeringReport
     db = psi.dim // da
     # row-major split (i_A, i_B) -> i_A * d_B + i_B, matching tensor()
     amp = psi.amplitudes.reshape(da, db)
-
-    ensembles = []
-    marginals = []
-    for basis in (basis_1, basis_2):
-        vecs = _projective_rank1_vectors(basis)
-        members = []
-        marginal = np.zeros((db, db), dtype=complex)
-        for k in range(da):
-            sub = vecs[k].conj() @ amp  # unnormalized conditional ket of B
-            prob = float(np.real(sub.conj() @ sub))
-            marginal += np.outer(sub, sub.conj())
-            if prob > SUPPORT_CUT:
-                cond = np.outer(sub, sub.conj()) / prob
-                cond = 0.5 * (cond + cond.conj().T)
-                members.append((prob, DensityOperator(cond)))
-        ensembles.append(members)
-        marginal = 0.5 * (marginal + marginal.conj().T)
-        marginals.append(DensityOperator(marginal))
-
+    # [basis, k]: the unnormalized conditional ket of B, its probability and its outer product
+    vecs = np.stack([_projective_rank1_vectors(basis) for basis in (basis_1, basis_2)])
+    subs = (vecs.conj()[..., None, :] @ amp)[..., 0, :]
+    probs = (subs.conj()[..., None, :] @ subs[..., :, None])[..., 0, 0].real
+    outers = subs[..., :, None] * subs.conj()[..., None, :]
+    kept = probs > SUPPORT_CUT
+    conds = outers / np.where(kept, probs, 1.0)[..., None, None]  # a dropped outcome's is unused
+    conds = 0.5 * (conds + conds.conj().swapaxes(-1, -2))
+    marginals = outers.sum(axis=1)
+    marginals = 0.5 * (marginals + marginals.conj().swapaxes(-1, -2))
     return SteeringReport(
-        ensembles=(ensembles[0], ensembles[1]),
-        marginals=(marginals[0], marginals[1]),
+        ensembles=tuple([(float(p), DensityOperator(c)) for p, c in zip(ps[k], cs[k])]
+                        for ps, cs, k in zip(probs, conds, kept)),
+        marginals=tuple(DensityOperator(m) for m in marginals),
     )
 
 
@@ -285,14 +284,9 @@ def spin32_embedding(
     """
     if fam_a.dim != 2 or fam_b.dim != 2:
         raise WrongDimension("embedding is defined for a pair of qubit families")
-    settings = []
-    povms = []
-    for a, pa in zip(fam_a.settings, fam_a.povms):
-        for b, pb in zip(fam_b.settings, fam_b.povms):
-            els = [tensor(ea, eb) for ea in pa.elements for eb in pb.elements]
-            settings.append((a, b))
-            povms.append(make_povm(np.array(els)))
-    return MeasurementFamily(tuple(settings), tuple(povms))
+    return MeasurementFamily({
+        (a, b): make_povm(np.array([tensor(ea, eb) for ea in pa.elements for eb in pb.elements]))
+        for a, pa in fam_a.povms.items() for b, pb in fam_b.povms.items()})
 
 
 def embedded_correlation_table(
@@ -308,11 +302,8 @@ def embedded_correlation_table(
     if psi.dim != joint.dim:
         raise DimensionMismatch(f"state dim {psi.dim} != joint dim {joint.dim}")
     rho = psi.density()
-    probs = {}
-    for (a, b), povm in zip(joint.settings, joint.povms):
-        nx = len(fam_a.povms[fam_a.settings.index(a)])
-        probs[(a, b)] = born_probabilities(rho, povm).values.reshape(nx, -1)
-    return make_table(fam_a.settings, fam_b.settings, probs)
+    return make_table({(a, b): born_probabilities(rho, povm).values.reshape(len(fam_a.povms[a]), -1)
+                       for (a, b), povm in joint.povms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +358,7 @@ def angle_family(thetas: Sequence[float], plane: str = "xy",
     short = [f"{np.degrees(t):g}" for t in thetas]
     clash = {s for s in short if len({v for v, other in zip(degrees, short) if other == s}) > 1}
     labels = tuple(repr(v).removesuffix(".0") if s in clash else s for v, s in zip(degrees, short))
-    return MeasurementFamily(labels, tuple(direction_povm(t, plane) for t in thetas))
+    return family(labels, [direction_povm(t, plane) for t in thetas])
 
 
 #: Angles (radians) achieving the Tsirelson bound for the singlet with the

@@ -2,12 +2,13 @@
 products, the Born rule, and seeded random generators.
 
 All types are records, declared with _record: frozen holders of read-only
-copies of their arrays, compared and hashed by identity, that store no number
-their other fields determine. Ket stores its amplitudes, DensityOperator its
-matrix and Povm its elements, and each reads ``dim`` from its array's shape;
-ProbVector stores its values. The records of the other layers follow the same
-rule: a table's settings are the key order of its block map, a trial count is
-a total of counts, and a steering report's cross fidelities are traces of its
+copies of their arrays, lists (as tuples) and dicts (as read-only views),
+compared and hashed by identity, that store no number their other fields
+determine. Ket stores its amplitudes, DensityOperator its matrix and Povm its
+elements, and each reads ``dim`` from its array's shape; ProbVector stores its
+values. The records of the other layers follow the same rule: the settings
+of a family or a table are the key order of its map, a trial count is a total
+of counts, and a steering report's cross fidelities are traces of its
 ensembles' states. The one exception is born.ReferenceMeasurement: beside its
 elements (whose ``dim`` it reads) it stores the projectors, transfer maps,
 condition number and SIC certificate that make_reference computes to accept
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -84,8 +86,9 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 
 
 def _require_positive(value, what: str) -> None:
-    """Reject a tolerance that is not a finite real number > 0."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+    """Reject a tolerance that is not a finite real number > 0, or is a bool."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
         raise ValueError(f"{what} must be a finite number > 0, got {value!r}")
 
 
@@ -97,10 +100,13 @@ def _total(a: np.ndarray, axis=None) -> np.ndarray:
 
 
 def _owned(value):
-    """A read-only copy of an array, a new dict (same key order) with each array value so
-    copied, or the value itself."""
+    """value with no writable container in it: an array as a read-only copy, a list or tuple
+    as a tuple, and a dict as a read-only MappingProxyType view of a new dict in the same
+    key order, their items so owned in turn; any other value as itself."""
     if isinstance(value, dict):
-        return {key: _owned(item) for key, item in value.items()}
+        return MappingProxyType({key: _owned(item) for key, item in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(_owned(item) for item in value)
     if isinstance(value, np.ndarray):
         value = value.copy()
         value.setflags(write=False)
@@ -108,12 +114,13 @@ def _owned(value):
 
 
 def _record(cls):
-    """Declare cls a record: a frozen dataclass that owns read-only copies of the arrays
-    given to it (see _owned), so that no later write to the caller's arrays or dicts
-    reaches it, and that compares and hashes by identity (a generated __eq__ would
-    compare arrays, whose truth value is ambiguous). A __post_init__ of cls's own runs
-    after the copies are made. pickle and copy rebuild a record through its
-    constructor, so a copy is read-only too."""
+    """Declare cls a record: a frozen dataclass that holds its field values as _owned
+    makes them, so that no later write to the caller's arrays, lists or dicts reaches it
+    and no write through it succeeds, and that compares and hashes by identity (a
+    generated __eq__ would compare arrays, whose truth value is ambiguous). A
+    __post_init__ of cls's own runs after the copies are made. pickle and copy rebuild a
+    record through its constructor, from plain dicts in place of the read-only views, so
+    a copy is read-only too."""
     checks = cls.__dict__.get("__post_init__")
 
     def __post_init__(self):
@@ -123,7 +130,9 @@ def _record(cls):
             checks(self)
 
     def __reduce__(self):
-        return cls, tuple(getattr(self, name) for name in self.__dataclass_fields__)
+        # pickle cannot store a MappingProxyType, so a dict field goes as a plain dict
+        values = (getattr(self, name) for name in self.__dataclass_fields__)
+        return cls, tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
 
     cls.__post_init__ = __post_init__
     cls.__reduce__ = __reduce__

@@ -85,7 +85,7 @@ class DataTable:
     def empirical_table(self) -> correlations.CorrelationTable:
         """Relative frequencies as a correlation table."""
         probs = {key: block / self.n_trials for key, block in self.counts.items()}
-        return correlations.make_table(self.settings_a, self.settings_b, probs)
+        return correlations.make_table(probs)
 
 
 def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -221,7 +221,7 @@ def binomial_interval_prob(n: int, p: float, lo: int, hi: int) -> float:
         raise ValueError(f"n, lo and hi must be integers, got n={n!r} lo={lo!r} hi={hi!r}")
     if not 0 <= lo <= hi <= n < 2**63:
         raise ValueError(f"need 0 <= lo <= hi <= n < 2**63, got lo={lo} hi={hi} n={n}")
-    if not 0.0 <= p <= 1.0:
+    if isinstance(p, bool) or not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be a probability, got {p}")
     if p == 0.0:
         return 1.0 if lo == 0 else 0.0

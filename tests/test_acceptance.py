@@ -217,7 +217,7 @@ def test_criterion_6_correlations():
                 joint = np.einsum("ix,iy->ixy", r_a[ia], r_b[ib]).reshape(n_hidden, 4)
                 probs[(a, b)] = classical_law(p, make_cond_prob(joint)).values.reshape(2, 2)
         worst_lhv = max(
-            worst_lhv, chsh_value(make_table(("a1", "a2"), ("b1", "b2"), probs))
+            worst_lhv, chsh_value(make_table(probs))
         )
     lhv_ok = worst_lhv <= bound + 1e-10
 

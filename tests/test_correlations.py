@@ -79,8 +79,8 @@ class TestCorrelationTable:
         table = correlation_table(psi, fam_a, fam_b)
         rho_a = np.outer([1, 0], [1, 0])
         rho_b = np.outer([1, 1], [1, 1]) / 2
-        for a, pa in zip(fam_a.settings, fam_a.povms):
-            for b, pb in zip(fam_b.settings, fam_b.povms):
+        for a, pa in fam_a.povms.items():
+            for b, pb in fam_b.povms.items():
                 px = np.real(np.einsum("ij,xji->x", rho_a, pa.elements))
                 py = np.real(np.einsum("ij,yji->y", rho_b, pb.elements))
                 assert_allclose(table.block(a, b), np.outer(px, py), atol=1e-12)
@@ -97,16 +97,16 @@ class TestCorrelationTable:
     def test_make_table_refuses_nan_block(self):
         probs = {("a", "b"): [[np.nan, 1.0], [0.0, 0.0]]}
         with pytest.raises(ValueError, match=r"^block \('a', 'b'\): .*non-finite"):
-            make_table(("a",), ("b",), probs)
+            make_table(probs)
 
     def test_make_table_refuses_negative_entry(self):
         probs = {("a", "b"): [[0.0, 0.3], [0.7, 0.0]], ("a", "c"): [[-0.5, 0.8], [0.7, 0.0]]}
         with pytest.raises(ValueError, match=r"^block \('a', 'c'\): probability -5"):
-            make_table(("a",), ("b", "c"), probs)
+            make_table(probs)
 
     def test_make_table_clips_rounding_negatives(self):
         blk = np.array([[0.5, -1e-17], [1e-17, 0.5]])
-        table = make_table(("a",), ("b",), {("a", "b"): blk})
+        table = make_table({("a", "b"): blk})
         assert table.block("a", "b").tolist() == [[0.5, 0.0], [1e-17, 0.5]]
         assert blk[0, 1] == -1e-17
 
@@ -169,7 +169,7 @@ class TestChsh:
                     )
                     q = classical_law(p, make_cond_prob(joint))
                     probs[(a, b)] = q.values.reshape(2, 2)
-            table = make_table(("a1", "a2"), ("b1", "b2"), probs)
+            table = make_table(probs)
             assert chsh_value(table) <= bound + 1e-10
 
     def test_tsirelson_sweep(self):
@@ -206,12 +206,12 @@ class TestNoSignalling:
             ("a", "b1"): np.array([[0.5, 0.0], [0.0, 0.5]]),
             ("a", "b2"): np.array([[0.3, 0.0], [0.2, 0.5]]),
         }
-        table = make_table(("a",), ("b1", "b2"), probs)
+        table = make_table(probs)
         assert no_signalling_check(table) == pytest.approx(0.2, abs=1e-12)
 
     def test_uniform_table(self):
         probs = {("a", "b"): np.full((2, 2), 0.25)}
-        assert no_signalling_check(make_table(("a",), ("b",), probs)) == 0.0
+        assert no_signalling_check(make_table(probs)) == 0.0
 
 
 class TestSteering:
@@ -340,7 +340,7 @@ class TestSpin32Embedding:
             random_qubit_family(2, seed=5), random_qubit_family(2, seed=6)
         )
         assert joint.dim == 4
-        for povm in joint.povms:
+        for povm in joint.povms.values():
             make_povm(povm.elements)
 
     def test_wrong_dimension(self):

@@ -515,7 +515,7 @@ def test_data_table_counts_sum_to_trials(n_a, n_b, shape, n_per_setting, seed):
         (a, b): _distribution(size, ZERO_PATTERNS[t % 5], 0, seed + t).reshape(shape)
         for t, (a, b) in enumerate((a, b) for a in settings_a for b in settings_b)
     }
-    dt = data_table_sim(make_table(settings_a, settings_b, probs), n_per_setting, seed)
+    dt = data_table_sim(make_table(probs), n_per_setting, seed)
     assert dt.n_trials == n_per_setting
     for block in dt.counts.values():
         assert block.shape == shape and block.min() >= 0
@@ -530,8 +530,8 @@ def _einsum_table(psi, fam_a, fam_b):
             np.einsum("mu,xmn,yuv,nv->xy", amp.conj(), pa.elements, pb.elements, amp,
                       optimize=True)
         )
-        for a, pa in zip(fam_a.settings, fam_a.povms)
-        for b, pb in zip(fam_b.settings, fam_b.povms)
+        for a, pa in fam_a.povms.items()
+        for b, pb in fam_b.povms.items()
     }
 
 
@@ -615,7 +615,7 @@ def test_local_deterministic_mixtures_obey_chsh_bound(weights):
             for w, (f, g) in zip(weights, LOCAL_STRATEGIES):
                 block[(f >> i) & 1, (g >> j) & 1] += w / total
             probs[(a, b)] = block
-    assert chsh_value(make_table(("a1", "a2"), ("b1", "b2"), probs)) <= 2 + 1e-12
+    assert chsh_value(make_table(probs)) <= 2 + 1e-12
 
 
 # Degrees as --angles gives them: whole numbers, any double's repr (nan and the
@@ -634,13 +634,15 @@ degree_texts = st.lists(st.one_of(st.integers(-720, 720).map(str), st.floats().m
 @example(part_a="1e308,0", part_b="45,135")
 def test_parse_angles_gives_the_radians_of_numpy_pi(part_a, part_b):
     """_parse_angles converts with math.pi: the floats of float(v) * np.pi / 180.0, bit for
-    bit, and the same refusal of an angle that is not finite in radians."""
+    bit, beside each side's degrees as typed, float(v), and the same refusal of an angle
+    that is not finite in radians."""
     text = f"{part_a}:{part_b}"
-    radians = tuple([float(v) * np.pi / 180.0 for v in part.split(",")]
-                    for part in (part_a, part_b))
+    degrees = [[float(v) for v in part.split(",")] for part in (part_a, part_b)]
+    radians = [[v * np.pi / 180.0 for v in side] for side in degrees]
     if np.isfinite(radians[0] + radians[1]).all():
-        assert [list(map(float.hex, side)) for side in _parse_angles(text)] == \
-            [list(map(float.hex, side)) for side in radians]
+        assert [[list(map(float.hex, numbers)) for numbers in side]
+                for side in _parse_angles(text)] == \
+            [[list(map(float.hex, r)), list(map(float.hex, d))] for r, d in zip(radians, degrees)]
     else:
         message = f"--angles {text!r} has a non-finite angle in radians"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -663,7 +665,7 @@ def test_distinct_angles_get_distinct_labels(degrees):
     """Each angle keeps its %g label unless a different angle shares it; each of those
     is the shortest decimal that reads back to its degrees as typed. An angle typed
     twice is still refused."""
-    radians, _ = _parse_angles(",".join(map(repr, degrees)) + ":0")
+    [(radians, _), _] = _parse_angles(",".join(map(repr, degrees)) + ":0")
     labels = angle_family(radians, degrees=degrees).settings
     short = [f"{np.degrees(t):g}" for t in radians]
     for v, label, s in zip(degrees, labels, short):

@@ -1,15 +1,16 @@
-"""Every record owns read-only copies of its arrays, compares by identity and stores
-no number that its other fields determine.
+"""Every record owns read-only copies of its arrays and containers, compares by identity
+and stores no number that its other fields determine.
 
 Each record type is declared with operators._record. A record built by a
-public producer, or directly from the caller's arrays and dicts, holds
-read-only copies: a write through the record raises, and the caller's
-arrays stay writable, unchanged and apart from the record's. A record
-that pickle or copy.deepcopy duplicates is built again by its constructor,
-so the duplicate's arrays are read-only too. A record equals only itself and
-hashes, so it can be a dict key. MeasurementFamily and
-FiducialCandidate hold only records and scalars, so they are covered
-through the records they hold.
+public producer, or directly from the caller's arrays, lists and dicts, holds
+read-only copies: an array as a read-only array, a list or tuple as a tuple, and
+a dict as a read-only MappingProxyType view in the same key order. A write
+through the record raises, and the caller's arrays stay writable, unchanged and
+apart from the record's. A record that pickle or copy.deepcopy duplicates is
+built again by its constructor, so the duplicate's arrays and dicts are
+read-only too. A record equals only itself and hashes, so it can be a dict key.
+MeasurementFamily and FiducialCandidate hold only records, scalars and
+containers of them, so their arrays are covered through the records they hold.
 
 What each record stores, and what it derives, is pinned by RECORDS:
 - Ket stores amplitudes, DensityOperator matrix and Povm elements; each
@@ -19,7 +20,8 @@ What each record stores, and what it derives, is pinned by RECORDS:
   one exception to the rule: it also stores projectors, transfer,
   transfer_inverse, condition_number and sic_certified, which make_reference
   computes to accept a reference.
-- MeasurementFamily stores settings and povms (dim is the povms').
+- MeasurementFamily stores povms, a map from setting label to POVM; settings is
+  its key order and dim the POVMs'.
 - CorrelationTable stores probs, DataTable counts and seed; settings_a and
   settings_b are the row-major key order of the block map, and a DataTable's
   n_trials is a block's total.
@@ -33,6 +35,8 @@ What each record stores, and what it derives, is pinned by RECORDS:
 import copy
 import dataclasses
 import pickle
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -54,6 +58,7 @@ from probrep.correlations import (
     angle_family,
     canonical_chsh_table,
     correlation_table,
+    direction_povm,
     phi_plus,
     singlet,
     steering_ensembles,
@@ -131,7 +136,7 @@ RECORDS = {
     CondProbMatrix: (["rows"], ["n_reference"]),
     ReferenceMeasurement: (["elements", "projectors", "transfer", "transfer_inverse",
                             "condition_number", "sic_certified"], ["dim", "n_outcomes"]),
-    MeasurementFamily: (["settings", "povms"], ["dim"]),
+    MeasurementFamily: (["povms"], ["settings", "dim"]),
     CorrelationTable: (["probs"], ["settings_a", "settings_b"]),
     SteeringReport: (["ensembles", "marginals"],
                      ["cross_fidelities", "overlap", "marginal_deviation", "no_steering"]),
@@ -185,7 +190,7 @@ def arrays_in(value):
     elif isinstance(value, (tuple, list)):
         for item in value:
             yield from arrays_in(item)
-    elif isinstance(value, dict):
+    elif isinstance(value, Mapping):
         for item in value.values():
             yield from arrays_in(item)
 
@@ -241,6 +246,59 @@ def test_a_dict_field_keeps_its_key_order():
     assert list(table.probs) == [("a", "c"), ("a", "b")]
     assert (table.settings_a, table.settings_b) == (("a",), ("c", "b"))
     np.testing.assert_array_equal(table.probs[("a", "b")], np.eye(2) / 2)
+
+
+def phi_plus_z_x():
+    return steering_ensembles(phi_plus(), projector_povm(np.eye(2)),
+                              projector_povm(HADAMARD_BASIS))
+
+
+# name: (the record, a write to a container it holds, a number derived from the record)
+WRITES = {
+    "ensemble-clear": (phi_plus_z_x, lambda r: r.ensembles[0].clear(), lambda r: r.no_steering),
+    "ensemble-append": (phi_plus_z_x, lambda r: r.ensembles[0].append(r.ensembles[1][0]),
+                        lambda r: r.no_steering),
+    "table-probs-pop": (canonical_chsh_table, lambda r: r.probs.pop(next(iter(r.probs))),
+                        lambda r: r.settings_a),
+    "table-probs-set": (canonical_chsh_table, lambda r: r.probs.__setitem__(("x", "y"), None),
+                        lambda r: r.settings_a),
+    "data-table-counts-clear": (lambda: data_table_sim(canonical_chsh_table(), 10, 1),
+                                lambda r: r.counts.clear(), lambda r: r.n_trials),
+    "family-povms-set": (lambda: MeasurementFamily({"a": direction_povm(0.0)}),
+                         lambda r: r.povms.__setitem__("b", direction_povm(1.0)),
+                         lambda r: r.settings),
+    "family-settings-append": (lambda: MeasurementFamily({"a": direction_povm(0.0)}),
+                               lambda r: r.settings.append("b"), lambda r: r.settings),
+}
+
+
+@pytest.mark.parametrize("build,write,derived", WRITES.values(), ids=WRITES)
+def test_a_write_to_a_records_container_raises(build, write, derived):
+    record = build()
+    before = repr(derived(record))
+    with pytest.raises((AttributeError, TypeError)):
+        write(record)
+    assert repr(derived(record)) == before
+
+
+@pytest.mark.parametrize("duplicate", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("build", [canonical_chsh_table,
+                                   lambda: data_table_sim(canonical_chsh_table(), 10, 1),
+                                   lambda: angle_family([0.0, 1.0])],
+                         ids=["CorrelationTable", "DataTable", "MeasurementFamily"])
+def test_a_duplicated_dict_field_is_a_read_only_view_in_key_order(build, duplicate):
+    record = build()
+    again = duplicate(record)
+    names = [f.name for f in dataclasses.fields(record)
+             if isinstance(getattr(record, f.name), Mapping)]
+    assert names
+    for name in names:
+        mine, original = getattr(again, name), getattr(record, name)
+        assert type(mine) is MappingProxyType and type(original) is MappingProxyType
+        assert list(mine) == list(original)
+        with pytest.raises(TypeError):
+            mine[next(iter(mine))] = None
 
 
 @EVERY_RECORD

@@ -37,7 +37,8 @@ from probrep.operators import (
     tensor,
     validate_density,
 )
-from probrep.sampling import DataTable
+from probrep.sampling import DataTable, binomial_interval_prob
+from probrep.sic import sic_search
 
 HALVES = np.full((2, 2), 0.25)
 MIXED = DensityOperator(np.eye(2) / 2)
@@ -53,7 +54,7 @@ REFUSALS = {
                                 ValueError, "expected a 1-d array, got shape ()"),
     "projector_povm-1d": (lambda: projector_povm([1, 0]),
                           ValueError, "expected a 2-d array, got shape (2,)"),
-    "make_table-1d": (lambda: make_table(("a",), ("b",), {("a", "b"): [0.5, 0.5]}),
+    "make_table-1d": (lambda: make_table({("a", "b"): [0.5, 0.5]}),
                       ValueError, "block ('a', 'b'): expected a 2-d array, got shape (2,)"),
     "make_cond_prob-range": (lambda: make_cond_prob([[1.5, -0.5], [0.5, 0.5]]), ValueError,
                              "conditional probabilities outside [0, 1]: range "
@@ -75,7 +76,7 @@ REFUSALS = {
                      ValueError, "one POVM per setting label required"),
     "family-dims": (lambda: family(["a", "b"], [direction_povm(0.0), projector_povm(np.eye(3))]),
                     DimensionMismatch, "family mixes dimensions [2, 3]"),
-    "correlator-arity": (lambda: make_table(("a",), ("b",), {("a", "b"): np.full((1, 3), 1 / 3)})
+    "correlator-arity": (lambda: make_table({("a", "b"): np.full((1, 3), 1 / 3)})
                          .correlator("a", "b"),
                          WrongArity, "correlator needs a 2x2 block, got (1, 3)"),
     "rank1-count": (lambda: _projective_rank1_vectors(make_povm([np.eye(2)])),
@@ -95,10 +96,20 @@ REFUSALS = {
     "tensor-3d": (lambda: tensor(np.ones((2, 2, 2)), np.eye(2)), ValueError,
                   "tensor takes two kets (1-d) or two operators (2-d), "
                   "got shapes (2, 2, 2) and (2, 2)"),
-    "make_table-repeated": (lambda: make_table(("a", "a"), ("b",), {("a", "b"): HALVES}),
-                            ValueError, "settings_a labels must be distinct, got ['a', 'a']"),
-    "make_table-empty": (lambda: make_table((), ("b",), {}),
+    "family-repeated": (lambda: family(["a", "a"], [direction_povm(0.0), direction_povm(1.0)]),
+                        ValueError, "setting labels must be distinct, got ['a', 'a']"),
+    "make_table-empty": (lambda: make_table({}),
                          ValueError, "a table needs at least one setting pair"),
+    "make_table-partial": (
+        lambda: make_table({("a", "b"): HALVES, ("a", "c"): HALVES, ("d", "b"): HALVES}),
+        ValueError, "block keys [('a', 'b'), ('a', 'c'), ('d', 'b')] are not the row-major "
+        "product of settings ['a', 'd'] and ['b', 'c']"),
+    "make_table-extra": (lambda: make_table({("a", "b"): HALVES, ("x", "y"): "junk"}), ValueError,
+                         "block ('x', 'y'): could not convert string to float: 'junk'"),
+    "sic_search-tol-bool": (lambda: sic_search(2, 0, 1, tol=True),
+                            ValueError, "tol must be a finite number > 0, got True"),
+    "binomial_interval_prob-p-bool": (lambda: binomial_interval_prob(10, True, 10, 10),
+                                      ValueError, "p must be a probability, got True"),
     "CorrelationTable-empty": (lambda: CorrelationTable({}),
                                ValueError, "a table needs at least one setting pair"),
     "CorrelationTable-not-product": (

@@ -370,7 +370,7 @@ def test_numpy_integer_arguments_accepted():
 
 def point_mass_table():
     probs = {("a", "b"): np.array([[1.0, 0.0], [0.0, 0.0]])}
-    return make_table(("a",), ("b",), probs)
+    return make_table(probs)
 
 
 class TestDataTableSim:
